@@ -59,18 +59,30 @@ def read_alist(path: str | Path) -> BitMatrix:
 
 
 def from_alist_text(text: str) -> BitMatrix:
-    tokens = iter(text.split())
+    """Parse alist text; malformed input raises ValueError."""
+    words = text.split()
+    tokens = iter(words)
+
+    def index(bound: int) -> int:
+        """A 1-based index up to bound, or the 0 padding."""
+        v = int(next(tokens))
+        if not 0 <= v <= bound:
+            raise ValueError(f"index {v} outside 0..{bound}")
+        return v
+
     try:
         n_cols = int(next(tokens))
         n_rows = int(next(tokens))
         max_col = int(next(tokens))
         max_row = int(next(tokens))
+        if min(n_cols, n_rows) < 0 or n_cols + n_rows > len(words):
+            raise ValueError(f"impossible dimensions {n_rows}x{n_cols}")
         col_wts = [int(next(tokens)) for _ in range(n_cols)]
         row_wts = [int(next(tokens)) for _ in range(n_rows)]
         rows = [0] * n_rows
         for j in range(n_cols):
             for k in range(max_col):
-                v = int(next(tokens))
+                v = index(n_rows)
                 if v:
                     rows[v - 1] |= 1 << j
         # row sections are redundant given the column sections; consume
@@ -78,7 +90,7 @@ def from_alist_text(text: str) -> BitMatrix:
         for i in range(n_rows):
             seen = 0
             for k in range(max_row):
-                v = int(next(tokens))
+                v = index(n_cols)
                 if v:
                     seen += 1
                     if not (rows[i] >> (v - 1)) & 1:

@@ -22,7 +22,6 @@ from lu3q.alist import read_alist, to_alist_text, write_alist
 from lu3q.fields import factor_prime_power, field_for_order
 from lu3q.formulas import predict, predict_even, predict_odd
 from lu3q.geometry import enumerate_quadrangle
-from lu3q.gf2 import rank2
 from lu3q.incidence import build_incidence, build_kim_matrix
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.verify import CHECK_GROUPS, run_checks
@@ -119,7 +118,7 @@ def cmd_rank(args, parser) -> int:
     pred = predict(cfg.q)
     expected = pred.rank_pl if cfg.system == "pl" else pred.rank_p1l1
     m = _build_matrix(cfg.q, cfg.system, cfg.irr)
-    got = rank2(m.bits)
+    got = m.rank
     ok = got == expected
     payload = {
         "q": cfg.q,

@@ -196,8 +196,13 @@ class Quadrangle:
         Y = []
         for p in sorted(ell0_pts - {self.p0}):
             Y.append(min(l for l in self.point_to_lines[p] if l != self.ell0))
-        assert len(P1) == q**3 and len(L1) == q**3
-        assert len(X) == q + 1 and len(X0) == q and len(Y) == q
+        if not (
+            len(P1) == len(L1) == q**3 and len(X) == q + 1 and len(X0) == len(Y) == q
+        ):
+            raise RuntimeError(
+                f"restricted sets have sizes |P1|={len(P1)}, |L1|={len(L1)}, "
+                f"|X|={len(X)}, |X0|={len(X0)}, |Y|={len(Y)}"
+            )
         return RestrictedSets(P1, L1, X, X0, tuple(Y))
 
     # -- grids -------------------------------------------------------------

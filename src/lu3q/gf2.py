@@ -192,10 +192,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.n_cols})"
 
 
-def in_span(v: int, space: Subspace) -> bool:
-    return space.contains(v)
-
-
 def nullspace(m: BitMatrix) -> Subspace:
     """Basis of {v : M v = 0}; dimension is n_cols - rank2(M)."""
     basis_rows, pivot_cols = rref(m)

@@ -19,6 +19,7 @@ between the digitized system and the geometric one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from lu3q.fields import GF
 from lu3q.gf2 import (
@@ -60,6 +61,12 @@ class IncidenceMatrix:
     @property
     def n_cols(self) -> int:
         return self.bits.n_cols
+
+    @cached_property
+    def rank(self) -> int:
+        """GF(2) rank, computed once; the bits are never modified after
+        construction."""
+        return rank2(self.bits)
 
 
 @dataclass(frozen=True)
@@ -377,8 +384,6 @@ def check_kim_equivalence(
     """
     if kim.n_rows != p1l1.n_rows or kim.n_cols != p1l1.n_cols:
         raise ValueError("systems have different shapes")
-    rank_kim = rank2(kim.bits)
-    rank_p1l1 = rank2(p1l1.bits)
     n = kim.n_rows
     q = round(n ** (1 / 3))
     row_perm = col_perm = None
@@ -397,7 +402,7 @@ def check_kim_equivalence(
                 raise IsomorphismNotFoundError(
                     "candidate permutation fails verification"
                 )  # pragma: no cover
-    return EquivalenceReport(q, rank_kim, rank_p1l1, row_perm, col_perm, searched)
+    return EquivalenceReport(q, kim.rank, p1l1.rank, row_perm, col_perm, searched)
 
 
 def restricted_submatrix_check(Q: Quadrangle) -> bool:

@@ -4,14 +4,12 @@ Decoding and channel simulation are numpy-based.  Simulation transmits
 the zero codeword (valid on a symmetric channel for a linear code) and
 draws each trial's noise from its own generator, PCG64 seeded with
 SeedSequence((seed, trial_index)); aggregate counts are plain integer
-sums, so reports are bit-identical for a fixed seed no matter how many
-workers run the trials.
+sums, so reports are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +84,8 @@ class LdpcCode:
         for i in np.nonzero(message)[0]:
             word ^= self.generator.basis[int(i)]
         out = vec_to_bits(word, self.n)
-        assert not self.syndrome(out).any()
+        if self.syndrome(out).any():
+            raise RuntimeError("generator basis produced a non-codeword")
         return out
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
@@ -257,17 +256,17 @@ def simulate(
     normalization: float = 0.75,
     jobs: int = 1,
 ) -> SimReport:
-    """Monte-Carlo decoding error rates on the BSC, zero codeword sent."""
+    """Monte-Carlo decoding error rates on the BSC, zero codeword sent.
+
+    Trials run in order on the calling thread.  ``jobs`` is accepted for
+    compatibility and does not change the result.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    args = [
-        (code, channel, decoder, max_iters, normalization, t) for t in range(trials)
+    outcomes = [
+        _run_trial(code, channel, decoder, max_iters, normalization, t)
+        for t in range(trials)
     ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda a: _run_trial(*a), args))
-    else:
-        outcomes = [_run_trial(*a) for a in args]
     bit_errors = sum(o[0] for o in outcomes)
     frame_errors = sum(1 for o in outcomes if o[1])
     undetected = sum(1 for o in outcomes if o[2])

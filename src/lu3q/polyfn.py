@@ -196,7 +196,8 @@ def poly_frobenius_power(f: PolyFn, e: int, F: GF) -> PolyFn:
 
 @dataclass
 class BetaBasis:
-    """The digit-tuple generating set and its expanded coefficient matrix."""
+    """The digit-tuple generating set and its expanded coefficient matrix,
+    with the field's elimination tables that reduce vectors against it."""
 
     F: GF
     tuples: list[tuple[int, ...]]
@@ -204,6 +205,7 @@ class BetaBasis:
     matrix: np.ndarray
     rref_rows: np.ndarray
     rref_pivots: list[int]
+    ops: GFqLinAlg
 
     @property
     def rank(self) -> int:
@@ -300,21 +302,17 @@ def build_beta(F: GF) -> BetaBasis:
         mat[i] = poly_to_vec(poly, F.q)
     ops = GFqLinAlg(F)
     rows, pivots = ops.rref(mat)
-    return BetaBasis(F, tuples, polys, mat, rows, pivots)
+    return BetaBasis(F, tuples, polys, mat, rows, pivots, ops)
 
 
 def in_span_beta(f: PolyFn, beta: BetaBasis) -> bool:
     """True iff f is a GF(q)-combination of the expanded digit tuples."""
-    ops = GFqLinAlg(beta.F)
-    vec = poly_to_vec(f, beta.F.q)[None, :]
-    residual = ops.reduce_rows(vec, beta.rref_rows, beta.rref_pivots)
-    return not residual.any()
+    return not reduce_against_beta(poly_to_vec(f, beta.F.q)[None, :], beta).any()
 
 
 def reduce_against_beta(vecs: np.ndarray, beta: BetaBasis) -> np.ndarray:
     """Batch residuals of coefficient vectors against the beta span."""
-    ops = GFqLinAlg(beta.F)
-    return ops.reduce_rows(vecs, beta.rref_rows, beta.rref_pivots)
+    return beta.ops.reduce_rows(vecs, beta.rref_rows, beta.rref_pivots)
 
 
 # -- the kernel normal form ---------------------------------------------------

@@ -5,6 +5,11 @@ EXPECTED-FAIL / SKIP together with the classical result it exercises.
 EXPECTED-FAIL marks outcomes the theory predicts to fail (grids at odd
 q); SKIP marks checks whose hypotheses or size policy exclude the
 requested q.  Only FAIL is a problem.
+
+Every check is computed by a pure function of the geometry (counts,
+index sets, dimensions, reports), and a thin ``_check_<group>``
+formatter turns those values into table rows.  The acceptance suite
+calls the same pure functions, so each check has one implementation.
 """
 
 from __future__ import annotations
@@ -12,28 +17,28 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from lu3q.fields import GF, factor_prime_power, field_for_order
 from lu3q.formulas import predict
 from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle
-from lu3q.gf2 import (
-    Subspace,
-    kernel_intersection_basis,
-    kernel_intersection_dim,
-    rank2,
-)
+from lu3q.gf2 import Subspace, kernel_intersection_basis, kernel_intersection_dim
 from lu3q.incidence import (
+    IncidenceMatrix,
     SpanMismatchError,
     build_incidence,
     check_kim_equivalence,
     select_Z,
     verify_spanning,
 )
-from lu3q.ldpc import girth_check
+from lu3q.ldpc import GirthReport, girth_check
 from lu3q.polyfn import (
+    BetaBasis,
     NormalFormViolationError,
+    NotInKernelError,
     build_beta,
     compose_digits,
     delta_line,
@@ -73,6 +78,10 @@ class CheckOutcome:
         return self.status == "FAIL"
 
 
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
 class _Context:
     """Lazily built shared objects for one verification run."""
 
@@ -80,23 +89,21 @@ class _Context:
         self.q = q
         self.seed = seed
         self.irr = irr
-        self._field: GF | None = None
-        self._quad: Quadrangle | None = None
-        self._mats: dict[str, object] = {}
+        self._mats: dict[str, IncidenceMatrix] = {}
 
-    @property
+    @cached_property
     def field(self) -> GF:
-        if self._field is None:
-            self._field = field_for_order(self.q, self.irr)
-        return self._field
+        return field_for_order(self.q, self.irr)
 
-    @property
+    @cached_property
     def quad(self) -> Quadrangle:
-        if self._quad is None:
-            self._quad = enumerate_quadrangle(self.field)
-        return self._quad
+        return enumerate_quadrangle(self.field)
 
-    def matrix(self, system: str):
+    @cached_property
+    def code_pl(self) -> Subspace:
+        return line_code(self.quad)
+
+    def matrix(self, system: str) -> IncidenceMatrix:
         if system not in self._mats:
             self._mats[system] = build_incidence(self.quad, system)
         return self._mats[system]
@@ -124,114 +131,99 @@ def run_checks(q: int, groups, irr=None, seed: int = 0) -> list[CheckOutcome]:
     return out
 
 
-def _check_counts(ctx: _Context) -> list[CheckOutcome]:
-    Q = ctx.quad
-    q = ctx.q
+# -- pure checks ----------------------------------------------------------
+
+
+class QuadrangleCounts(NamedTuple):
+    n_points: int
+    n_lines: int
+    totals_ok: bool  # both equal q^3+q^2+q+1
+    regular: bool  # q+1 points per line and q+1 lines per point
+    restricted: tuple[int, int, int, int]  # |P1|, |L1|, |X0|, |Y|
+    restricted_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.totals_ok and self.regular and self.restricted_ok
+
+
+def quadrangle_counts(Q: Quadrangle) -> QuadrangleCounts:
+    q = Q.q
     expected = q**3 + q**2 + q + 1
-    ok = Q.n_points == expected and Q.n_lines == expected
-    rows = [
-        CheckOutcome(
-            "counts", "point/line totals", "the (P,L) enumeration",
-            "PASS" if ok else "FAIL",
-            f"{Q.n_points} points, {Q.n_lines} lines, expected {expected}",
-        )
-    ]
-    reg = all(len(l.points) == q + 1 for l in Q.lines) and all(
-        len(ls) == q + 1 for ls in Q.point_to_lines
-    )
-    rows.append(
-        CheckOutcome(
-            "counts", "degree regularity", "q+1 points per line",
-            "PASS" if reg else "FAIL", f"all degrees q+1 = {q + 1}" if reg else "degree defect",
-        )
-    )
     rs = Q.restricted_sets()
-    sizes_ok = (
-        len(rs.P1) == q**3
-        and len(rs.L1) == q**3
-        and len(rs.X0) == q
-        and len(rs.Y) == q
+    sizes = (len(rs.P1), len(rs.L1), len(rs.X0), len(rs.Y))
+    return QuadrangleCounts(
+        Q.n_points,
+        Q.n_lines,
+        Q.n_points == expected and Q.n_lines == expected,
+        all(len(l.points) == q + 1 for l in Q.lines)
+        and all(len(ls) == q + 1 for ls in Q.point_to_lines),
+        sizes,
+        sizes == (q**3, q**3, q, q),
     )
-    rows.append(
-        CheckOutcome(
-            "counts", "restricted set sizes", "P1, L1, X0, Y",
-            "PASS" if sizes_ok else "FAIL",
-            f"|P1|={len(rs.P1)}, |L1|={len(rs.L1)}, |X0|={len(rs.X0)}, |Y|={len(rs.Y)}",
-        )
-    )
-    return rows
 
 
-def _check_gq(ctx: _Context) -> list[CheckOutcome]:
-    Q = ctx.quad
-    q = ctx.q
-    rows = []
-    bad = 0
+class GqAxioms(NamedTuple):
+    scope: str  # "exhaustive" or "sampled" line pairs
+    pairs: int
+    violations: int  # line pairs sharing two points
+    perp_ok: bool
+    connector_ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0 and self.perp_ok and self.connector_ok
+
+
+def gq_axioms(Q: Quadrangle, seed: int = 0) -> GqAxioms:
+    """The quadrangle axiom, the perp description and unique connectors.
+
+    Line pairs and perps are checked exhaustively for q <= 5 and
+    connectors for q <= 4; larger q samples them with the seed.
+    """
+    q = Q.q
     if q <= 5:
-        for l1, l2 in itertools.combinations(range(Q.n_lines), 2):
-            if len(Q.line_points(l1) & Q.line_points(l2)) > 1:
-                bad += 1
         scope = "exhaustive"
-        pairs = Q.n_lines * (Q.n_lines - 1) // 2
+        line_pairs = itertools.combinations(range(Q.n_lines), 2)
+        probe = range(Q.n_points)
     else:
-        rng = random.Random(ctx.seed)
-        pairs = 2000
-        for _ in range(pairs):
-            l1, l2 = rng.sample(range(Q.n_lines), 2)
-            if len(Q.line_points(l1) & Q.line_points(l2)) > 1:
-                bad += 1
         scope = "sampled"
-    rows.append(
-        CheckOutcome(
-            "gq", "no two lines share two points", "the quadrangle axiom",
-            "PASS" if bad == 0 else "FAIL", f"{scope}, {pairs} pairs, {bad} violations",
-        )
-    )
+        rng = random.Random(seed)
+        line_pairs = [rng.sample(range(Q.n_lines), 2) for _ in range(2000)]
+        probe = random.Random(seed).sample(range(Q.n_points), 25)
+    pairs = violations = 0
+    for l1, l2 in line_pairs:
+        pairs += 1
+        if len(Q.line_points(l1) & Q.line_points(l2)) > 1:
+            violations += 1
     perp_ok = True
-    probe = range(Q.n_points) if q <= 4 else random.Random(ctx.seed).sample(
-        range(Q.n_points), 25
-    )
     for p in probe:
         perp = Q.perp(p)
         if len(perp) != q**2 + q + 1 or perp != Q.collinear(p):
             perp_ok = False
             break
-    rows.append(
-        CheckOutcome(
-            "gq", "perp = union of lines through the point", "the perp description",
-            "PASS" if perp_ok else "FAIL", f"size q^2+q+1 = {q**2 + q + 1}",
-        )
-    )
-    conn_ok = True
     if q <= 4:
-        iterable = (
+        off_line = (
             (p, l) for l in range(Q.n_lines) for p in range(Q.n_points)
             if p not in Q.line_points(l)
         )
     else:
-        rng = random.Random(ctx.seed + 1)
-        samples = []
-        while len(samples) < 300:
+        rng = random.Random(seed + 1)
+        off_line = []
+        while len(off_line) < 300:
             p = rng.randrange(Q.n_points)
             l = rng.randrange(Q.n_lines)
             if p not in Q.line_points(l):
-                samples.append((p, l))
-        iterable = samples
-    for p, l in iterable:
-        hits = [m for m in Q.point_to_lines[p] if Q.line_points(m) & Q.line_points(l)]
-        if len(hits) != 1:
-            conn_ok = False
-            break
-    rows.append(
-        CheckOutcome(
-            "gq", "unique connector through an off-line point", "the GQ connector property",
-            "PASS" if conn_ok else "FAIL", "exhaustive" if q <= 4 else "300 sampled pairs",
-        )
+                off_line.append((p, l))
+    connector_ok = all(
+        sum(1 for m in Q.point_to_lines[p] if Q.line_points(m) & Q.line_points(l)) == 1
+        for p, l in off_line
     )
-    return rows
+    return GqAxioms(scope, pairs, violations, perp_ok, connector_ok)
 
 
-def _concurrent_pairs(Q: Quadrangle):
+def concurrent_pairs(Q: Quadrangle) -> list[tuple[int, int, int]]:
+    """(l, l', p) for every two lines other than ell0 through a point p of ell0."""
     pairs = []
     for p in sorted(Q.line_points(Q.ell0)):
         through = [l for l in Q.point_to_lines[p] if l != Q.ell0]
@@ -239,40 +231,171 @@ def _concurrent_pairs(Q: Quadrangle):
     return pairs
 
 
-def _check_grid(ctx: _Context) -> list[CheckOutcome]:
-    Q = ctx.quad
-    q = ctx.q
-    pairs = _concurrent_pairs(Q)
-    rng = random.Random(20_000 + ctx.seed + q)
+class GridSums(NamedTuple):
+    pairs: int
+    no_grid: int  # pairs whose grid search failed
+    bad_sums: int  # grids whose 2q lines do not sum to the two lines
+
+    @property
+    def ok(self) -> bool:
+        return self.no_grid == 0 and self.bad_sums == 0
+
+
+def grid_sums(Q: Quadrangle, seed: int = 0) -> GridSums:
+    """Grid decompositions of at most 20 seeded concurrent pairs."""
+    pairs = concurrent_pairs(Q)
+    rng = random.Random(20_000 + seed + Q.q)
     sample = pairs if len(pairs) <= 20 else rng.sample(pairs, 20)
-    failures = 0
-    identity_bad = 0
+    no_grid = bad_sums = 0
     for l, lp, p in sample:
         try:
             g = Q.grid_decompose(l, lp, p)
         except NoGridFoundError:
-            failures += 1
+            no_grid += 1
             continue
         total = 0
         for m in g.delta + g.lam:
             total ^= Q.chi_line(m)
         if total != Q.chi_line(l) ^ Q.chi_line(lp):
-            identity_bad += 1
+            bad_sums += 1
+    return GridSums(len(sample), no_grid, bad_sums)
+
+
+def line_code(Q: Quadrangle) -> Subspace:
+    """C(P,L): the span of the characteristic vectors of all lines."""
+    return Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
+
+
+def kernel_dims(Q: Quadrangle, code_pl: Subspace) -> tuple[int, int]:
+    """Dimensions of the restriction kernel (vectors zero on P1) inside
+    C(P,L) and inside C(P,L1); the claims are q+1 and q-1."""
+    rs = Q.restricted_sets()
+    code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], Q.n_points)
+    return (
+        kernel_intersection_dim(code_pl, rs.P1),
+        kernel_intersection_dim(code_pl1, rs.P1),
+    )
+
+
+def digit_roundtrip_failures(F: GF) -> int:
+    """Monomials of F_q^4 that do not survive digitize then compose."""
+    return sum(
+        1
+        for m in itertools.product(range(F.q), repeat=4)
+        if compose_digits(digitize_monomial(m, F)) != m
+    )
+
+
+def line_profile_failures(Q: Quadrangle) -> int:
+    """Lines whose indicator polynomial misevaluates at some point."""
+    F = Q.F
+    bad = 0
+    for l in range(Q.n_lines):
+        d = delta_line(l, Q)
+        pts = Q.line_points(l)
+        if any(
+            evaluate(d, v, F) != (1 if i in pts else 0) for i, v in enumerate(Q.points)
+        ):
+            bad += 1
+    return bad
+
+
+def line_span_residuals(Q: Quadrangle, beta: BetaBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors of every line indicator, one row per line, and
+    their residuals against the digit-tuple span: line l escapes the
+    span iff residual row l is nonzero."""
+    vecs = np.zeros((Q.n_lines, Q.q**4), dtype=np.uint8)
+    for l in range(Q.n_lines):
+        vecs[l] = poly_to_vec(delta_line(l, Q), Q.q)
+    return vecs, reduce_against_beta(vecs, beta)
+
+
+class KernelForms(NamedTuple):
+    size: int  # vectors in the kernel basis
+    nf_violations: int  # basis vectors without the x3-free normal form
+    outside_span: int  # basis vectors whose interpolation escapes the digit span
+
+
+def kernel_forms(Q: Quadrangle, code_pl: Subspace, beta: BetaBasis) -> KernelForms:
+    """Normal form and digit-span membership on a full basis of the
+    restriction kernel inside C(P,L)."""
+    P1 = Q.restricted_sets().P1
+    kernel = kernel_intersection_basis(code_pl, P1)
+    violations = outside = 0
+    for c in kernel:
+        try:
+            kernel_normal_form(c, Q, P1)
+        except (NormalFormViolationError, NotInKernelError):
+            violations += 1
+        if not in_span_beta(interpolate_code_vector(c, Q), beta):
+            outside += 1
+    return KernelForms(len(kernel), violations, outside)
+
+
+def girth_reports(
+    matrix: Callable[[str], IncidenceMatrix]
+) -> list[tuple[str, GirthReport]]:
+    """Four-cycle search on each constructed matrix, given by system name."""
+    return [(s, girth_check(matrix(s).bits)) for s in ("kim", "pl", "p1l1")]
+
+
+# -- table rows -------------------------------------------------------------
+
+
+def _check_counts(ctx: _Context) -> list[CheckOutcome]:
+    q = ctx.q
+    c = quadrangle_counts(ctx.quad)
+    return [
+        CheckOutcome(
+            "counts", "point/line totals", "the (P,L) enumeration", _status(c.totals_ok),
+            f"{c.n_points} points, {c.n_lines} lines, expected {q**3 + q**2 + q + 1}",
+        ),
+        CheckOutcome(
+            "counts", "degree regularity", "q+1 points per line", _status(c.regular),
+            f"all degrees q+1 = {q + 1}" if c.regular else "degree defect",
+        ),
+        CheckOutcome(
+            "counts", "restricted set sizes", "P1, L1, X0, Y", _status(c.restricted_ok),
+            "|P1|={}, |L1|={}, |X0|={}, |Y|={}".format(*c.restricted),
+        ),
+    ]
+
+
+def _check_gq(ctx: _Context) -> list[CheckOutcome]:
+    q = ctx.q
+    g = gq_axioms(ctx.quad, ctx.seed)
+    return [
+        CheckOutcome(
+            "gq", "no two lines share two points", "the quadrangle axiom",
+            _status(g.violations == 0),
+            f"{g.scope}, {g.pairs} pairs, {g.violations} violations",
+        ),
+        CheckOutcome(
+            "gq", "perp = union of lines through the point", "the perp description",
+            _status(g.perp_ok), f"size q^2+q+1 = {q**2 + q + 1}",
+        ),
+        CheckOutcome(
+            "gq", "unique connector through an off-line point", "the GQ connector property",
+            _status(g.connector_ok), "exhaustive" if q <= 4 else "300 sampled pairs",
+        ),
+    ]
+
+
+def _check_grid(ctx: _Context) -> list[CheckOutcome]:
+    g = grid_sums(ctx.quad, ctx.seed)
     if ctx.field.p == 2:
-        ok = failures == 0 and identity_bad == 0
         return [
             CheckOutcome(
                 "grid", "grid sum of 2q lines equals the two-line sum", "the grid decomposition",
-                "PASS" if ok else "FAIL",
-                f"{len(sample)} pairs, {failures} without grid, {identity_bad} bad sums",
+                _status(g.ok),
+                f"{g.pairs} pairs, {g.no_grid} without grid, {g.bad_sums} bad sums",
             )
         ]
-    status = "EXPECTED-FAIL" if failures > 0 else "PASS"
     return [
         CheckOutcome(
             "grid", "grid search under the even-order hypothesis", "the grid decomposition",
-            status,
-            f"odd q: {failures} of {len(sample)} pairs have no grid (failure expected)",
+            "EXPECTED-FAIL" if g.no_grid > 0 else "PASS",
+            f"odd q: {g.no_grid} of {g.pairs} pairs have no grid (failure expected)",
         )
     ]
 
@@ -309,8 +432,7 @@ def _check_spans(ctx: _Context) -> list[CheckOutcome]:
         rows.append(
             CheckOutcome(
                 "spans", "X0 u Y u L1 spans every line and the all-ones vector",
-                "the spanning argument",
-                "PASS" if rep.ok else "FAIL",
+                "the spanning argument", _status(rep.ok),
                 f"dim C(P,L) = {rep.dim_pl} = {rep.dim_p1l1} + 2q",
             )
         )
@@ -326,33 +448,20 @@ def _check_spans(ctx: _Context) -> list[CheckOutcome]:
 
 def _check_kernel(ctx: _Context) -> list[CheckOutcome]:
     q = ctx.q
-    if ctx.field.p != 2:
+    if ctx.field.p != 2 or q > 8:
         return [
             CheckOutcome(
                 "kernel", "restriction-kernel dimensions", "the kernel dimension counts",
-                "SKIP", "stated under the even-order hypothesis",
+                "SKIP",
+                "stated under the even-order hypothesis" if ctx.field.p != 2
+                else "size policy caps this check at q <= 8",
             )
         ]
-    if q > 8:
-        return [
-            CheckOutcome(
-                "kernel", "restriction-kernel dimensions", "the kernel dimension counts",
-                "SKIP", "size policy caps this check at q <= 8",
-            )
-        ]
-    Q = ctx.quad
-    rs = Q.restricted_sets()
-    n = Q.n_points
-    code_pl = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], n)
-    code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], n)
-    d1 = kernel_intersection_dim(code_pl, rs.P1)
-    d2 = kernel_intersection_dim(code_pl1, rs.P1)
-    ok = d1 == q + 1 and d2 == q - 1
+    d1, d2 = kernel_dims(ctx.quad, ctx.code_pl)
     return [
         CheckOutcome(
             "kernel", "kernel meets the codes in dimensions q+1 and q-1",
-            "the kernel dimension counts",
-            "PASS" if ok else "FAIL",
+            "the kernel dimension counts", _status(d1 == q + 1 and d2 == q - 1),
             f"dim(ker in C(P,L)) = {d1}, dim(ker in C(P,L1)) = {d2}",
         )
     ]
@@ -360,107 +469,67 @@ def _check_kernel(ctx: _Context) -> list[CheckOutcome]:
 
 def _check_poly(ctx: _Context) -> list[CheckOutcome]:
     q = ctx.q
-    if ctx.field.p != 2:
+    if ctx.field.p != 2 or q > 8:
         return [
             CheckOutcome(
-                "poly", "digit calculus", "the polynomial representation",
-                "SKIP", "even characteristic only",
-            )
-        ]
-    if q > 8:
-        return [
-            CheckOutcome(
-                "poly", "digit calculus", "the polynomial representation",
-                "SKIP", "size policy caps this check at q <= 8",
+                "poly", "digit calculus", "the polynomial representation", "SKIP",
+                "even characteristic only" if ctx.field.p != 2
+                else "size policy caps this check at q <= 8",
             )
         ]
     Q = ctx.quad
-    F = ctx.field
-    rows = []
-    bad = sum(
-        1
-        for m in itertools.product(range(q), repeat=4)
-        if compose_digits(digitize_monomial(m, F)) != m
-    )
-    rows.append(
+    bad = digit_roundtrip_failures(ctx.field)
+    rows = [
         CheckOutcome(
             "poly", "digit decomposition round-trip", "the 2-adic digit expansion",
-            "PASS" if bad == 0 else "FAIL", f"all {q**4} monomials" if bad == 0 else f"{bad} failures",
+            _status(bad == 0), f"all {q**4} monomials" if bad == 0 else f"{bad} failures",
         )
-    )
+    ]
     if q <= 4:
-        profile_bad = 0
-        for l in range(Q.n_lines):
-            d = delta_line(l, Q)
-            pts = Q.line_points(l)
-            for i, v in enumerate(Q.points):
-                if evaluate(d, v, F) != (1 if i in pts else 0):
-                    profile_bad += 1
-                    break
         rows.append(
             CheckOutcome(
                 "poly", "line indicator polynomials evaluate correctly",
-                "the line indicator formula",
-                "PASS" if profile_bad == 0 else "FAIL",
+                "the line indicator formula", _status(line_profile_failures(Q) == 0),
                 f"{Q.n_lines} lines checked exhaustively",
             )
         )
-    beta = build_beta(F)
-    vecs = np.zeros((Q.n_lines, q**4), dtype=np.uint8)
-    for l in range(Q.n_lines):
-        vecs[l] = poly_to_vec(delta_line(l, Q), q)
-    residual = reduce_against_beta(vecs, beta)
+    beta = build_beta(ctx.field)
+    _, residual = line_span_residuals(Q, beta)
     escapes = int(residual.any(axis=1).sum())
     rows.append(
         CheckOutcome(
             "poly", "every line class lies in the digit-tuple span",
-            "the digit-span containment",
-            "PASS" if escapes == 0 else "FAIL",
+            "the digit-span containment", _status(escapes == 0),
             f"{escapes} of {Q.n_lines} line classes escape the span"
             + ("" if escapes == 0 else
                " (the stated containment fails beyond q=2; see README)"),
         )
     )
-    if q <= 8:
-        rs = Q.restricted_sets()
-        code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
-        kernel = kernel_intersection_basis(code, rs.P1)
-        nf_ok = True
-        span_ok = True
-        for c in kernel:
-            try:
-                kernel_normal_form(c, Q, rs.P1)
-            except NormalFormViolationError:
-                nf_ok = False
-            if not in_span_beta(interpolate_code_vector(c, Q), beta):
-                span_ok = False
-        rows.append(
-            CheckOutcome(
-                "poly", "kernel elements admit the x3-free normal form",
-                "the kernel normal form",
-                "PASS" if nf_ok else "FAIL", f"{len(kernel)} kernel basis vectors",
-            )
+    k = kernel_forms(Q, ctx.code_pl, beta)
+    rows.append(
+        CheckOutcome(
+            "poly", "kernel elements admit the x3-free normal form",
+            "the kernel normal form", _status(k.nf_violations == 0),
+            f"{k.size} kernel basis vectors",
         )
-        rows.append(
-            CheckOutcome(
-                "poly", "kernel elements lie in the digit-tuple span",
-                "the digit-span containment",
-                "PASS" if span_ok else "FAIL", f"{len(kernel)} kernel basis vectors",
-            )
+    )
+    rows.append(
+        CheckOutcome(
+            "poly", "kernel elements lie in the digit-tuple span",
+            "the digit-span containment", _status(k.outside_span == 0),
+            f"{k.size} kernel basis vectors",
         )
+    )
     return rows
 
 
 def _check_iso(ctx: _Context) -> list[CheckOutcome]:
-    q = ctx.q
-    kim = build_incidence(ctx.quad, "kim")
-    p1l1 = ctx.matrix("p1l1")
-    rep = check_kim_equivalence(kim, p1l1)
+    kim = ctx.matrix("kim")
+    rep = check_kim_equivalence(kim, ctx.matrix("p1l1"))
     rows = [
         CheckOutcome(
             "iso", "two-equation system and restricted system have equal rank",
-            "the equivalence of the two systems",
-            "PASS" if rep.ranks_equal else "FAIL",
+            "the equivalence of the two systems", _status(rep.ranks_equal),
             f"rank {rep.rank_kim} vs {rep.rank_p1l1}",
         )
     ]
@@ -468,8 +537,7 @@ def _check_iso(ctx: _Context) -> list[CheckOutcome]:
         rows.append(
             CheckOutcome(
                 "iso", "explicit permutation equivalence found",
-                "the equivalence of the two systems",
-                "PASS" if rep.row_perm is not None else "FAIL",
+                "the equivalence of the two systems", _status(rep.row_perm is not None),
                 f"{kim.n_rows}+{kim.n_cols} vertices",
             )
         )
@@ -485,43 +553,36 @@ def _check_iso(ctx: _Context) -> list[CheckOutcome]:
 
 
 def _check_girth(ctx: _Context) -> list[CheckOutcome]:
-    q = ctx.q
-    if q > 8:
+    if ctx.q > 8:
         return [
             CheckOutcome(
                 "girth", "no four-cycles in any constructed matrix", "the four-cycle-free property",
                 "SKIP", "size policy caps this check at q <= 8",
             )
         ]
-    rows = []
-    for system in ("kim", "pl", "p1l1"):
-        rep = girth_check(ctx.matrix(system).bits)
-        rows.append(
-            CheckOutcome(
-                "girth", f"no two rows of {system} share two columns",
-                "the four-cycle-free property",
-                "PASS" if rep.ok else "FAIL",
-                "" if rep.ok else f"rows {rep.rows} share columns {rep.cols}",
-            )
+    return [
+        CheckOutcome(
+            "girth", f"no two rows of {system} share two columns",
+            "the four-cycle-free property", _status(rep.ok),
+            "" if rep.ok else f"rows {rep.rows} share columns {rep.cols}",
         )
-    return rows
+        for system, rep in girth_reports(ctx.matrix)
+    ]
 
 
 def _check_rank(ctx: _Context) -> list[CheckOutcome]:
-    q = ctx.q
-    pred = predict(q)
+    pred = predict(ctx.q)
     rows = []
     for system, want in (
         ("pl", pred.rank_pl),
         ("p1l1", pred.rank_p1l1),
         ("kim", pred.rank_p1l1),
     ):
-        got = rank2(ctx.matrix(system).bits)
+        got = ctx.matrix(system).rank
         rows.append(
             CheckOutcome(
                 "rank", f"computed rank of {system} matches the closed form",
-                "the rank formulas",
-                "PASS" if got == want else "FAIL", f"rank {got}, predicted {want}",
+                "the rank formulas", _status(got == want), f"rank {got}, predicted {want}",
             )
         )
     return rows

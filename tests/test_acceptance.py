@@ -4,9 +4,12 @@ Run with `pytest tests/test_acceptance.py -s` to see the PASS lines;
 every expected value is frozen here and cross-derived, never from
 floating point: ranks and dimensions from the integer recurrence, and
 the digit-span escape counts of criterion 7 from a digit-degree scan of
-the line indicators.
+the line indicators.  The structural checks of criteria 6, 7 and 9 call
+the same functions in `lu3q.verify` that the `lu3q verify` table
+reports, so each check has one implementation.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -15,28 +18,23 @@ import numpy as np
 import pytest
 
 from lu3q.formulas import lucas17
-from lu3q.gf2 import (
-    Subspace,
-    kernel_intersection_basis,
-    kernel_intersection_dim,
-    rank2,
-)
 from lu3q.geometry import NoGridFoundError
-from lu3q.gf2 import nullspace
+from lu3q.gf2 import nullspace, rank2
 from lu3q.incidence import check_kim_equivalence, select_Z, verify_spanning
-from lu3q.ldpc import ChannelSpec, LdpcCode, girth_check, simulate
-from lu3q.polyfn import (
-    NormalFormViolationError,
-    NotInKernelError,
-    build_beta,
-    compose_digits,
-    delta_line,
-    digitize_monomial,
-    evaluate,
-    interpolate_code_vector,
-    kernel_normal_form,
-    poly_to_vec,
-    reduce_against_beta,
+from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
+from lu3q.polyfn import build_beta, digitize_monomial, poly_to_vec
+from lu3q.verify import (
+    concurrent_pairs,
+    digit_roundtrip_failures,
+    girth_reports,
+    gq_axioms,
+    grid_sums,
+    kernel_dims,
+    kernel_forms,
+    line_code,
+    line_profile_failures,
+    line_span_residuals,
+    quadrangle_counts,
 )
 
 EVEN_Q = {2: 1, 4: 2, 8: 3, 16: 4}
@@ -113,12 +111,7 @@ def test_criterion_6_kernel_dimensions(quad):
     dims = {}
     for q in (2, 4, 8):
         Q = quad(q)
-        rs = Q.restricted_sets()
-        n = Q.n_points
-        code_pl = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], n)
-        code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], n)
-        d1 = kernel_intersection_dim(code_pl, rs.P1)
-        d2 = kernel_intersection_dim(code_pl1, rs.P1)
+        d1, d2 = kernel_dims(Q, line_code(Q))
         assert d1 == q + 1
         assert d2 == q - 1
         dims[q] = (d1, d2)
@@ -139,73 +132,38 @@ def test_criterion_7_structural_suites(quad, matrix):
 
     results = []
 
-    # quadrangle axioms and counts, exhaustive for q <= 5
+    # quadrangle counts and axioms; line pairs and perps exhaustive for q <= 5
     for q in (2, 3, 4, 5):
         Q = quad(q)
-        expected = q**3 + q**2 + q + 1
-        counts_ok = Q.n_points == expected and Q.n_lines == expected
-        degrees_ok = all(len(l.points) == q + 1 for l in Q.lines)
-        gq_ok = all(
-            len(Q.line_points(a) & Q.line_points(b)) <= 1
-            for a, b in itertools.combinations(range(Q.n_lines), 2)
-        )
-        perp_ok = all(
-            len(Q.perp(p)) == q**2 + q + 1 and Q.perp(p) == Q.collinear(p)
-            for p in range(Q.n_points)
-        )
         sub(f"quadrangle axioms and counts at q={q}",
-            counts_ok and degrees_ok and gq_ok and perp_ok)
+            quadrangle_counts(Q).ok and gq_axioms(Q).ok)
 
-    # independence and span equalities
+    # independence (select_Z raises otherwise) and span equalities
     for q in (2, 4):
         Q = quad(q)
-        sel = select_Z(matrix(q, "p1l1"), Q)
-        stacked = [Q.chi_line(l) for l in sel.X0 + sel.Y + sel.Z]
-        indep_ok = rank2(stacked) == 2 * q + len(sel.Z)
-        rep = verify_spanning(Q, sel)
+        rep = verify_spanning(Q, select_Z(matrix(q, "p1l1"), Q))
         sub(f"selection independence and span equalities at q={q}",
-            indep_ok and rep.ok,
+            rep.ok,
             f"dim {rep.dim_pl} = {rep.dim_p1l1} + 2q; all-ones identity "
             f"{'holds' if rep.ones_sum_identity else 'fails'}")
 
     # grid identities on seeded concurrent pairs
     for q in (2, 4, 8):
-        Q = quad(q)
-        pairs = []
-        for p in sorted(Q.line_points(Q.ell0)):
-            through = [l for l in Q.point_to_lines[p] if l != Q.ell0]
-            pairs.extend((a, b, p) for a, b in itertools.combinations(through, 2))
-        rng = random.Random(20_000 + q)
-        sample = pairs if len(pairs) <= 20 else rng.sample(pairs, 20)
-        ok = True
-        for l, lp, p in sample:
-            g = Q.grid_decompose(l, lp, p)
-            total = 0
-            for m in g.delta + g.lam:
-                total ^= Q.chi_line(m)
-            if total != Q.chi_line(l) ^ Q.chi_line(lp):
-                ok = False
-        sub(f"grid sum identity on {len(sample)} seeded pairs at q={q}", ok)
+        g = grid_sums(quad(q))
+        sub(f"grid sum identity on {g.pairs} seeded pairs at q={q}", g.ok)
 
     # expected failure of the grid search at q=3
     Q3 = quad(3)
-    p3 = sorted(Q3.line_points(Q3.ell0))[0]
-    through = [l for l in Q3.point_to_lines[p3] if l != Q3.ell0]
     try:
-        Q3.grid_decompose(through[0], through[1], p3)
+        Q3.grid_decompose(*concurrent_pairs(Q3)[0])
         sub("grid absent for a concurrent pair at q=3", False, "a grid appeared")
     except NoGridFoundError:
         sub("grid absent for a concurrent pair at q=3", True)
 
     # digit decomposition round-trip, with the worked q=8 example
     for q in (2, 4, 8):
-        Q = quad(q)
-        F = Q.F
-        ok = all(
-            compose_digits(digitize_monomial(m, F)) == m
-            for m in itertools.product(range(q), repeat=4)
-        )
-        sub(f"digit round-trip over all {q**4} monomials at q={q}", ok)
+        sub(f"digit round-trip over all {q**4} monomials at q={q}",
+            digit_roundtrip_failures(quad(q).F) == 0)
     F8 = quad(8).F
     worked = (
         digitize_monomial((3, 1, 0, 6), F8)
@@ -217,19 +175,8 @@ def test_criterion_7_structural_suites(quad, matrix):
 
     # line indicator evaluation profiles
     for q in (2, 4):
-        Q = quad(q)
-        F = Q.F
-        ok = True
-        for l in range(Q.n_lines):
-            d = delta_line(l, Q)
-            pts = Q.line_points(l)
-            for i, v in enumerate(Q.points):
-                if evaluate(d, v, F) != (1 if i in pts else 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        sub(f"line indicator profiles for all lines at q={q}", ok)
+        sub(f"line indicator profiles for all lines at q={q}",
+            line_profile_failures(quad(q)) == 0)
 
     # digit-span membership of the line classes.  The stated containment
     # holds at q=2 and is false at q=4 and 8 (README, "Criterion 7 asserts
@@ -245,8 +192,7 @@ def test_criterion_7_structural_suites(quad, matrix):
             m: 1 for m in itertools.product(range(q), repeat=4)
             if max(sum(d) for d in digitize_monomial(m, Q.F)) >= 3
         }, q).astype(bool)
-        vecs = np.array([poly_to_vec(delta_line(l, Q), q) for l in range(Q.n_lines)])
-        residual = reduce_against_beta(vecs, beta)
+        vecs, residual = line_span_residuals(Q, beta)
         escaped = set(np.flatnonzero(residual.any(axis=1)).tolist())
         high = set(np.flatnonzero(vecs[:, deg3].any(axis=1)).tolist())
         beta_low = not beta.matrix[:, deg3].any()
@@ -264,29 +210,11 @@ def test_criterion_7_structural_suites(quad, matrix):
     # kernel normal forms and digit-span membership on a full kernel basis
     for q in (2, 4, 8):
         Q = quad(q)
-        rs = Q.restricted_sets()
-        code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
-        kernel = kernel_intersection_basis(code, rs.P1)
-        ok = len(kernel) == q + 1
-        for c in kernel:
-            try:
-                h = kernel_normal_form(c, Q, rs.P1)
-            except (NormalFormViolationError, NotInKernelError):
-                ok = False
-                break
-            for exps in h:
-                if exps != (0, 0, 0, 0) and any(
-                    sum(d) != 1 for d in digitize_monomial(exps, Q.F)
-                ):
-                    ok = False
-        sub(f"kernel normal forms on the full kernel basis at q={q}", ok)
-        residual = reduce_against_beta(
-            np.array([poly_to_vec(interpolate_code_vector(c, Q), q)
-                      for c in kernel]),
-            betas[q],
-        )
-        sub(f"digit-span membership of the {len(kernel)} kernel basis "
-            f"vectors at q={q}", not residual.any())
+        k = kernel_forms(Q, line_code(Q), betas[q])
+        sub(f"kernel normal forms on the full kernel basis at q={q}",
+            k.size == q + 1 and k.nf_violations == 0)
+        sub(f"digit-span membership of the {k.size} kernel basis "
+            f"vectors at q={q}", k.outside_span == 0)
 
     assert not failures, "criterion 7 sub-checks failed: " + "; ".join(failures)
     report(7, "all structural suites")
@@ -312,8 +240,7 @@ def test_criterion_8_system_equivalence(matrix):
 def test_criterion_9_ldpc_properties(matrix):
     # girth of every constructed parity matrix at q <= 8
     for q in (2, 3, 4, 5, 7, 8):
-        for system in ("kim", "pl", "p1l1"):
-            assert girth_check(matrix(q, system).bits).ok
+        assert all(rep.ok for _, rep in girth_reports(functools.partial(matrix, q)))
 
     # dimensions match criteria 2 and 4
     for q in ALL_Q:

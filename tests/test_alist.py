@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lu3q.alist import from_alist_text, read_alist, to_alist_text, write_alist
 from lu3q.gf2 import BitMatrix
@@ -65,3 +67,58 @@ def test_reader_rejects_disagreeing_row_section(matrix):
     lines[4 + 8] = " ".join(row_line)
     with pytest.raises(ValueError):
         from_alist_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("section_line, bad", [(4, "3"), (4, "-1"), (6, "3"), (6, "-1")])
+def test_reader_rejects_out_of_range_index(section_line, bad):
+    # identity 2x2: lines 4-5 are the column section, 6-7 the row section
+    lines = to_alist_text(BitMatrix.identity(2)).splitlines()
+    lines[section_line] = bad
+    with pytest.raises(ValueError, match="outside"):
+        from_alist_text("\n".join(lines) + "\n")
+
+
+@st.composite
+def bit_matrices(draw):
+    n_rows = draw(st.integers(0, 6))
+    n_cols = draw(st.integers(0, 6))
+    rows = draw(
+        st.lists(st.integers(0, (1 << n_cols) - 1), min_size=n_rows, max_size=n_rows)
+    )
+    return BitMatrix(rows, n_cols)
+
+
+@given(bit_matrices())
+def test_random_matrices_roundtrip_bytes(m):
+    text = to_alist_text(m)
+    back = from_alist_text(text)
+    assert back == m
+    assert to_alist_text(back) == text
+
+
+@given(bit_matrices(), st.data())
+def test_malformed_text_raises_only_value_error(m, data):
+    tokens = to_alist_text(m).split()
+    i = data.draw(st.integers(0, len(tokens) - 1))
+    word = data.draw(st.integers(-10, 10).map(str) | st.sampled_from(["x", "1.5", "99999"]))
+    edit = data.draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+    if edit == "replace":
+        tokens[i] = word
+    elif edit == "insert":
+        tokens.insert(i, word)
+    elif edit == "delete":
+        del tokens[i]
+    else:
+        tokens = tokens[:i]
+    try:
+        from_alist_text(" ".join(tokens))
+    except ValueError:
+        pass
+
+
+@given(st.text())
+def test_arbitrary_text_raises_only_value_error(text):
+    try:
+        from_alist_text(text)
+    except ValueError:
+        pass

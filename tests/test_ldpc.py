@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lu3q
 from lu3q.gf2 import BitMatrix, vec_to_bits
 from lu3q.ldpc import (
     ChannelSpec,
@@ -66,6 +71,32 @@ def test_encode_all_messages_q2(code2):
 def test_encode_length_mismatch(code2):
     with pytest.raises(ValueError):
         code2.encode([0, 1, 1])
+
+
+def test_encode_rejects_corrupted_generator_under_optimize():
+    # python -O strips assert statements; the codeword check must survive it
+    script = (
+        "from lu3q.fields import field_for_order\n"
+        "from lu3q.incidence import build_kim_matrix\n"
+        "from lu3q.ldpc import LdpcCode\n"
+        "code = LdpcCode(build_kim_matrix(field_for_order(2)).bits)\n"
+        "code.generator.basis[0] ^= 1\n"
+        "try:\n"
+        "    code.encode([1, 0])\n"
+        "except RuntimeError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('encode returned a non-codeword')\n"
+    )
+    src = str(Path(lu3q.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_min_weight_estimate_exact_for_tiny_code(code2):
