@@ -59,48 +59,48 @@ def read_alist(path: str | Path) -> BitMatrix:
 
 
 def from_alist_text(text: str) -> BitMatrix:
-    """Parse alist text; malformed input raises ValueError."""
-    words = text.split()
-    tokens = iter(words)
+    """Parse alist text; malformed input raises ValueError.
 
-    def index(bound: int) -> int:
-        """A 1-based index up to bound, or the 0 padding."""
-        v = int(next(tokens))
-        if not 0 <= v <= bound:
-            raise ValueError(f"index {v} outside 0..{bound}")
-        return v
+    Text that parses is the writer's output up to whitespace: numbers
+    are canonical, and each column or row list ascends strictly before
+    its 0 padding.
+    """
+    words = text.split()
+    numbers = [int(w) for w in words]
+    if any(str(v) != w for v, w in zip(numbers, words)):
+        raise ValueError("non-canonical number")
+    tokens = iter(numbers)
+
+    def index_list(length: int, bound: int) -> list[int]:
+        """1-based indices up to bound, ascending, then 0 padding."""
+        got = [next(tokens) for _ in range(length)]
+        for v in got:
+            if not 0 <= v <= bound:
+                raise ValueError(f"index {v} outside 0..{bound}")
+        listed = sorted(set(got) - {0})
+        if got != listed + [0] * (length - len(listed)):
+            raise ValueError("index list not strictly ascending before its 0 padding")
+        return listed
 
     try:
-        n_cols = int(next(tokens))
-        n_rows = int(next(tokens))
-        max_col = int(next(tokens))
-        max_row = int(next(tokens))
+        n_cols, n_rows, max_col, max_row = [next(tokens) for _ in range(4)]
         if min(n_cols, n_rows) < 0 or n_cols + n_rows > len(words):
             raise ValueError(f"impossible dimensions {n_rows}x{n_cols}")
-        col_wts = [int(next(tokens)) for _ in range(n_cols)]
-        row_wts = [int(next(tokens)) for _ in range(n_rows)]
+        col_wts = [next(tokens) for _ in range(n_cols)]
+        row_wts = [next(tokens) for _ in range(n_rows)]
         rows = [0] * n_rows
         for j in range(n_cols):
-            for k in range(max_col):
-                v = index(n_rows)
-                if v:
-                    rows[v - 1] |= 1 << j
+            for v in index_list(max_col, n_rows):
+                rows[v - 1] |= 1 << j
         # row sections are redundant given the column sections; consume
         # and cross-check them
         for i in range(n_rows):
-            seen = 0
-            for k in range(max_row):
-                v = index(n_cols)
-                if v:
-                    seen += 1
-                    if not (rows[i] >> (v - 1)) & 1:
-                        raise ValueError(
-                            f"row section disagrees with column section at row {i}"
-                        )
-            if seen != row_wts[i]:
-                raise ValueError(f"row {i} weight mismatch")
+            if sum(1 << (v - 1) for v in index_list(max_row, n_cols)) != rows[i]:
+                raise ValueError(f"row section disagrees with column section at row {i}")
     except StopIteration:
         raise ValueError("truncated alist data") from None
+    if next(tokens, None) is not None:
+        raise ValueError("data after the row section")
     m = BitMatrix(rows, n_cols)
     if m.row_weights() != row_wts or m.col_weights() != col_wts:
         raise ValueError("declared weights disagree with matrix content")

@@ -133,9 +133,6 @@ class Quadrangle:
     def line_points(self, l: int) -> frozenset[int]:
         return self._line_point_sets[l]
 
-    def is_incident(self, p: int, l: int) -> bool:
-        return p in self._line_point_sets[l]
-
     def perp(self, p: int) -> frozenset[int]:
         """All x with (p, x) = 0, by direct evaluation of the form."""
         u = self.points[p]

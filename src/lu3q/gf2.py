@@ -2,9 +2,15 @@
 
 A row is a Python int used as a bitset: bit j of the row is the entry
 in column j.  Machine words inside the int give word-packed XOR row
-operations for free; a 4369-column elimination stays in the low
-seconds.  Subspaces are kept in reduced row-echelon form so that two
-spans are equal iff their basis matrices are equal.
+operations for free.  All elimination runs one loop, ``echelon``.
+Rank, span tests, kernels and pivot columns pivot on the highest set
+bit, which keeps fill-in low on the incidence matrices here.  ``rref``
+pivots on the lowest set bit: it gives the canonical form in which
+``Subspace`` keeps a span, so two spans are equal iff their bases are.
+``nullspace`` returns that form too: with M reduced on highest-bit
+pivots, free column f gives w_f = e_f + e_p for each pivot row r_p
+with bit f.  Each such p exceeds f, so w_f has lowest bit f and no
+other free bit, and the w_f in ascending f are the canonical basis.
 """
 
 from __future__ import annotations
@@ -52,12 +58,6 @@ class BitMatrix:
 
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-    def set(self, i: int, j: int) -> None:
-        self.rows[i] |= 1 << j
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(list(self.rows), self.n_cols)
 
     def row_weights(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
@@ -112,44 +112,58 @@ class BitMatrix:
         return f"BitMatrix({self.n_rows}x{self.n_cols})"
 
 
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """Echelon basis as {pivot column: row}, pivot = lowest set bit."""
+def echelon(
+    m: BitMatrix | Iterable[int], lowest: bool = False
+) -> tuple[dict[int, int], list[int]]:
+    """(echelon basis {pivot column: row}, indices of the rows outside
+    the span of the rows before them).  The pivot is the highest set
+    bit, or the lowest with lowest=True; the input is not modified."""
     pivots: dict[int, int] = {}
-    for r in rows:
-        cur = r
+    taken: list[int] = []
+    for i, cur in enumerate(m.rows if isinstance(m, BitMatrix) else m):
         while cur:
-            c = (cur & -cur).bit_length() - 1
+            c = (cur & -cur if lowest else cur).bit_length() - 1
             p = pivots.get(c)
             if p is None:
                 pivots[c] = cur
+                taken.append(i)
                 break
             cur ^= p
-    return pivots
+    return pivots, taken
+
+
+def in_echelon(pivots: dict[int, int], v: int) -> bool:
+    """Whether v lies in the span of a highest-bit echelon basis."""
+    while v and v.bit_length() - 1 in pivots:
+        v ^= pivots[v.bit_length() - 1]
+    return not v
+
+
+def _reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:
+    """Clear the other pivot columns from each echelon row.  Rows go in
+    the order that has their other pivots done first, and a reduced row
+    changes no pivot bit but its own."""
+    mask = sum(1 << c for c in pivots)
+    reduced: dict[int, int] = {}
+    for c in sorted(pivots, reverse=lowest):
+        row, rest = pivots[c], (pivots[c] & mask) ^ (1 << c)
+        while rest:
+            c2 = rest.bit_length() - 1
+            row ^= reduced[c2]
+            rest ^= 1 << c2
+        reduced[c] = row
+    return reduced
 
 
 def rank2(m: BitMatrix | Sequence[int]) -> int:
     """GF(2) rank; the input is not modified."""
-    rows = m.rows if isinstance(m, BitMatrix) else m
-    return len(_echelon(rows))
+    return len(echelon(m)[0])
 
 
 def rref(m: BitMatrix | Sequence[int]) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form: (rows sorted by pivot, pivot columns)."""
-    rows = m.rows if isinstance(m, BitMatrix) else m
-    pivots = _echelon(rows)
-    cols = sorted(pivots)
-    reduced: dict[int, int] = {}
-    for c in reversed(cols):
-        row = pivots[c]
-        rest = row & ~((1 << (c + 1)) - 1)  # bits above the pivot
-        while rest:
-            low = rest & -rest
-            c2 = low.bit_length() - 1
-            if c2 in reduced:
-                row ^= reduced[c2]
-            rest &= rest - 1
-            rest &= row  # drop bits already cleared
-        reduced[c] = row
+    """Canonical RREF: (rows sorted by lowest-bit pivot, pivot columns)."""
+    reduced = _reduced(echelon(m, lowest=True)[0], lowest=True)
+    cols = sorted(reduced)
     return [reduced[c] for c in cols], cols
 
 
@@ -193,18 +207,21 @@ class Subspace:
 
 
 def nullspace(m: BitMatrix) -> Subspace:
-    """Basis of {v : M v = 0}; dimension is n_cols - rank2(M)."""
-    basis_rows, pivot_cols = rref(m)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.n_cols) if c not in pivot_set]
-    vectors = []
-    for f in free_cols:
-        v = 1 << f
-        for p, row in zip(pivot_cols, basis_rows):
-            if (row >> f) & 1:
-                v |= 1 << p
-        vectors.append(v)
-    return Subspace.span(vectors, m.n_cols)
+    """Canonical basis of {v : M v = 0}, one vector w_f per free column
+    (see the module docstring); dimension is n_cols - rank2(M)."""
+    n = m.n_cols
+    reduced = _reduced(echelon(m)[0], lowest=False)
+    pivot_cols = list(reduced)
+    free = [c for c in range(n) if c not in reduced]
+    width = (n + 7) // 8
+    packed = b"".join(reduced[c].to_bytes(width, "little") for c in pivot_cols)
+    rows = np.frombuffer(packed, np.uint8).reshape(len(pivot_cols), width)
+    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    w = np.zeros((len(free), n), dtype=np.uint8)
+    w[:, pivot_cols] = bits[:, free].T
+    w[np.arange(len(free)), free] = 1
+    w = np.packbits(w, axis=1, bitorder="little")
+    return Subspace([int.from_bytes(r.tobytes(), "little") for r in w], free, n)
 
 
 def restrict_vector(v: int, cols: Sequence[int]) -> int:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, nullspace, rank2, vec_to_bits
+from lu3q.gf2 import BitMatrix, Subspace, nullspace, vec_to_bits
 
 
 @dataclass(frozen=True)
@@ -65,14 +66,16 @@ class LdpcCode:
         self.H = H
         self.n = H.n_cols
         self.m = H.n_rows
-        self.rank = rank2(H)
-        self.k = self.n - self.rank
         self.generator: Subspace = nullspace(H)
+        self.k = self.generator.dim
+        self.rank = self.n - self.k
         self.provenance = provenance
-        self._H_np = H.to_numpy()
-        self._H_i64 = self._H_np.astype(np.int64)
-        self._HT_i64 = np.ascontiguousarray(self._H_i64.T)
-        self._var_degrees = self._H_i64.sum(axis=0)
+
+    # dense arrays for the decoders, built on first use
+    _H_np = cached_property(lambda self: self.H.to_numpy())
+    _H_i64 = cached_property(lambda self: self._H_np.astype(np.int64))
+    _HT_i64 = cached_property(lambda self: np.ascontiguousarray(self._H_i64.T))
+    _var_degrees = cached_property(lambda self: self._H_i64.sum(axis=0))
 
     def encode(self, message) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)

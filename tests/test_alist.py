@@ -78,6 +78,44 @@ def test_reader_rejects_out_of_range_index(section_line, bad):
         from_alist_text("\n".join(lines) + "\n")
 
 
+def _edit_line(m, line, words):
+    lines = to_alist_text(m).splitlines()
+    lines[line] = words
+    return "\n".join(lines) + "\n"
+
+
+def test_reader_rejects_repeated_index():
+    m = BitMatrix.from_dense([[1, 1], [0, 1]])
+    assert to_alist_text(m).splitlines()[4] == "1 0"
+    with pytest.raises(ValueError, match="not strictly ascending"):
+        from_alist_text(_edit_line(m, 4, "1 1"))
+
+
+@pytest.mark.parametrize("line, words, match", [
+    (5, "2 1", "not strictly ascending"),  # column 1 lists rows 2, 1
+    (6, "2 1", "not strictly ascending"),  # row 0 lists columns 2, 1
+    (4, "0 1", "not strictly ascending"),
+])
+def test_reader_rejects_unsorted_or_padded_lists(line, words, match):
+    m = BitMatrix.from_dense([[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match=match):
+        from_alist_text(_edit_line(m, line, words))
+
+
+@pytest.mark.parametrize("edit", ["+1", "01", "-0", "1_0"])
+def test_reader_rejects_non_canonical_numbers(edit):
+    m = BitMatrix.from_dense([[1, 0], [0, 1]])
+    assert to_alist_text(m).splitlines()[4] == "1"
+    with pytest.raises(ValueError, match="non-canonical"):
+        from_alist_text(_edit_line(m, 4, edit))
+
+
+def test_reader_rejects_trailing_data():
+    text = to_alist_text(BitMatrix.identity(2))
+    with pytest.raises(ValueError, match="after the row section"):
+        from_alist_text(text + "0\n")
+
+
 @st.composite
 def bit_matrices(draw):
     n_rows = draw(st.integers(0, 6))
@@ -122,3 +160,21 @@ def test_arbitrary_text_raises_only_value_error(text):
         from_alist_text(text)
     except ValueError:
         pass
+
+
+@given(bit_matrices(), st.data())
+def test_canonically_spaced_text_that_parses_reserialises(m, data):
+    """Replace tokens in place, keeping the line layout: whatever still
+    parses must be the writer's output for what it parsed."""
+    lines = [line.split() for line in to_alist_text(m).splitlines()]
+    slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    words = st.integers(-2, 8).map(str) | st.sampled_from(["01", "+1", "-0", "1_0"])
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.sampled_from(slots))
+        lines[i][j] = data.draw(words)
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    try:
+        back = from_alist_text(text)
+    except ValueError:
+        return
+    assert to_alist_text(back) == text

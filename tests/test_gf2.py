@@ -1,8 +1,13 @@
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from lu3q.gf2 import (
     BitMatrix,
     Subspace,
+    echelon,
+    in_echelon,
     kernel_intersection_dim,
     nullspace,
     ones_vector,
@@ -128,6 +133,58 @@ def test_nullspace_definition():
         assert ns.dim == m.n_cols - rank2(m)
         for v in ns.basis:
             assert m.mul_vec(v) == 0
+
+
+@st.composite
+def bit_matrices(draw, max_side=12):
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    rows = draw(
+        st.lists(st.integers(0, (1 << n_cols) - 1), min_size=n_rows, max_size=n_rows)
+    )
+    return BitMatrix(rows, n_cols)
+
+
+def reference_nullspace(m):
+    """The earlier kernel: free columns of the lowest-bit RREF, one
+    vector each, re-reduced by Subspace.span."""
+    basis_rows, pivot_cols = rref(m)
+    free_cols = [c for c in range(m.n_cols) if c not in pivot_cols]
+    vectors = []
+    for f in free_cols:
+        v = 1 << f
+        for p, row in zip(pivot_cols, basis_rows):
+            if (row >> f) & 1:
+                v |= 1 << p
+        vectors.append(v)
+    return Subspace.span(vectors, m.n_cols)
+
+
+@given(bit_matrices())
+def test_rank_equals_naive_rank(m):
+    assert rank2(m) == naive_rank(m.to_dense())
+
+
+@given(bit_matrices())
+def test_nullspace_equals_reference(m):
+    got, want = nullspace(m), reference_nullspace(m)
+    assert got.basis == want.basis
+    assert got.pivot_cols == want.pivot_cols
+    assert got.n_cols == want.n_cols == m.n_cols
+
+
+@given(bit_matrices())
+def test_column_greedy_pivots_equal_rref_pivots(m):
+    _, taken = echelon(m.transpose().rows)
+    assert taken == rref(m)[1]
+
+
+@given(bit_matrices(), st.data())
+def test_in_echelon_is_span_membership(m, data):
+    v = data.draw(st.integers(0, (1 << m.n_cols) - 1))
+    pivots, taken = echelon(m.rows)
+    assert len(pivots) == len(taken) == rank2(m)
+    assert in_echelon(pivots, v) == Subspace.span(m.rows, m.n_cols).contains(v)
 
 
 def test_subspace_contains_and_equality():

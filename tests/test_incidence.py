@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
+import os
 
 import pytest
 
-from lu3q.gf2 import rank2
+from lu3q.formulas import predict
+from lu3q.gf2 import Subspace, rank2
 from lu3q.incidence import (
     EquivalenceReport,
+    SpanMismatchError,
     build_incidence,
     build_kim_matrix,
     check_kim_equivalence,
@@ -122,6 +126,40 @@ def test_spanning_with_randomized_y(quad, matrix, q):
     alt = type(sel)(sel.X, sel.X0, tuple(alt_y), sel.Z)
     rep = verify_spanning(Q, alt)
     assert rep.ok
+
+
+def test_spanning_without_y_reports_first_escaping_line(quad, matrix):
+    Q = quad(4)
+    sel = dataclasses.replace(select_Z(matrix(4, "p1l1"), Q), Y=())
+    rs = Q.restricted_sets()
+    span = Subspace.span([Q.chi_line(l) for l in sel.X0 + rs.L1], Q.n_points)
+    first = next(l for l in range(Q.n_lines) if not span.contains(Q.chi_line(l)))
+    with pytest.raises(SpanMismatchError, match=f"line {first} escapes") as exc:
+        verify_spanning(Q, sel)
+    assert exc.value.line == first
+
+
+@pytest.mark.parametrize("drop", [0, -1])
+def test_spanning_without_a_z_line_fails(quad, matrix, drop):
+    Q = quad(4)
+    sel = select_Z(matrix(4, "p1l1"), Q)
+    Z = list(sel.Z)
+    del Z[drop]
+    with pytest.raises(SpanMismatchError, match=r"span\(Z u X0\)|dimension gap"):
+        verify_spanning(Q, dataclasses.replace(sel, Z=tuple(Z)))
+
+
+def test_spanning_rejects_z_outside_l1(quad, matrix):
+    Q = quad(4)
+    sel = select_Z(matrix(4, "p1l1"), Q)
+    bad = dataclasses.replace(sel, Z=sel.Z[1:] + sel.Y[:1])
+    with pytest.raises(SpanMismatchError, match="not a subset of L1"):
+        verify_spanning(Q, bad)
+
+
+@pytest.mark.skipif(os.environ.get("LU3Q_SLOW") != "1", reason="set LU3Q_SLOW=1 (about 60 s)")
+def test_kim_rank_q32(field):
+    assert build_kim_matrix(field(32)).rank == predict(32).rank_p1l1 == 12186
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
