@@ -244,6 +244,11 @@ def cmd_simulate(args, parser) -> int:
             normalization=normalization,
             jobs=jobs,
         )
+        log.info(
+            "%s p=%r: trials by iteration count %s, stuck %d",
+            decoder, p,
+            {i: c for i, c in enumerate(rep.iteration_histogram) if c}, rep.stuck,
+        )
         rows.append(
             [cfg.q, cfg.system, int(transpose), channel, repr(p), decoder,
              max_iters, trials, rep.bit_errors, rep.frame_errors,

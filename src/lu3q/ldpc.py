@@ -1,10 +1,20 @@
 """LDPC codes on top of the constructed parity-check matrices.
 
-Decoding and channel simulation are numpy-based.  Simulation transmits
-the zero codeword (valid on a symmetric channel for a linear code) and
-draws each trial's noise from its own generator, PCG64 seeded with
-SeedSequence((seed, trial_index)); aggregate counts are plain integer
-sums, so reports are bit-identical for a fixed seed.
+A code keeps one edge layout, built from the packed rows on first use:
+``checks`` lists the variables of each check and ``var_edges`` the edge
+slots of each variable in ascending check order.  Syndromes, the
+encoder's codeword check and both decoders run on it, and
+``girth_check`` reads the same edges; no dense copy of H is kept.
+
+Simulation transmits the zero codeword (valid on a symmetric channel for
+a linear code) and draws each trial's noise from its own generator,
+PCG64 seeded with SeedSequence((seed, trial_index)).  Trials are decoded
+in blocks, one frame per column, and a frame leaves its block as soon as
+it converges, stalls or reaches the iteration cap.  Every step acts on
+each frame alone, and min-sum adds a variable's check messages in
+ascending check order, so a frame decodes to the same bits whichever
+block it is in.  Aggregate counts are integer sums, so reports are
+bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,6 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from lu3q.gf2 import BitMatrix, Subspace, nullspace, vec_to_bits
+
+# Bytes of float64 check-to-variable messages per simulation block.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,6 +54,14 @@ class DecodeResult:
 
 @dataclass(frozen=True)
 class SimReport:
+    """Error counts of a simulation, with exact decoder statistics.
+
+    ``iteration_histogram[i]`` counts the trials that left the decoder
+    after i iterations (0 for a received word that is already a
+    codeword); ``stuck`` counts bit-flipping trials that stopped on a
+    round with no flip.
+    """
+
     trials: int
     bit_errors: int
     frame_errors: int
@@ -50,6 +71,8 @@ class SimReport:
     decoder: str
     max_iters: int
     seed: int
+    iteration_histogram: tuple[int, ...]
+    stuck: int
 
 
 @dataclass
@@ -57,6 +80,26 @@ class GirthReport:
     ok: bool
     rows: tuple[int, int] | None = None
     cols: tuple[int, int] | None = None
+
+
+def _ones(H: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the 1s of H, in row-major order."""
+    width = (H.n_cols + 7) // 8
+    packed = np.frombuffer(
+        b"".join(r.to_bytes(width, "little") for r in H.rows), dtype=np.uint8
+    ).reshape(H.n_rows, width)
+    return np.nonzero(np.unpackbits(packed, axis=1, count=H.n_cols, bitorder="little"))
+
+
+def _degree(index: np.ndarray, count: int, what: str) -> int:
+    """The common number of edges at each of ``count`` nodes."""
+    degrees = np.bincount(index, minlength=count)
+    if count and (degrees != degrees[0]).any():
+        raise ValueError(
+            f"the decoders need a regular parity-check matrix; {what} "
+            f"weights range from {degrees.min()} to {degrees.max()}"
+        )
+    return int(degrees[0]) if count else 0
 
 
 class LdpcCode:
@@ -71,11 +114,24 @@ class LdpcCode:
         self.rank = self.n - self.k
         self.provenance = provenance
 
-    # dense arrays for the decoders, built on first use
-    _H_np = cached_property(lambda self: self.H.to_numpy())
-    _H_i64 = cached_property(lambda self: self._H_np.astype(np.int64))
-    _HT_i64 = cached_property(lambda self: np.ascontiguousarray(self._H_i64.T))
-    _var_degrees = cached_property(lambda self: self._H_i64.sum(axis=0))
+    @cached_property
+    def checks(self) -> np.ndarray:
+        """(m, d_c): the variables of each check, ascending."""
+        rows, cols = _ones(self.H)
+        return cols.reshape(self.m, _degree(rows, self.m, "row"))
+
+    @cached_property
+    def var_edges(self) -> np.ndarray:
+        """(n, d_v): the edge slots of each variable, in ascending check order.
+
+        Slot j*m + c is the j-th variable of check c, so the slots index
+        ``checks.T`` and the (d_c, m, ...) message arrays, flattened.
+        """
+        m, d_c = self.checks.shape
+        flat = self.checks.ravel()
+        d_v = _degree(flat, self.n, "column")
+        by_var = np.argsort(flat, kind="stable")  # ascending check within a variable
+        return ((by_var % d_c) * m + by_var // d_c).reshape(self.n, d_v)
 
     def encode(self, message) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
@@ -92,7 +148,9 @@ class LdpcCode:
         return out
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
-        return (self._H_np @ bits.astype(np.uint8)) & 1
+        """Check parities of ``bits``, shape (n,) or (n, frames)."""
+        gathered = np.take(np.asarray(bits).astype(np.uint8), self.checks.T, axis=0)
+        return np.bitwise_xor.reduce(gathered, axis=0) & 1
 
     def is_codeword(self, bits: np.ndarray) -> bool:
         return not self.syndrome(bits).any()
@@ -122,20 +180,31 @@ class LdpcCode:
 
 
 def girth_check(H: BitMatrix) -> GirthReport:
-    """ok iff no two rows share two columns (Tanner girth >= 6)."""
-    rows = H.rows
-    for i in range(len(rows)):
-        ri = rows[i]
-        if ri.bit_count() < 2:
-            continue
-        for j in range(i + 1, len(rows)):
-            common = ri & rows[j]
-            if common.bit_count() >= 2:
-                c1 = (common & -common).bit_length() - 1
-                common ^= common & -common
-                c2 = (common & -common).bit_length() - 1
-                return GirthReport(False, rows=(i, j), cols=(c1, c2))
-    return GirthReport(True)
+    """ok iff no two rows share two columns (Tanner girth >= 6).
+
+    Each column contributes the pairs of its rows; a four-cycle is a row
+    pair contributed twice.  A failing report names the lexicographically
+    first such pair and the two lowest columns it shares.
+    """
+    rows, cols = _ones(H)
+    by_col = np.argsort(cols, kind="stable")  # ascending row within a column
+    rows, cols = rows[by_col], cols[by_col]
+    keys, key_cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for gap in range(1, len(cols)):
+        same = cols[gap:] == cols[:-gap]
+        if not same.any():
+            break
+        keys.append(rows[:-gap][same] * H.n_rows + rows[gap:][same])
+        key_cols.append(cols[gap:][same])
+    keys, key_cols = np.concatenate(keys), np.concatenate(key_cols)
+    order = np.lexsort((key_cols, keys))
+    keys, key_cols = keys[order], key_cols[order]
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    if not repeats.size:
+        return GirthReport(True)
+    i = int(repeats[0])
+    r1, r2 = divmod(int(keys[i]), H.n_rows)
+    return GirthReport(False, rows=(r1, r2), cols=(int(key_cols[i]), int(key_cols[i + 1])))
 
 
 def bsc_llr(bit: int, p: float) -> float:
@@ -144,28 +213,117 @@ def bsc_llr(bit: int, p: float) -> float:
     return (1 - 2 * bit) * magnitude
 
 
+def _bitflip(code: LdpcCode, bits: np.ndarray, max_iters: int):
+    """Bit-flipping on the frames in the columns of ``bits`` (n, T), in place.
+
+    Each round flips the bits that violate a strict majority of their
+    checks.  Returns each frame's iteration count and whether it stalled
+    on a round with no flip.
+    """
+    iterations = np.zeros(bits.shape[1], dtype=np.intp)
+    stalled = np.zeros(bits.shape[1], dtype=bool)
+    var_checks = (code.var_edges % code.m).T
+    half = var_checks.shape[0] // 2
+    syn = code.syndrome(bits)
+    busy = syn.any(axis=0)
+    live = np.flatnonzero(busy)
+    # live frames are compacted with compress, which keeps arrays C-ordered
+    frames, syn = bits.compress(busy, axis=1), syn.compress(busy, axis=1)
+    for it in range(1, max_iters + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        flips = np.take(syn, var_checks, axis=0).sum(axis=0, dtype=np.uint16) > half
+        moving = flips.any(axis=0)
+        stalled[live[~moving]] = True
+        frames ^= flips
+        syn = code.syndrome(frames)
+        busy = moving & syn.any(axis=0)
+        bits[:, live[~busy]] = frames[:, ~busy]
+        live, frames, syn = live[busy], frames.compress(busy, axis=1), syn.compress(busy, axis=1)
+    bits[:, live] = frames
+    return iterations, stalled
+
+
+def _decide(total: np.ndarray, received: np.ndarray) -> np.ndarray:
+    """Hard decisions; a zero total keeps the received bit."""
+    return (total < 0) | ((total == 0) & received)
+
+
+def _check_messages(v2c: np.ndarray, c2v: np.ndarray, normalization: float) -> None:
+    """Overwrite the check-to-variable messages c2v, shape (d_c, m, frames).
+
+    ``v2c`` holds the variables' totals on each edge and is used as
+    scratch.  A message takes the sign product and the scaled minimum
+    magnitude over the other edges of its check.
+    """
+    v2c -= c2v
+    neg = v2c < 0
+    mags = np.abs(v2c, out=v2c)
+    min1, min2 = mags[0], np.full_like(mags[0], np.inf)
+    for row in mags[1:]:
+        min2 = np.minimum(min2, np.maximum(min1, row))
+        min1 = np.minimum(min1, row)
+    np.copyto(c2v, min1)
+    np.copyto(c2v, min2, where=mags == min1)  # the minimum's own edge
+    c2v *= normalization
+    neg ^= np.logical_xor.reduce(neg, axis=0)
+    c2v *= 1 - 2 * neg.view(np.int8)  # exact sign flips
+
+
+def _minsum(code: LdpcCode, llr: np.ndarray, max_iters: int, normalization: float):
+    """Normalized min-sum, flooding schedule, on the frames in the columns
+    of ``llr`` (n, T).
+
+    Returns the hard decisions (n, T) and each frame's iteration count.
+    """
+    received = np.signbit(llr)  # a zero LLR keeps its sign bit, -0.0 for a 1
+    hard = _decide(llr, received).astype(np.uint8)
+    iterations = np.zeros(llr.shape[1], dtype=np.intp)
+    var_checks, var_edges = code.checks.T, code.var_edges.T
+    busy = code.syndrome(hard).any(axis=0)
+    live = np.flatnonzero(busy)
+    total = llr.compress(busy, axis=1)
+    c2v = np.zeros((*var_checks.shape, live.size))
+    for it in range(1, max_iters + 1):
+        if not live.size:
+            break
+        iterations[live] = it
+        _check_messages(np.take(total, var_checks, axis=0), c2v, normalization)
+        # each total adds its messages in ascending check order, so the
+        # float sums do not depend on the block
+        total = np.take(llr, live, axis=1)
+        for slots in var_edges:
+            total += np.take(c2v.reshape(-1, live.size), slots, axis=0)
+        decided = _decide(total, np.take(received, live, axis=1))
+        hard[:, live] = decided
+        busy = code.syndrome(decided).any(axis=0)
+        live, total, c2v = live[busy], total.compress(busy, axis=1), c2v.compress(busy, axis=2)
+    return hard, iterations
+
+
+def _single(code: LdpcCode, bits: np.ndarray, iterations: np.ndarray) -> DecodeResult:
+    weight = int(code.syndrome(bits[:, 0]).sum())
+    return DecodeResult(weight == 0, bits[:, 0], int(iterations[0]), weight)
+
+
+def _check_params(max_iters: int, normalization: float = 0.75) -> None:
+    if max_iters < 0:
+        raise ValueError("max_iters must be >= 0")
+    if not 0.0 < normalization <= 1.0:
+        raise ValueError("normalization must be in (0, 1]")
+
+
 def decode_bitflip(code: LdpcCode, received: np.ndarray, max_iters: int = 50) -> DecodeResult:
     """Hard-decision flipping: flip bits violating a strict majority of
     their checks; exact half-splits stay put."""
-    bits = np.asarray(received, dtype=np.int64).copy()
+    bits = np.array(received, dtype=np.uint8)
     if bits.shape != (code.n,):
         raise ValueError(f"received length {bits.shape} does not match n={code.n}")
-    H = code._H_i64
-    HT = code._HT_i64
-    degrees = code._var_degrees
-    syn = (H @ bits) & 1
-    if not syn.any():
-        return DecodeResult(True, bits.astype(np.uint8), 0, 0)
-    for it in range(1, max_iters + 1):
-        violations = HT @ syn
-        flips = violations * 2 > degrees
-        if not flips.any():
-            return DecodeResult(False, bits.astype(np.uint8), it, int(syn.sum()))
-        bits ^= flips
-        syn = (H @ bits) & 1
-        if not syn.any():
-            return DecodeResult(True, bits.astype(np.uint8), it, 0)
-    return DecodeResult(False, bits.astype(np.uint8), max_iters, int(syn.sum()))
+    _check_params(max_iters)
+    bits = bits[:, None]
+    iterations, _ = _bitflip(code, bits, max_iters)
+    return _single(code, bits, iterations)
 
 
 def decode_minsum(
@@ -178,76 +336,23 @@ def decode_minsum(
 
     Check-to-variable messages take the sign product and the scaled
     minimum magnitude over the other edges; hard decisions are tested
-    every iteration.
+    every iteration, and a zero total LLR decides the received bit.
     """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"llr length {llr.shape} does not match n={code.n}")
-    if not 0.0 < normalization <= 1.0:
-        raise ValueError("normalization must be in (0, 1]")
-    H = code._H_np
-    m, n = H.shape
-    hard = (llr < 0).astype(np.uint8)
-    syn = (H @ hard) & 1
-    if not syn.any():
-        return DecodeResult(True, hard, 0, 0)
-
-    # edge layout: per-check rows padded to the maximum degree
-    degrees = H.sum(axis=1)
-    dmax = int(degrees.max())
-    var_idx = np.full((m, dmax), n, dtype=np.int64)  # n = sentinel slot
-    mask = np.zeros((m, dmax), dtype=bool)
-    for c in range(m):
-        nbrs = np.nonzero(H[c])[0]
-        var_idx[c, : len(nbrs)] = nbrs
-        mask[c, : len(nbrs)] = True
-
-    llr_ext = np.append(llr, 0.0)
-    c2v = np.zeros((m, dmax))
-    total_ext = llr_ext.copy()
-    for it in range(1, max_iters + 1):
-        v2c = total_ext[var_idx] - c2v
-        mags = np.where(mask, np.abs(v2c), np.inf)
-        signs = np.where(v2c < 0, -1.0, 1.0)
-        signs[~mask] = 1.0
-        sign_prod = signs.prod(axis=1)
-        arg1 = mags.argmin(axis=1)
-        min1 = mags[np.arange(m), arg1]
-        mags_wo = mags.copy()
-        mags_wo[np.arange(m), arg1] = np.inf
-        min2 = mags_wo.min(axis=1)
-        use_min = np.where(
-            np.arange(dmax)[None, :] == arg1[:, None], min2[:, None], min1[:, None]
-        )
-        c2v = normalization * sign_prod[:, None] * signs * use_min
-        c2v[~mask] = 0.0
-        total_ext = llr_ext.copy()
-        np.add.at(total_ext, var_idx.ravel(), c2v.ravel())
-        hard = (total_ext[:n] < 0).astype(np.uint8)
-        syn = (H @ hard) & 1
-        if not syn.any():
-            return DecodeResult(True, hard, it, 0)
-    return DecodeResult(False, hard, max_iters, int(syn.sum()))
+    _check_params(max_iters, normalization)
+    hard, iterations = _minsum(code, llr[:, None], max_iters, normalization)
+    return _single(code, hard, iterations)
 
 
-def _run_trial(code, channel, decoder, max_iters, normalization, trial):
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence((channel.seed, trial)))
-    )
-    flips = (rng.random(code.n) < channel.p).astype(np.uint8)
-    if decoder == "bitflip":
-        result = decode_bitflip(code, flips, max_iters=max_iters)
-    elif decoder == "minsum":
-        llr = (1.0 - 2.0 * flips) * bsc_llr(0, channel.p)
-        result = decode_minsum(
-            code, llr, max_iters=max_iters, normalization=normalization
-        )
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    wrong = int(result.bits.sum())  # transmitted the zero codeword
-    frame = wrong > 0
-    undetected = result.success and frame
-    return wrong, frame, undetected
+def _bsc_flips(code: LdpcCode, channel: ChannelSpec, trials: range) -> np.ndarray:
+    """Channel flips (n, len(trials)); trial t draws from SeedSequence((seed, t))."""
+    flips = np.empty((code.n, len(trials)), dtype=np.uint8)
+    for i, t in enumerate(trials):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((channel.seed, t))))
+        flips[:, i] = rng.random(code.n) < channel.p
+    return flips
 
 
 def simulate(
@@ -261,18 +366,34 @@ def simulate(
 ) -> SimReport:
     """Monte-Carlo decoding error rates on the BSC, zero codeword sent.
 
-    Trials run in order on the calling thread.  ``jobs`` is accepted for
-    compatibility and does not change the result.
+    Trials are decoded in blocks sized so that a block's messages take
+    about 1 MB; the result does not depend on the grouping.  ``jobs`` is
+    accepted for compatibility and does not change the result.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    outcomes = [
-        _run_trial(code, channel, decoder, max_iters, normalization, t)
-        for t in range(trials)
-    ]
-    bit_errors = sum(o[0] for o in outcomes)
-    frame_errors = sum(1 for o in outcomes if o[1])
-    undetected = sum(1 for o in outcomes if o[2])
+    if decoder not in ("bitflip", "minsum"):
+        raise ValueError(f"unknown decoder {decoder!r}")
+    _check_params(max_iters, normalization if decoder == "minsum" else 0.75)
+    block = max(1, _BLOCK_BYTES // (8 * max(code.checks.size, 1)))
+    histogram = np.zeros(max_iters + 1, dtype=np.int64)
+    bit_errors = frame_errors = undetected = stuck = 0
+    for start in range(0, trials, block):
+        flips = _bsc_flips(code, channel, range(start, min(start + block, trials)))
+        if decoder == "bitflip":
+            bits = flips
+            iterations, stalled = _bitflip(code, bits, max_iters)
+            stuck += int(stalled.sum())
+        else:
+            llr = (1.0 - 2.0 * flips) * bsc_llr(0, channel.p)
+            bits, iterations = _minsum(code, llr, max_iters, normalization)
+        wrong = bits.sum(axis=0)  # transmitted the zero codeword
+        frame = wrong > 0
+        success = ~code.syndrome(bits).any(axis=0)
+        bit_errors += int(wrong.sum())
+        frame_errors += int(frame.sum())
+        undetected += int((success & frame).sum())
+        histogram += np.bincount(iterations, minlength=max_iters + 1)
     return SimReport(
         trials=trials,
         bit_errors=bit_errors,
@@ -283,4 +404,6 @@ def simulate(
         decoder=decoder,
         max_iters=max_iters,
         seed=channel.seed,
+        iteration_histogram=tuple(int(c) for c in histogram),
+        stuck=stuck,
     )

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -162,6 +163,17 @@ def test_simulate_deterministic_output(capsys, tmp_path):
     c2, out2 = run(capsys, *args)
     assert c1 == c2 == 0
     assert out1 == out2
+
+
+def test_simulate_logs_decoder_statistics_to_stderr_only(capsys, caplog):
+    args = ["simulate", "--q", "4", "--system", "kim", "--p", "0.05,0.1",
+            "--decoder", "bitflip", "--trials", "30", "--seed", "3"]
+    _, quiet = run(capsys, *args)
+    with caplog.at_level(logging.INFO, logger="lu3q"):
+        _, loud = run(capsys, *args)
+    assert loud == quiet
+    stats = [r.getMessage() for r in caplog.records if "iteration count" in r.getMessage()]
+    assert [s.split(":")[0] for s in stats] == ["bitflip p=0.05", "bitflip p=0.1"]
 
 
 def test_simulate_transpose_flag(capsys):

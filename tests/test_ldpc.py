@@ -6,11 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lu3q
+from lu3q import ldpc
 from lu3q.gf2 import BitMatrix, vec_to_bits
 from lu3q.ldpc import (
     ChannelSpec,
+    GirthReport,
     LdpcCode,
     bsc_llr,
     decode_bitflip,
@@ -200,6 +204,10 @@ def test_simulate_validates_arguments(code2):
         simulate(code2, ChannelSpec("bsc", 0.1, 0), trials=0)
     with pytest.raises(ValueError):
         simulate(code2, ChannelSpec("bsc", 0.1, 0), decoder="turbo", trials=1)
+    with pytest.raises(ValueError):
+        simulate(code2, ChannelSpec("bsc", 0.1, 0), trials=1, max_iters=-1)
+    with pytest.raises(ValueError):
+        decode_bitflip(code2, np.zeros(8, dtype=np.uint8), max_iters=-1)
 
 
 def test_decoder_outputs_labeled_codeword_have_zero_syndrome(code8):
@@ -213,3 +221,239 @@ def test_decoder_outputs_labeled_codeword_have_zero_syndrome(code8):
         out = decode_minsum(code8, llr)
         if out.success:
             assert code8.is_codeword(out.bits)
+
+
+# -- one-frame dense references --------------------------------------------
+# One frame at a time, int64 mat-vecs on the dense H and np.add.at for the
+# min-sum totals.  The min-sum reference has the tie rule: a zero total
+# decides the received bit.
+
+
+def bitflip_reference(H, received, max_iters):
+    """(success, bits, iterations, stalled) of dense strict-majority flipping."""
+    HT, degrees = H.T, H.sum(axis=0)
+    bits = received.astype(np.int64)
+    syn = (H @ bits) & 1
+    if not syn.any():
+        return True, bits.astype(np.uint8), 0, False
+    for it in range(1, max_iters + 1):
+        flips = (HT @ syn) * 2 > degrees
+        if not flips.any():
+            return False, bits.astype(np.uint8), it, True
+        bits ^= flips
+        syn = (H @ bits) & 1
+        if not syn.any():
+            return True, bits.astype(np.uint8), it, False
+    return False, bits.astype(np.uint8), max_iters, False
+
+
+def minsum_reference(H, llr, max_iters, normalization=0.75):
+    """(success, bits, iterations) of dense normalized min-sum."""
+    m, n = H.shape
+    received = np.signbit(llr)
+
+    def decide(total):
+        return ((total < 0) | ((total == 0) & received)).astype(np.uint8)
+
+    hard = decide(llr)
+    syn = (H @ hard) & 1
+    if not syn.any():
+        return True, hard, 0
+    degrees = H.sum(axis=1)
+    dmax = int(degrees.max())
+    var_idx = np.full((m, dmax), n, dtype=np.int64)
+    mask = np.zeros((m, dmax), dtype=bool)
+    for c in range(m):
+        nbrs = np.nonzero(H[c])[0]
+        var_idx[c, : len(nbrs)] = nbrs
+        mask[c, : len(nbrs)] = True
+    llr_ext = np.append(llr, 0.0)
+    c2v = np.zeros((m, dmax))
+    total_ext = llr_ext.copy()
+    for it in range(1, max_iters + 1):
+        v2c = total_ext[var_idx] - c2v
+        mags = np.where(mask, np.abs(v2c), np.inf)
+        signs = np.where(v2c < 0, -1.0, 1.0)
+        signs[~mask] = 1.0
+        sign_prod = signs.prod(axis=1)
+        arg1 = mags.argmin(axis=1)
+        min1 = mags[np.arange(m), arg1]
+        mags_wo = mags.copy()
+        mags_wo[np.arange(m), arg1] = np.inf
+        min2 = mags_wo.min(axis=1)
+        use_min = np.where(
+            np.arange(dmax)[None, :] == arg1[:, None], min2[:, None], min1[:, None]
+        )
+        c2v = normalization * sign_prod[:, None] * signs * use_min
+        c2v[~mask] = 0.0
+        total_ext = llr_ext.copy()
+        np.add.at(total_ext, var_idx.ravel(), c2v.ravel())
+        hard = decide(total_ext[:n])
+        syn = (H @ hard) & 1
+        if not syn.any():
+            return True, hard, it
+    return False, hard, max_iters
+
+
+def girth_reference(H):
+    """The pairwise row scan: first row pair sharing two columns."""
+    rows = H.rows
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            common = rows[i] & rows[j]
+            if common.bit_count() >= 2:
+                c1 = (common & -common).bit_length() - 1
+                common ^= common & -common
+                c2 = (common & -common).bit_length() - 1
+                return GirthReport(False, rows=(i, j), cols=(c1, c2))
+    return GirthReport(True)
+
+
+REFERENCE_CODES = [(2, "kim", False), (4, "kim", False), (8, "kim", False),
+                   (4, "kim", True), (4, "pl", False)]
+
+
+@pytest.fixture(scope="module")
+def reference_codes(matrix):
+    out = {}
+    for q, system, transposed in REFERENCE_CODES:
+        H = matrix(q, system).bits
+        if transposed:
+            H = H.transpose()
+        out[(q, system, transposed)] = (LdpcCode(H), H.to_numpy().astype(np.int64))
+    return out
+
+
+def _noise(code, p, seed, trials):
+    return ldpc._bsc_flips(code, ChannelSpec("bsc", p, seed), range(trials))
+
+
+crossovers = st.one_of(st.just(0.5), st.floats(0.0, 0.5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=st.sampled_from(REFERENCE_CODES), seed=st.integers(0, 2**32 - 1),
+       p=crossovers, max_iters=st.integers(0, 12))
+def test_block_bitflip_equals_reference(reference_codes, key, seed, p, max_iters):
+    code, H = reference_codes[key]
+    flips = _noise(code, p, seed, 5)
+    bits = flips.copy()
+    iterations, stalled = ldpc._bitflip(code, bits, max_iters)
+    for t in range(flips.shape[1]):
+        success, ref_bits, ref_iters, ref_stalled = bitflip_reference(H, flips[:, t], max_iters)
+        assert (bits[:, t] == ref_bits).all()
+        assert (iterations[t], stalled[t]) == (ref_iters, ref_stalled)
+        assert code.is_codeword(bits[:, t]) == success
+        single = decode_bitflip(code, flips[:, t], max_iters=max_iters)
+        assert (single.success, single.iterations) == (success, ref_iters)
+        assert (single.bits == ref_bits).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(key=st.sampled_from(REFERENCE_CODES), seed=st.integers(0, 2**32 - 1),
+       p=crossovers, max_iters=st.integers(0, 12))
+def test_block_minsum_equals_reference(reference_codes, key, seed, p, max_iters):
+    code, H = reference_codes[key]
+    llr = (1.0 - 2.0 * _noise(code, p, seed, 5)) * bsc_llr(0, p)
+    hard, iterations = ldpc._minsum(code, llr, max_iters, 0.75)
+    for t in range(llr.shape[1]):
+        success, ref_bits, ref_iters = minsum_reference(H, llr[:, t], max_iters)
+        assert (hard[:, t] == ref_bits).all()
+        assert iterations[t] == ref_iters
+        assert code.is_codeword(hard[:, t]) == success
+        single = decode_minsum(code, llr[:, t], max_iters=max_iters)
+        assert (single.success, single.iterations) == (success, ref_iters)
+        assert (single.bits == ref_bits).all()
+
+
+@pytest.mark.parametrize("decoder", ["bitflip", "minsum"])
+@pytest.mark.parametrize("key", REFERENCE_CODES)
+def test_simulate_counts_equal_reference(reference_codes, key, decoder):
+    code, H = reference_codes[key]
+    p, seed, trials, max_iters = 0.08, 5, 30, 15
+    rep = simulate(code, ChannelSpec("bsc", p, seed), decoder=decoder,
+                   trials=trials, max_iters=max_iters)
+    flips = _noise(code, p, seed, trials)
+    bit_errors = frame_errors = undetected = stuck = 0
+    histogram = [0] * (max_iters + 1)
+    for t in range(trials):
+        if decoder == "bitflip":
+            success, bits, iters, stalled = bitflip_reference(H, flips[:, t], max_iters)
+        else:
+            llr = (1.0 - 2.0 * flips[:, t]) * bsc_llr(0, p)
+            success, bits, iters = minsum_reference(H, llr, max_iters)
+            stalled = False
+        wrong = int(bits.sum())
+        bit_errors += wrong
+        frame_errors += wrong > 0
+        undetected += success and wrong > 0
+        stuck += stalled
+        histogram[iters] += 1
+    assert (rep.bit_errors, rep.frame_errors, rep.undetected_errors) == (
+        bit_errors, frame_errors, undetected)
+    assert rep.iteration_histogram == tuple(histogram)
+    assert rep.stuck == stuck
+
+
+@pytest.mark.parametrize("decoder,p", [("bitflip", 0.06), ("minsum", 0.08)])
+def test_simulate_does_not_depend_on_block_size(code8, monkeypatch, decoder, p):
+    channel = ChannelSpec("bsc", p, 11)
+    reports = []
+    for block in (1, 7, 64):
+        monkeypatch.setattr(ldpc, "_BLOCK_BYTES", 8 * code8.checks.size * block)
+        reports.append(simulate(code8, channel, decoder=decoder, trials=40, max_iters=20))
+    assert reports[0] == reports[1] == reports[2]
+    assert sum(reports[0].iteration_histogram) == 40
+
+
+def test_minsum_is_channel_symmetric_at_half(code8):
+    # Every LLR is +-0.0 at p = 0.5; a zero total must keep the received
+    # bit, so the decoder cannot report the all-zero word it was never sent.
+    rep = simulate(code8, ChannelSpec("bsc", 0.5, 1), decoder="minsum", trials=20)
+    assert rep.fer >= 0.5
+
+
+def test_edge_layout_is_lazy_and_sparse(matrix):
+    code = LdpcCode(matrix(4, "kim").bits)
+    assert not any(isinstance(v, np.ndarray) for v in vars(code).values())
+    decode_minsum(code, np.full(code.n, 1.0))
+    arrays = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+    assert sorted(a.shape for a in arrays) == [(64, 4), (64, 4)]
+    # var_edges slot j*m + c is the j-th variable of check c, checks ascending
+    slots = code.checks.T.ravel()[code.var_edges]
+    assert (slots == np.arange(code.n)[:, None]).all()
+    var_checks = code.var_edges % code.m
+    assert (np.diff(var_checks, axis=1) > 0).all()
+
+
+def test_decoders_reject_irregular_matrix():
+    code = LdpcCode(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    with pytest.raises(ValueError, match="regular"):
+        decode_bitflip(code, np.zeros(3, dtype=np.uint8))
+
+
+@st.composite
+def dense_matrices(draw):
+    n_rows, n_cols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    density = draw(st.sampled_from([0.15, 0.3, 0.5]))
+    cells = draw(st.lists(st.floats(0, 1), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    dense = [[int(cells[i * n_cols + j] < density) for j in range(n_cols)]
+             for i in range(n_rows)]
+    return BitMatrix.from_dense(dense, n_cols)
+
+
+@given(dense_matrices())
+def test_girth_equals_pairwise_reference(H):
+    assert girth_check(H) == girth_reference(H)
+
+
+@pytest.mark.parametrize("q,system", [(3, "pl"), (4, "p1l1"), (5, "kim")])
+def test_girth_equals_pairwise_reference_on_constructed(matrix, q, system):
+    H = matrix(q, system).bits
+    assert girth_check(H) == girth_reference(H) == GirthReport(True)
+    # add one row covering two columns of row 0: the first pair is (0, m)
+    cols = [c for c in range(H.n_cols) if H.get(0, c)][:2]
+    bad = BitMatrix(H.rows + [(1 << cols[0]) | (1 << cols[1])], H.n_cols)
+    assert girth_check(bad) == girth_reference(bad) == GirthReport(
+        False, rows=(0, H.n_rows), cols=tuple(cols))
