@@ -5,28 +5,32 @@ each in [0, q-1]) to nonzero coefficients in GF(q).  Reduction uses
 x^q = x, so an exponent e >= q collapses to ((e-1) mod (q-1)) + 1 and
 exponent 0 stays 0.
 
-Characteristic functions of points and lines are realized as products
-of (1 + linear^(q-1)) factors; a line needs two linear forms (the form
-functionals of its basis), a point three.
+The characteristic function of a line is the product of
+(1 + linear^(q-1)) over the form functionals of its basis.
 
 The 2-adic digit decomposition splits a monomial with exponents
 m_i = sum_j n_{i,j} 2^j into square-free digits f_j = prod_i x_i^{n_{i,j}},
 so that the monomial is f_0 * f_1^2 * ... * f_{t-1}^(2^(t-1)).
 
-Dense linear algebra over GF(q) (span membership, ranks of coefficient
-matrices) runs on numpy uint8 arrays with a multiplication table;
-addition of encoded field elements in characteristic 2 is XOR.
+Coefficient vectors are numpy uint8 arrays indexed by ``mono_index``,
+whose field elements add by XOR.  ``code_coefficients`` interpolates GF(2)
+vectors on the points by one q x q transform along each axis, and
+``reduce_against_beta`` tests digit-span membership as a tensor product,
+with no elimination; ``delta_line`` and ``build_beta`` stay as the
+references built by polynomial products.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from lu3q.fields import GF
 from lu3q.geometry import Quadrangle
+from lu3q.gf2 import BitMatrix, nullspace, vec_to_bits
 
 Mono = tuple[int, int, int, int]
 PolyFn = dict[Mono, int]
@@ -132,22 +136,6 @@ def delta_line(l: int, Q: Quadrangle) -> PolyFn:
     return indicator_of_zero_set(forms, Q.F)
 
 
-def delta_point(p: int, Q: Quadrangle) -> PolyFn:
-    """Reduced polynomial realizing the point's indicator."""
-    v = Q.points[p]
-    F = Q.F
-    k = next(i for i, x in enumerate(v) if x)
-    forms = []
-    for j in range(4):
-        if j == k:
-            continue
-        coeffs = [0, 0, 0, 0]
-        coeffs[j] = 1
-        coeffs[k] = F.neg(v[j])
-        forms.append(linear_form(tuple(coeffs)))
-    return indicator_of_zero_set(forms, F)
-
-
 # -- 2-adic digits -----------------------------------------------------------
 
 
@@ -194,81 +182,11 @@ def poly_frobenius_power(f: PolyFn, e: int, F: GF) -> PolyFn:
     }
 
 
-@dataclass
-class BetaBasis:
-    """The digit-tuple generating set and its expanded coefficient matrix,
-    with the field's elimination tables that reduce vectors against it."""
+class BetaBasis(NamedTuple):
+    """The expanded digit tuples: each choice of t digits and its polynomial."""
 
-    F: GF
     tuples: list[tuple[int, ...]]
     polys: list[PolyFn]
-    matrix: np.ndarray
-    rref_rows: np.ndarray
-    rref_pivots: list[int]
-    ops: GFqLinAlg
-
-    @property
-    def rank(self) -> int:
-        return len(self.rref_pivots)
-
-    @property
-    def size(self) -> int:
-        return len(self.polys)
-
-
-class GFqLinAlg:
-    """Dense elimination over GF(2^t) on numpy uint8 arrays."""
-
-    def __init__(self, F: GF):
-        if F.p != 2:
-            raise ValueError("this solver XORs encodings: characteristic 2 only")
-        q = F.q
-        self.F = F
-        self.mul_table = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            for b in range(q):
-                self.mul_table[a, b] = F.mul(a, b)
-        self.inv_table = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            self.inv_table[a] = F.inv(a)
-
-    def rref(self, mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
-        A = mat.astype(np.uint8, copy=True)
-        m, n = A.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            if r >= m:
-                break
-            nz = np.nonzero(A[r:, c])[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                A[[r, p]] = A[[p, r]]
-            if A[r, c] != 1:
-                A[r] = self.mul_table[self.inv_table[A[r, c]], A[r]]
-            rows = np.nonzero(A[:, c])[0]
-            rows = rows[rows != r]
-            if rows.size:
-                A[rows] ^= self.mul_table[A[rows, c][:, None], A[r][None, :]]
-            pivots.append(c)
-            r += 1
-        return A[: len(pivots)], pivots
-
-    def rank(self, mat: np.ndarray) -> int:
-        return len(self.rref(mat)[1])
-
-    def reduce_rows(
-        self, vecs: np.ndarray, rref_rows: np.ndarray, pivots: list[int]
-    ) -> np.ndarray:
-        V = vecs.astype(np.uint8, copy=True)
-        for i, c in enumerate(pivots):
-            coeffs = V[:, c]
-            nz = np.nonzero(coeffs)[0]
-            if nz.size:
-                V[nz] ^= self.mul_table[coeffs[nz][:, None], rref_rows[i][None, :]]
-        return V
 
 
 def mono_index(m: Mono, q: int) -> int:
@@ -282,63 +200,142 @@ def poly_to_vec(f: PolyFn, q: int) -> np.ndarray:
     return v
 
 
+def vec_to_poly(v: np.ndarray, q: int) -> PolyFn:
+    return {
+        tuple(int(e) for e in np.unravel_index(i, (q,) * 4)): int(v[i])  # type: ignore[misc]
+        for i in np.flatnonzero(v)
+    }
+
+
 def build_beta(F: GF) -> BetaBasis:
     """Expand every digit tuple over the ten admissible digit choices."""
     if F.p != 2:
         raise ValueError("the digit basis needs q = 2^t")
-    t = F.t
-    tuples = []
+    tuples = list(itertools.product(range(len(_BETA_DIGIT_CHOICES)), repeat=F.t))
     polys = []
-    for choice in itertools.product(range(len(_BETA_DIGIT_CHOICES)), repeat=t):
+    for choice in tuples:
         prod: PolyFn = {(0, 0, 0, 0): 1}
         for j, idx in enumerate(choice):
-            prod = p_mul(
-                prod, poly_frobenius_power(_BETA_DIGIT_CHOICES[idx], 1 << j, F), F
-            )
-        tuples.append(choice)
+            prod = p_mul(prod, poly_frobenius_power(_BETA_DIGIT_CHOICES[idx], 1 << j, F), F)
         polys.append(prod)
-    mat = np.zeros((len(polys), F.q**4), dtype=np.uint8)
-    for i, poly in enumerate(polys):
-        mat[i] = poly_to_vec(poly, F.q)
-    ops = GFqLinAlg(F)
-    rows, pivots = ops.rref(mat)
-    return BetaBasis(F, tuples, polys, mat, rows, pivots, ops)
+    return BetaBasis(tuples, polys)
 
 
-def in_span_beta(f: PolyFn, beta: BetaBasis) -> bool:
+@functools.lru_cache(maxsize=None)
+def _digit_checks() -> list[np.ndarray]:
+    """Parity checks of W, the span of the ten digit choices, with digit n
+    indexed 8*n0 + 4*n1 + 2*n2 + n3: the five digits of degree >= 3, and
+    x0*x3 + x1*x2.  The choices are 0/1, so checks over GF(2) hold over GF(q)."""
+    rows = [
+        sum(1 << (8 * m[0] + 4 * m[1] + 2 * m[2] + m[3]) for m in choice)
+        for choice in _BETA_DIGIT_CHOICES
+    ]
+    return [np.flatnonzero(vec_to_bits(h, 16)) for h in nullspace(BitMatrix(rows, 16)).basis]
+
+
+def reduce_against_beta(vecs: np.ndarray, F: GF) -> np.ndarray:
+    """Digit-span syndromes of coefficient vectors, one row each: a row is
+    zero iff its vector is a GF(q)-combination of the expanded digit tuples.
+
+    Digit j of prod_j f_j^(2^j) sits in bit j of every exponent, so nothing
+    carries and, indexed by digits, its coefficients are f_0 (x) ... (x)
+    f_{t-1}.  The span is W^(x)t: a vector lies in it iff every 16-entry
+    slice along every digit mode passes the parity checks of W.
+    """
+    if F.p != 2:
+        raise ValueError("the digit basis needs q = 2^t")
+    n, t = len(vecs), F.t
+    # axis 1 + i*t + (t-1-j) of the bit reshape is bit j of exponent i
+    order = [0] + [1 + i * t + t - 1 - j for j in range(t) for i in range(4)]
+    a = vecs.reshape((n,) + (2,) * (4 * t)).transpose(order).reshape((n,) + (16,) * t)
+    parts = []
+    for j in range(1, t + 1):
+        s = np.moveaxis(a, j, 1)
+        parts += [np.bitwise_xor.reduce(s[:, c], axis=1) for c in _digit_checks()]
+    return np.concatenate([p.reshape(n, -1) for p in parts], axis=1)
+
+
+def in_span_beta(f: PolyFn, F: GF) -> bool:
     """True iff f is a GF(q)-combination of the expanded digit tuples."""
-    return not reduce_against_beta(poly_to_vec(f, beta.F.q)[None, :], beta).any()
+    return not reduce_against_beta(poly_to_vec(f, F.q)[None, :], F).any()
 
 
-def reduce_against_beta(vecs: np.ndarray, beta: BetaBasis) -> np.ndarray:
-    """Batch residuals of coefficient vectors against the beta span."""
-    return beta.ops.reduce_rows(vecs, beta.rref_rows, beta.rref_pivots)
+# -- coefficient vectors from value tables -------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _field_tables(F: GF) -> tuple[np.ndarray, np.ndarray]:
+    """The multiplication table of GF(q), and the interpolation table whose
+    row (x, v) packs K[e, x] * v for e = 0..q-1 into uint64 words."""
+    q = F.q
+    mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+    K = np.zeros((q, q), dtype=np.uint8)
+    K[0, 0] = K[q - 1] = 1
+    for x in range(1, q):
+        K[1 : q - 1, x] = [F.pow(F.inv(x), e) for e in range(1, q - 1)]
+    packed = np.zeros((q, q, max(q, 8)), dtype=np.uint8)
+    packed[:, :, :q] = mul[K.T[:, None, :], np.arange(q)[:, None]]
+    return mul, packed.view(np.uint64)
+
+
+def interpolate_tables(tables: np.ndarray, F: GF) -> np.ndarray:
+    """Coefficient vectors of the reduced polynomials with the given value
+    tables (entry ``mono_index(x)`` is the value at x), one row each.
+
+    The coefficients are the table with a q x q matrix K applied along each
+    axis, one-variable interpolation with its signs dropped in
+    characteristic 2: K[0, x] = [x = 0], K[q-1, x] = 1, and
+    K[e, x] = x^(-e) for 1 <= e <= q-2 and x != 0 (K[e, 0] = 0).
+    """
+    if F.p != 2:
+        raise ValueError("the interpolation transform needs q = 2^t")
+    q = F.q
+    _, packed = _field_tables(F)
+    out = np.empty(tables.shape, dtype=np.uint8)
+    step = max(1, 2**16 // q**3)  # tables per pass: transients stay near 1 MB
+    for s in range(0, len(tables), step):
+        # axes x0, x1, x2, x3, table; each pass contracts the leading axis
+        # and appends its exponent axis, so four passes give table, e0..e3
+        a = np.ascontiguousarray(tables[s : s + step].T).reshape(q, -1)
+        for _ in range(4):
+            acc = np.zeros((a.shape[1], packed.shape[2]), dtype=np.uint64)
+            for x in range(q):
+                acc ^= packed[x][a[x]]
+            a = acc.view(np.uint8)[:, :q].reshape(q, -1)
+        out[s : s + step] = a.reshape(-1, q**4)
+    return out
+
+
+def code_coefficients(Q: Quadrangle, vectors: Sequence[int]) -> np.ndarray:
+    """Coefficient vectors of the polynomials interpolating GF(2) vectors on
+    the points, one row each: the sum of the point indicators over the
+    support, which is c[p] at each nonzero multiple of point p and the
+    parity of the weight at 0.  A line's vector gives ``delta_line``."""
+    mul, _ = _field_tables(Q.F)
+    q, n = Q.q, Q.n_points
+    multiples = mul[np.arange(1, q)[:, None, None], np.array(Q.points)]
+    point_of = np.full(q**4, n)
+    point_of[multiples.astype(np.intp) @ q ** np.arange(3, -1, -1)] = np.arange(n)
+    bits = np.zeros((len(vectors), n + 1), dtype=np.uint8)
+    for row, c in zip(bits, vectors):
+        row[:n] = vec_to_bits(c, n)
+    bits[:, n] = bits.sum(axis=1) & 1
+    return interpolate_tables(bits[:, point_of], Q.F)
 
 
 # -- the kernel normal form ---------------------------------------------------
 
 
-def interpolate_code_vector(c_bits: int, Q: Quadrangle) -> PolyFn:
-    """Sum of point indicators over the support of a GF(2) vector."""
-    F = Q.F
-    out: PolyFn = {}
-    v = c_bits
-    while v:
-        low = v & -v
-        p = low.bit_length() - 1
-        out = p_add(out, delta_point(p, Q), F)
-        v ^= low
-    return out
-
-
-def kernel_normal_form(c_bits: int, Q: Quadrangle, p1: tuple[int, ...] | None = None) -> PolyFn:
+def kernel_normal_form(
+    c_bits: int, r_star: PolyFn, Q: Quadrangle, p1: tuple[int, ...] | None = None
+) -> PolyFn:
     """Factor a kernel code vector as (1 + x3^(q-1)) * h, x3-free h.
 
-    The vector is interpolated through point indicators, split by its
-    x3-exponent, and checked against the digit-degree and variable
-    constraints a kernel element of the line code must satisfy.  Raises
-    NotInKernelError if the vector does not vanish off the perp of p0,
-    NormalFormViolationError if the structural claims fail.
+    The vector's interpolation ``r_star`` (from ``code_coefficients``) is
+    split by its x3-exponent and checked against the digit-degree and
+    variable constraints a kernel element of the line code must satisfy.
+    Raises NotInKernelError if the vector does not vanish off the perp of
+    p0, NormalFormViolationError if the structural claims fail.
     """
     F = Q.F
     q = F.q
@@ -350,7 +347,6 @@ def kernel_normal_form(c_bits: int, Q: Quadrangle, p1: tuple[int, ...] | None = 
     if c_bits & p1_mask:
         raise NotInKernelError("vector has support outside the perp of p0")
 
-    r_star = interpolate_code_vector(c_bits, Q)
     h0: PolyFn = {}
     h1: PolyFn = {}
     for exps, coeff in r_star.items():

@@ -36,19 +36,16 @@ from lu3q.incidence import (
 )
 from lu3q.ldpc import GirthReport, girth_check
 from lu3q.polyfn import (
-    BetaBasis,
     NormalFormViolationError,
     NotInKernelError,
-    build_beta,
+    code_coefficients,
     compose_digits,
     delta_line,
     digitize_monomial,
     evaluate,
-    in_span_beta,
-    interpolate_code_vector,
     kernel_normal_form,
-    poly_to_vec,
     reduce_against_beta,
+    vec_to_poly,
 )
 
 CHECK_GROUPS = (
@@ -300,14 +297,12 @@ def line_profile_failures(Q: Quadrangle) -> int:
     return bad
 
 
-def line_span_residuals(Q: Quadrangle, beta: BetaBasis) -> tuple[np.ndarray, np.ndarray]:
+def line_span_residuals(Q: Quadrangle) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors of every line indicator, one row per line, and
-    their residuals against the digit-tuple span: line l escapes the
-    span iff residual row l is nonzero."""
-    vecs = np.zeros((Q.n_lines, Q.q**4), dtype=np.uint8)
-    for l in range(Q.n_lines):
-        vecs[l] = poly_to_vec(delta_line(l, Q), Q.q)
-    return vecs, reduce_against_beta(vecs, beta)
+    their digit-span syndromes: line l escapes the span iff syndrome row
+    l is nonzero."""
+    vecs = code_coefficients(Q, [Q.chi_line(l) for l in range(Q.n_lines)])
+    return vecs, reduce_against_beta(vecs, Q.F)
 
 
 class KernelForms(NamedTuple):
@@ -316,19 +311,19 @@ class KernelForms(NamedTuple):
     outside_span: int  # basis vectors whose interpolation escapes the digit span
 
 
-def kernel_forms(Q: Quadrangle, code_pl: Subspace, beta: BetaBasis) -> KernelForms:
+def kernel_forms(Q: Quadrangle, code_pl: Subspace) -> KernelForms:
     """Normal form and digit-span membership on a full basis of the
     restriction kernel inside C(P,L)."""
     P1 = Q.restricted_sets().P1
     kernel = kernel_intersection_basis(code_pl, P1)
-    violations = outside = 0
-    for c in kernel:
+    vecs = code_coefficients(Q, kernel)
+    violations = 0
+    for c, v in zip(kernel, vecs):
         try:
-            kernel_normal_form(c, Q, P1)
+            kernel_normal_form(c, vec_to_poly(v, Q.q), Q, P1)
         except (NormalFormViolationError, NotInKernelError):
             violations += 1
-        if not in_span_beta(interpolate_code_vector(c, Q), beta):
-            outside += 1
+    outside = int(reduce_against_beta(vecs, Q.F).any(axis=1).sum())
     return KernelForms(len(kernel), violations, outside)
 
 
@@ -493,8 +488,7 @@ def _check_poly(ctx: _Context) -> list[CheckOutcome]:
                 f"{Q.n_lines} lines checked exhaustively",
             )
         )
-    beta = build_beta(ctx.field)
-    _, residual = line_span_residuals(Q, beta)
+    _, residual = line_span_residuals(Q)
     escapes = int(residual.any(axis=1).sum())
     rows.append(
         CheckOutcome(
@@ -505,7 +499,7 @@ def _check_poly(ctx: _Context) -> list[CheckOutcome]:
                " (the stated containment fails beyond q=2; see README)"),
         )
     )
-    k = kernel_forms(Q, ctx.code_pl, beta)
+    k = kernel_forms(Q, ctx.code_pl)
     rows.append(
         CheckOutcome(
             "poly", "kernel elements admit the x3-free normal form",

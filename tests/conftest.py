@@ -1,8 +1,11 @@
 """Shared fixtures: geometry and matrix builds are cached per session.
 
 The larger constructions (q = 8, 16) are expensive enough that every
-test module reusing them matters for total suite time.
+test module reusing them matters for total suite time.  Tests marked
+``slow`` are opt-in gates: they run only with ``LU3Q_SLOW=1``.
 """
+
+import os
 
 import pytest
 
@@ -50,3 +53,16 @@ def quad():
 @pytest.fixture(scope="session")
 def matrix():
     return get_matrix
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: opt-in gate, runs only with LU3Q_SLOW=1")
+
+
+def pytest_collection_modifyitems(config, items):
+    if os.environ.get("LU3Q_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="opt-in slow gate: set LU3Q_SLOW=1")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

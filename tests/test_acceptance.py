@@ -6,7 +6,8 @@ floating point: ranks and dimensions from the integer recurrence, and
 the digit-span escape counts of criterion 7 from a digit-degree scan of
 the line indicators.  The structural checks of criteria 6, 7 and 9 call
 the same functions in `lu3q.verify` that the `lu3q verify` table
-reports, so each check has one implementation.
+reports, so each check has one implementation.  One opt-in gate
+(``LU3Q_SLOW=1``) extends criterion 7's escape count to q=16.
 """
 
 import functools
@@ -22,7 +23,13 @@ from lu3q.geometry import NoGridFoundError
 from lu3q.gf2 import nullspace, rank2
 from lu3q.incidence import check_kim_equivalence, select_Z, verify_spanning
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
-from lu3q.polyfn import build_beta, digitize_monomial, poly_to_vec
+from lu3q.polyfn import (
+    build_beta,
+    code_coefficients,
+    digitize_monomial,
+    poly_to_vec,
+    reduce_against_beta,
+)
 from lu3q.verify import (
     concurrent_pairs,
     digit_roundtrip_failures,
@@ -44,8 +51,17 @@ RANK_PL_EVEN = {2: 10, 4: 50, 8: 298, 16: 1890}
 RANK_PL_ODD = {3: 25, 5: 91, 7: 225, 9: 451}
 RANK_P1L1_ODD = {3: 19, 5: 81, 7: 211, 9: 433}
 DIM_LU_ODD = {3: 8, 5: 44, 7: 132, 9: 296}
-LINE_ESCAPES = {2: 0, 4: 54, 8: 490}
+LINE_ESCAPES = {2: 0, 4: 54, 8: 490, 16: 4050}  # q=16: the opt-in slow gate
 ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def high_digit_mask(F):
+    """Monomials of F_q^4 with a digit of degree 3 or more, as a mask over
+    coefficient vectors."""
+    return poly_to_vec({
+        m: 1 for m in itertools.product(range(F.q), repeat=4)
+        if max(sum(d) for d in digitize_monomial(m, F)) >= 3
+    }, F.q).astype(bool)
 
 
 def report(n, detail):
@@ -184,18 +200,13 @@ def test_criterion_7_structural_suites(quad, matrix):
     # degree <= 2 and a reduced polynomial is the unique representative of
     # its function, so exactly the line indicators with a degree-3 digit
     # escape the span.
-    betas = {}
     for q in (2, 4, 8):
         Q = quad(q)
-        beta = betas[q] = build_beta(Q.F)
-        deg3 = poly_to_vec({
-            m: 1 for m in itertools.product(range(q), repeat=4)
-            if max(sum(d) for d in digitize_monomial(m, Q.F)) >= 3
-        }, q).astype(bool)
-        vecs, residual = line_span_residuals(Q, beta)
+        deg3 = high_digit_mask(Q.F)
+        vecs, residual = line_span_residuals(Q)
         escaped = set(np.flatnonzero(residual.any(axis=1)).tolist())
         high = set(np.flatnonzero(vecs[:, deg3].any(axis=1)).tolist())
-        beta_low = not beta.matrix[:, deg3].any()
+        beta_low = not any(poly_to_vec(p, q)[deg3].any() for p in build_beta(Q.F).polys)
         sub(f"digit-span escapes at q={q}: exactly the {LINE_ESCAPES[q]} of "
             f"{Q.n_lines} line classes with a degree-3 digit",
             beta_low and escaped == high and len(escaped) == LINE_ESCAPES[q],
@@ -210,7 +221,7 @@ def test_criterion_7_structural_suites(quad, matrix):
     # kernel normal forms and digit-span membership on a full kernel basis
     for q in (2, 4, 8):
         Q = quad(q)
-        k = kernel_forms(Q, line_code(Q), betas[q])
+        k = kernel_forms(Q, line_code(Q))
         sub(f"kernel normal forms on the full kernel basis at q={q}",
             k.size == q + 1 and k.nf_violations == 0)
         sub(f"digit-span membership of the {k.size} kernel basis "
@@ -218,6 +229,24 @@ def test_criterion_7_structural_suites(quad, matrix):
 
     assert not failures, "criterion 7 sub-checks failed: " + "; ".join(failures)
     report(7, "all structural suites")
+
+
+@pytest.mark.slow  # about 15 s
+def test_criterion_7_line_escapes_q16(quad):
+    # LINE_ESCAPES[16] comes from the digit-degree scan of all 4369
+    # delta_line polynomials, as at q = 4 and 8; the coefficient vectors
+    # are built 64 lines at a time to bound memory
+    Q = quad(16)
+    deg3 = high_digit_mask(Q.F)
+    escaped = 0
+    for start in range(0, Q.n_lines, 64):
+        chunk = range(start, min(start + 64, Q.n_lines))
+        vecs = code_coefficients(Q, [Q.chi_line(l) for l in chunk])
+        esc = reduce_against_beta(vecs, Q.F).any(axis=1)
+        assert np.array_equal(esc, vecs[:, deg3].any(axis=1))
+        escaped += int(esc.sum())
+    assert escaped == LINE_ESCAPES[16]
+    report(7, f"q=16: {escaped} of {Q.n_lines} line classes escape the digit span")
 
 
 def test_criterion_8_system_equivalence(matrix):

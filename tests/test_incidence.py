@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import os
 
 import pytest
 
@@ -157,7 +156,7 @@ def test_spanning_rejects_z_outside_l1(quad, matrix):
         verify_spanning(Q, bad)
 
 
-@pytest.mark.skipif(os.environ.get("LU3Q_SLOW") != "1", reason="set LU3Q_SLOW=1 (about 60 s)")
+@pytest.mark.slow  # about 60 s
 def test_kim_rank_q32(field):
     assert build_kim_matrix(field(32)).rank == predict(32).rank_p1l1 == 12186
 

@@ -3,29 +3,63 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lu3q.verify
+from gfq_oracle import GFqLinAlg, beta_reference
 from lu3q.gf2 import Subspace, kernel_intersection_basis, restrict_vector
 from lu3q.polyfn import (
-    GFqLinAlg,
     NormalFormViolationError,
     NotInKernelError,
     build_beta,
+    code_coefficients,
     compose_digits,
     delta_line,
-    delta_point,
     digitize_monomial,
     evaluate,
     in_span_beta,
-    interpolate_code_vector,
+    indicator_of_zero_set,
+    interpolate_tables,
     kernel_normal_form,
+    linear_form,
+    mono_index,
     p_add,
     p_mul,
     poly_to_vec,
     reduce_against_beta,
     reduce_mod_I,
+    vec_to_poly,
 )
+from lu3q.verify import kernel_forms, line_code
+from test_acceptance import LINE_ESCAPES
 
 ONE = {(0, 0, 0, 0): 1}
+
+
+def delta_point(p, Q):
+    """Reference point indicator by polynomial products: (1 + form^(q-1))
+    over three linear forms that vanish exactly on the point's span."""
+    v = Q.points[p]
+    F = Q.F
+    k = next(i for i, x in enumerate(v) if x)
+    forms = []
+    for j in range(4):
+        if j == k:
+            continue
+        coeffs = [0, 0, 0, 0]
+        coeffs[j] = 1
+        coeffs[k] = F.neg(v[j])
+        forms.append(linear_form(tuple(coeffs)))
+    return indicator_of_zero_set(forms, F)
+
+
+def lines_of(Q, lines):
+    return code_coefficients(Q, [Q.chi_line(l) for l in lines])
+
+
+def interpolate_code_vector(c, Q):
+    return vec_to_poly(code_coefficients(Q, [c])[0], Q.q)
 
 
 def random_poly(rng, q, n_terms=6):
@@ -113,11 +147,14 @@ def test_delta_line_profile_matches_adjacency(quad, q):
 
 @pytest.mark.parametrize("q", [2, 4])
 def test_delta_point_profile(quad, q):
+    # interpolating a single point equals the product of its three forms
     Q = quad(q)
     F = Q.F
+    for p in range(Q.n_points):
+        assert interpolate_code_vector(1 << p, Q) == delta_point(p, Q)
     rng = random.Random(17)
     for p in rng.sample(range(Q.n_points), 6):
-        d = delta_point(p, Q)
+        d = interpolate_code_vector(1 << p, Q)
         for i, v in enumerate(Q.points):
             assert evaluate(d, v, F) == (1 if i == p else 0)
 
@@ -131,8 +168,8 @@ def test_delta_term_degrees(quad, q):
     for l in range(Q.n_lines):
         d = delta_line(l, Q)
         assert {sum(e) for e in d} <= allowed_line
-    for p in range(Q.n_points):
-        d = delta_point(p, Q)
+    for v in code_coefficients(Q, [1 << p for p in range(Q.n_points)]):
+        d = vec_to_poly(v, q)
         if q > 2:
             assert all(sum(e) % (q - 1) == 0 for e in d)
         assert all(max(e) <= q - 1 for e in d)
@@ -182,10 +219,9 @@ def test_digitize_rejects_large_exponent(field):
 def test_beta_size(field, q):
     beta = build_beta(field(q))
     t = field(q).t
-    assert beta.size == 10**t
-    assert len(beta.tuples) == beta.size
-    # measured rank is recorded, nothing asserted beyond sanity bounds
-    assert 0 < beta.rank <= min(beta.size, q**4)
+    assert len(beta.polys) == len(beta.tuples) == 10**t
+    # the tuples are independent: their span is W^(x)t, of dimension 10^t
+    assert len(beta_reference(field(q)).pivots) == 10**t
 
 
 def test_beta_paper_tuple_expansion(field):
@@ -197,17 +233,15 @@ def test_beta_paper_tuple_expansion(field):
 
 
 def test_zero_in_beta_span(field):
-    beta = build_beta(field(4))
-    assert in_span_beta({}, beta)
+    assert in_span_beta({}, field(4))
 
 
 def test_all_line_deltas_in_beta_span_q2(quad):
     Q = quad(2)
-    beta = build_beta(Q.F)
     vecs = np.zeros((Q.n_lines, 2**4), dtype=np.uint8)
     for l in range(Q.n_lines):
         vecs[l] = poly_to_vec(delta_line(l, Q), 2)
-    residual = reduce_against_beta(vecs, beta)
+    residual = reduce_against_beta(vecs, Q.F)
     assert not residual.any()
 
 
@@ -219,16 +253,15 @@ def test_beta_span_counterexample_exists_q4(quad):
     # kernel (checked below) and at q = 2 (checked above)
     Q = quad(4)
     F = Q.F
-    beta = build_beta(F)
-    ops = GFqLinAlg(F)
-    base_rank = ops.rank(beta.matrix)
+    ref = beta_reference(F)
+    base_rank = ref.ops.rank(ref.matrix)
     escapes = []
     for l in range(Q.n_lines):
         d = delta_line(l, Q)
-        if not in_span_beta(d, beta):
+        if not in_span_beta(d, F):
             vec = poly_to_vec(d, 4)
-            stacked = np.vstack([beta.matrix, vec[None, :]])
-            assert ops.rank(stacked) == base_rank + 1
+            stacked = np.vstack([ref.matrix, vec[None, :]])
+            assert ref.ops.rank(stacked) == base_rank + 1
             escapes.append(l)
     assert escapes, "every line class fell in the span; counterexample vanished"
     d = delta_line(escapes[0], Q)
@@ -246,28 +279,26 @@ def test_kernel_elements_in_beta_span(quad, q):
     # the span argument is applied to kernel elements only; membership
     # holds there
     Q = quad(q)
-    beta = build_beta(Q.F)
     code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
     p1 = Q.restricted_sets().P1
     for c in kernel_intersection_basis(code, p1):
         r_star = interpolate_code_vector(c, Q)
-        assert in_span_beta(r_star, beta)
+        assert in_span_beta(r_star, Q.F)
 
 
 def test_x_line_deltas_in_beta_span(quad):
     # lines through p0 factor through coordinate forms and stay in the span
     for q in (2, 4, 8):
         Q = quad(q)
-        beta = build_beta(Q.F)
         for l in Q.point_to_lines[Q.p0]:
-            assert in_span_beta(delta_line(l, Q), beta)
+            assert in_span_beta(delta_line(l, Q), Q.F)
 
 
 def test_in_span_beta_against_rank_oracle(field):
     F = field(4)
-    beta = build_beta(F)
-    ops = GFqLinAlg(F)
-    base_rank = ops.rank(beta.matrix)
+    ref = beta_reference(F)
+    beta = ref.beta
+    base_rank = ref.ops.rank(ref.matrix)
     rng = random.Random(99)
     polys = [random_poly(rng, 4) for _ in range(6)]
     # add two guaranteed members: combinations of expanded elements
@@ -277,9 +308,9 @@ def test_in_span_beta_against_rank_oracle(field):
     for f in polys:
         f = reduce_mod_I(f, F)
         vec = poly_to_vec(f, 4)
-        stacked = np.vstack([beta.matrix, vec[None, :]])
-        oracle = ops.rank(stacked) == base_rank
-        assert in_span_beta(f, beta) == oracle
+        stacked = np.vstack([ref.matrix, vec[None, :]])
+        oracle = ref.ops.rank(stacked) == base_rank
+        assert in_span_beta(f, F) == oracle
 
 
 def test_interpolation_matches_line_delta(quad):
@@ -293,7 +324,8 @@ def test_interpolation_matches_line_delta(quad):
 def test_kernel_normal_form_of_ell0(quad):
     for q in (2, 4):
         Q = quad(q)
-        h = kernel_normal_form(Q.chi_line(Q.ell0), Q)
+        c = Q.chi_line(Q.ell0)
+        h = kernel_normal_form(c, interpolate_code_vector(c, Q), Q)
         assert h == {(0, 0, 0, 0): 1, (0, 0, q - 1, 0): 1}
 
 
@@ -309,7 +341,7 @@ def test_kernel_basis_all_pass_and_h_space_small(quad, q):
     h_vecs = []
     for c in kernel:
         assert restrict_vector(c, p1) == 0
-        h = kernel_normal_form(c, Q, p1)
+        h = kernel_normal_form(c, interpolate_code_vector(c, Q), Q, p1)
         h_vecs.append(poly_to_vec(h, q))
     assert ops.rank(np.array(h_vecs)) <= q + 1
 
@@ -318,7 +350,7 @@ def test_kernel_rejects_vector_with_p1_support(quad):
     Q = quad(2)
     p1 = Q.restricted_sets().P1
     with pytest.raises(NotInKernelError):
-        kernel_normal_form(1 << p1[0], Q)
+        kernel_normal_form(1 << p1[0], interpolate_code_vector(1 << p1[0], Q), Q)
 
 
 def test_normal_form_violation_for_noncode_vector(quad):
@@ -326,4 +358,83 @@ def test_normal_form_violation_for_noncode_vector(quad):
     # code; its digit structure breaks the degree-1 constraint
     Q = quad(4)
     with pytest.raises(NormalFormViolationError):
-        kernel_normal_form(1 << Q.p0, Q)
+        kernel_normal_form(1 << Q.p0, interpolate_code_vector(1 << Q.p0, Q), Q)
+
+
+# -- the interpolation transform and the tensor-product span test -------------
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_line_coefficients_equal_delta_line(quad, q):
+    Q = quad(q)
+    vecs = lines_of(Q, range(Q.n_lines))
+    for l in range(Q.n_lines):
+        assert np.array_equal(vecs[l], poly_to_vec(delta_line(l, Q), q))
+
+
+def test_line_coefficients_equal_delta_line_q16(quad):
+    Q = quad(16)
+    lines = random.Random(16).sample(range(Q.n_lines), 20)
+    vecs = lines_of(Q, lines)
+    for row, l in zip(vecs, lines):
+        assert np.array_equal(row, poly_to_vec(delta_line(l, Q), 16))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=4**4, max_size=4**4))
+def test_interpolation_reproduces_value_table_q4(field, values):
+    F = field(4)
+    table = np.array(values, dtype=np.uint8)
+    f = vec_to_poly(interpolate_tables(table[None, :], F)[0], 4)
+    for x in itertools.product(range(4), repeat=4):
+        assert evaluate(f, x, F) == table[mono_index(x, 4)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_tensor_span_test_matches_elimination(quad, q):
+    # the slice-by-slice test against reduction on the RREF of the
+    # expanded tuples, on the line indicators, on span members and on
+    # sparse random vectors
+    Q = quad(q)
+    F = Q.F
+    ref = beta_reference(F)
+    mul = ref.ops.mul_table
+    rng = np.random.default_rng(q)
+
+    def tensor_escapes(vecs):
+        return reduce_against_beta(vecs, F).any(axis=1)
+
+    lines = lines_of(Q, range(Q.n_lines))
+    escaped = tensor_escapes(lines)
+    assert np.array_equal(escaped, ref.escapes(lines))
+    assert escaped.sum() == LINE_ESCAPES[q]
+
+    members = np.zeros((50, q**4), dtype=np.uint8)
+    for row in members:
+        for k in rng.choice(len(ref.matrix), size=rng.integers(1, 6), replace=False):
+            row ^= mul[rng.integers(1, q), ref.matrix[k]]
+    assert members.any(axis=1).all()
+    assert not tensor_escapes(members).any()
+    assert not ref.escapes(members).any()
+
+    sparse = np.zeros((200, q**4), dtype=np.uint8)
+    for row in sparse:
+        at = rng.choice(q**4, size=rng.integers(1, 9), replace=False)
+        row[at] = rng.integers(1, q, size=len(at))
+    escaped = tensor_escapes(sparse)
+    assert 0 < escaped.sum() < len(sparse)
+    assert np.array_equal(escaped, ref.escapes(sparse))
+
+
+def test_kernel_forms_interpolate_each_vector_once(quad, monkeypatch):
+    Q = quad(4)
+    interpolated = []
+
+    def counting(Q, vectors, original=code_coefficients):
+        interpolated.extend(vectors)
+        return original(Q, vectors)
+
+    monkeypatch.setattr(lu3q.verify, "code_coefficients", counting)
+    k = kernel_forms(Q, line_code(Q))
+    assert k == (5, 0, 0)
+    assert len(interpolated) == k.size
