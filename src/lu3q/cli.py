@@ -162,6 +162,8 @@ def cmd_verify(args, parser) -> int:
         unknown = groups - set(CHECK_GROUPS)
         if unknown:
             parser.error(f"unknown checks: {', '.join(sorted(unknown))}")
+        if not groups:
+            parser.error("--checks selects no check group")
     outcomes = run_checks(q, groups, irr=cfg.irr, seed=cfg.seed)
     failed = any(o.failed for o in outcomes)
     if cfg.as_json:
@@ -363,12 +365,16 @@ def main(argv=None) -> int:
                 config_data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
+        if not isinstance(config_data, dict):
+            parser.error(f"config {args.config} is not a JSON object")
     args._config_data = config_data
     try:
         return args.func(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-        return 2  # pragma: no cover
+    except OSError as exc:  # only --out is opened by a subcommand
+        parser.error(f"cannot write {exc.filename}: {exc.strerror}")
+    return 2  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ Three square bit matrices are built here:
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
-the full code, and searches for an explicit permutation equivalence
-between the digitized system and the geometric one.
+the full code, and checks the explicit coordinate map that carries the
+digitized system onto the restricted one.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class SpanMismatchError(AssertionError):
         self.line = line
 
 
-class IsomorphismNotFoundError(RuntimeError):
-    """The permutation search between two incidence systems exhausted."""
+class EquivalenceMismatchError(RuntimeError):
+    """The coordinate map fails to carry kim onto p1l1."""
 
 
 @dataclass
@@ -93,16 +93,11 @@ class SpanningReport:
 
 @dataclass
 class EquivalenceReport:
-    q: int
-    rank_kim: int
-    rank_p1l1: int
-    row_perm: list[int] | None
-    col_perm: list[int] | None
-    iso_searched: bool
+    """kim row i is p1l1 row row_perm[i]; kim column j is p1l1 column
+    col_perm[j]."""
 
-    @property
-    def ranks_equal(self) -> bool:
-        return self.rank_kim == self.rank_p1l1
+    row_perm: list[int]
+    col_perm: list[int]
 
 
 def build_kim_matrix(F: GF) -> IncidenceMatrix:
@@ -251,133 +246,55 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
 # -- permutation equivalence of the digitized and geometric systems --------
 
 
-def _adjacency(m: IncidenceMatrix) -> tuple[list[set[int]], list[set[int]]]:
-    radj: list[set[int]] = []
-    for r in m.bits.rows:
-        cols = set()
-        while r:
-            low = r & -r
-            cols.add(low.bit_length() - 1)
-            r ^= low
-        radj.append(cols)
-    cadj: list[set[int]] = [set() for _ in range(m.n_cols)]
-    for i, cols in enumerate(radj):
-        for j in cols:
-            cadj[j].add(i)
-    return radj, cadj
-
-
-def bipartite_isomorphism(
-    radj1: list[set[int]],
-    cadj1: list[set[int]],
-    radj2: list[set[int]],
-    cadj2: list[set[int]],
-) -> tuple[list[int], list[int]]:
-    """Backtracking search for a side-preserving isomorphism.
-
-    Vertices are assigned most-constrained-first; a candidate image must
-    reproduce the adjacency pattern on everything already mapped.
-    Degrees prune the initial pools.  Raises IsomorphismNotFoundError if
-    the search space is exhausted.
-    """
-    nr, nc = len(radj1), len(cadj1)
-    if len(radj2) != nr or len(cadj2) != nc:
-        raise IsomorphismNotFoundError("side sizes differ")
-    if sorted(map(len, radj1)) != sorted(map(len, radj2)) or sorted(
-        map(len, cadj1)
-    ) != sorted(map(len, cadj2)):
-        raise IsomorphismNotFoundError("degree sequences differ")
-
-    row_map = [-1] * nr
-    col_map = [-1] * nc
-    row_used = [False] * nr
-    col_used = [False] * nc
-
-    def mapped_neighbors(v: int, is_row: bool) -> list[int]:
-        adj = radj1[v] if is_row else cadj1[v]
-        mp = col_map if is_row else row_map
-        return [w for w in adj if mp[w] >= 0]
-
-    def pick() -> tuple[int, bool] | None:
-        best, best_key = None, None
-        for v in range(nr):
-            if row_map[v] < 0:
-                key = (-len(mapped_neighbors(v, True)), 0, v)
-                if best_key is None or key < best_key:
-                    best, best_key = (v, True), key
-        for v in range(nc):
-            if col_map[v] < 0:
-                key = (-len(mapped_neighbors(v, False)), 1, v)
-                if best_key is None or key < best_key:
-                    best, best_key = (v, False), key
-        return best
-
-    def candidates(v: int, is_row: bool) -> list[int]:
-        adj1 = radj1[v] if is_row else cadj1[v]
-        adj2_all = radj2 if is_row else cadj2
-        used = row_used if is_row else col_used
-        mp_other = col_map if is_row else row_map
-        n2 = nr if is_row else nc
-        anchor_imgs = {mp_other[w] for w in adj1 if mp_other[w] >= 0}
-        mapped_other_imgs = {m for m in mp_other if m >= 0}
-        out = []
-        for w in range(n2):
-            if used[w] or len(adj2_all[w]) != len(adj1):
-                continue
-            inter = adj2_all[w] & mapped_other_imgs
-            if inter == anchor_imgs:
-                out.append(w)
-        return out
-
-    def backtrack() -> bool:
-        nxt = pick()
-        if nxt is None:
-            return True
-        v, is_row = nxt
-        mp, used = (row_map, row_used) if is_row else (col_map, col_used)
-        for w in candidates(v, is_row):
-            mp[v] = w
-            used[w] = True
-            if backtrack():
-                return True
-            mp[v] = -1
-            used[w] = False
-        return False
-
-    if not backtrack():
-        raise IsomorphismNotFoundError("search exhausted without a match")
-    return row_map, col_map
-
-
 def check_kim_equivalence(
-    kim: IncidenceMatrix, p1l1: IncidenceMatrix, iso_max_size: int = 64
+    Q: Quadrangle, kim: IncidenceMatrix, p1l1: IncidenceMatrix
 ) -> EquivalenceReport:
-    """Rank equality always; explicit permutations up to iso_max_size.
+    """Carry kim onto p1l1 by the coordinate map and check every entry.
 
-    A found permutation pair is verified entry-by-entry before being
-    reported.
+    With the form of ``lu3q.geometry`` and p0 = <(1,0,0,0)>, P1 is the
+    set of points <(c, b, -a, 1)> and L1 the set of lines through
+    <(y, x, 1, 0)> and <(z, y, 0, 1)>.  The point is -a(y,x,1,0) +
+    (z,y,0,1) on that line iff y = ax + b and z = ay + c, which is the
+    kim incidence of (a,b,c) and [x,y,z].  The check confirms that both
+    maps are bijections onto P1 and L1 and that every kim row maps
+    exactly onto its p1l1 row.
+
+    Raises EquivalenceMismatchError on any failure.
     """
-    if kim.n_rows != p1l1.n_rows or kim.n_cols != p1l1.n_cols:
-        raise ValueError("systems have different shapes")
-    n = kim.n_rows
-    q = round(n ** (1 / 3))
-    row_perm = col_perm = None
-    searched = n <= iso_max_size
-    if searched:
-        radj1, cadj1 = _adjacency(kim)
-        radj2, cadj2 = _adjacency(p1l1)
-        row_perm, col_perm = bipartite_isomorphism(radj1, cadj1, radj2, cadj2)
-        for i in range(n):
-            for j in radj1[i]:
-                if not p1l1.bits.get(row_perm[i], col_perm[j]):
-                    raise IsomorphismNotFoundError(
-                        "candidate permutation fails verification"
-                    )  # pragma: no cover
-            if len(radj1[i]) != len(radj2[row_perm[i]]):
-                raise IsomorphismNotFoundError(
-                    "candidate permutation fails verification"
-                )  # pragma: no cover
-    return EquivalenceReport(q, kim.rank, p1l1.rank, row_perm, col_perm, searched)
+    rs = Q.restricted_sets()
+    n = len(rs.P1)
+    if not (kim.n_rows, kim.n_cols) == (p1l1.n_rows, p1l1.n_cols) == (n, n):
+        raise EquivalenceMismatchError("systems have different shapes")
+    row_of = {p: i for i, p in enumerate(rs.P1)}
+    col_of = {l: j for j, l in enumerate(rs.L1)}
+
+    def point(v: tuple[int, int, int, int]) -> int:
+        return Q.point_index[Q.canonicalize(v)]
+
+    try:
+        row_perm = [row_of.get(point((c, b, Q.F.neg(a), 1))) for a, b, c in kim.row_labels]
+        col_perm = [
+            col_of.get(Q.line_through(point((y, x, 1, 0)), point((z, y, 0, 1))))
+            for x, y, z in kim.col_labels
+        ]
+    except ValueError as exc:
+        raise EquivalenceMismatchError(f"coordinate map undefined: {exc}") from exc
+    # n images, so covering all n indices makes each map a bijection
+    if set(row_perm) != set(range(n)):
+        raise EquivalenceMismatchError("the point map is not a bijection onto P1")
+    if set(col_perm) != set(range(n)):
+        raise EquivalenceMismatchError("the line map is not a bijection onto L1")
+    for i, bits in enumerate(kim.bits.rows):
+        image = 0
+        while bits:
+            low = bits & -bits
+            image |= 1 << col_perm[low.bit_length() - 1]
+            bits ^= low
+        if image != p1l1.bits.rows[row_perm[i]]:
+            raise EquivalenceMismatchError(
+                f"kim row {kim.row_labels[i]} does not map onto p1l1 row {row_perm[i]}"
+            )
+    return EquivalenceReport(row_perm, col_perm)
 
 
 def restricted_submatrix_check(Q: Quadrangle) -> bool:

@@ -27,8 +27,12 @@ from lu3q.formulas import predict
 from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle
 from lu3q.gf2 import Subspace, kernel_intersection_basis, kernel_intersection_dim
 from lu3q.incidence import (
+    EquivalenceMismatchError,
+    EquivalenceReport,
     IncidenceMatrix,
+    LineSetSelection,
     SpanMismatchError,
+    SpanningReport,
     build_incidence,
     check_kim_equivalence,
     select_Z,
@@ -80,7 +84,10 @@ def _status(ok: bool) -> str:
 
 
 class _Context:
-    """Lazily built shared objects for one verification run."""
+    """Lazily built shared objects for one verification run.
+
+    ``selection``, ``spanning`` and ``equivalence`` hold a value or the
+    exception their call raised, so a failed identity gives FAIL rows."""
 
     def __init__(self, q: int, irr=None, seed: int = 0):
         self.q = q
@@ -104,6 +111,44 @@ class _Context:
         if system not in self._mats:
             self._mats[system] = build_incidence(self.quad, system)
         return self._mats[system]
+
+    @cached_property
+    def selection(self) -> LineSetSelection | SpanMismatchError:
+        return _attempt(select_Z, self.matrix("p1l1"), self.quad)
+
+    @cached_property
+    def spanning(self) -> SpanningReport | SpanMismatchError | None:
+        """None at odd q, where the identities are not claimed."""
+        if self.field.p != 2:
+            return None
+        if isinstance(self.selection, Exception):
+            return self.selection
+        return _attempt(verify_spanning, self.quad, self.selection)
+
+    @cached_property
+    def equivalence(self) -> EquivalenceReport | EquivalenceMismatchError:
+        return _attempt(
+            check_kim_equivalence, self.quad, self.matrix("kim"), self.matrix("p1l1")
+        )
+
+    def rank(self, system: str) -> int:
+        """GF(2) rank read off work the run already does: rank(p1l1) =
+        |Z|, rank(kim) = rank(p1l1) by the verified map, rank(pl) =
+        dim C(P,L) at even q.  Otherwise the matrix is eliminated."""
+        if system == "kim" and isinstance(self.equivalence, EquivalenceReport):
+            return self.rank("p1l1")
+        if system == "p1l1" and isinstance(self.selection, LineSetSelection):
+            return len(self.selection.Z)
+        if system == "pl" and isinstance(self.spanning, SpanningReport):
+            return self.spanning.dim_pl
+        return self.matrix(system).rank
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except (SpanMismatchError, EquivalenceMismatchError) as exc:
+        return exc
 
 
 def run_checks(q: int, groups, irr=None, seed: int = 0) -> list[CheckOutcome]:
@@ -396,46 +441,32 @@ def _check_grid(ctx: _Context) -> list[CheckOutcome]:
 
 
 def _check_spans(ctx: _Context) -> list[CheckOutcome]:
-    Q = ctx.quad
-    q = ctx.q
-    rows = []
-    try:
-        sel = select_Z(ctx.matrix("p1l1"), Q)
-        rows.append(
-            CheckOutcome(
-                "spans", "X0 u Y u Z is linearly independent", "the independence of the selection",
-                "PASS", f"rank {2 * q + len(sel.Z)} = 2q + |Z|",
-            )
+    sel = ctx.selection
+    failed = isinstance(sel, Exception)
+    rows = [
+        CheckOutcome(
+            "spans", "X0 u Y u Z is linearly independent", "the independence of the selection",
+            _status(not failed),
+            str(sel) if failed else f"rank {2 * ctx.q + len(sel.Z)} = 2q + |Z|",
         )
-    except SpanMismatchError as exc:
-        return [
-            CheckOutcome(
-                "spans", "X0 u Y u Z is linearly independent", "the independence of the selection",
-                "FAIL", str(exc),
-            )
-        ]
-    if ctx.field.p != 2:
+    ]
+    if failed:
+        return rows
+    rep = ctx.spanning
+    if rep is None:
         rows.append(
             CheckOutcome(
                 "spans", "span identities for the full code", "the spanning argument",
                 "SKIP", "stated under the even-order hypothesis",
             )
         )
-        return rows
-    try:
-        rep = verify_spanning(Q, sel)
+    else:
+        failed = isinstance(rep, Exception)
         rows.append(
             CheckOutcome(
                 "spans", "X0 u Y u L1 spans every line and the all-ones vector",
-                "the spanning argument", _status(rep.ok),
-                f"dim C(P,L) = {rep.dim_pl} = {rep.dim_p1l1} + 2q",
-            )
-        )
-    except SpanMismatchError as exc:
-        rows.append(
-            CheckOutcome(
-                "spans", "X0 u Y u L1 spans every line and the all-ones vector",
-                "the spanning argument", "FAIL", str(exc),
+                "the spanning argument", _status(not failed and rep.ok),
+                str(rep) if failed else f"dim C(P,L) = {rep.dim_pl} = {rep.dim_p1l1} + 2q",
             )
         )
     return rows
@@ -518,32 +549,17 @@ def _check_poly(ctx: _Context) -> list[CheckOutcome]:
 
 
 def _check_iso(ctx: _Context) -> list[CheckOutcome]:
-    kim = ctx.matrix("kim")
-    rep = check_kim_equivalence(kim, ctx.matrix("p1l1"))
-    rows = [
+    rep = ctx.equivalence
+    mapped = isinstance(rep, EquivalenceReport)
+    return [
         CheckOutcome(
             "iso", "two-equation system and restricted system have equal rank",
-            "the equivalence of the two systems", _status(rep.ranks_equal),
-            f"rank {rep.rank_kim} vs {rep.rank_p1l1}",
+            "the equivalence of the two systems", _status(mapped),
+            f"rank {ctx.rank('kim')} vs {ctx.rank('p1l1')}; "
+            + (f"the coordinate map matches all {len(rep.row_perm)} rows"
+               if mapped else str(rep)),
         )
     ]
-    if rep.iso_searched:
-        rows.append(
-            CheckOutcome(
-                "iso", "explicit permutation equivalence found",
-                "the equivalence of the two systems", _status(rep.row_perm is not None),
-                f"{kim.n_rows}+{kim.n_cols} vertices",
-            )
-        )
-    else:
-        rows.append(
-            CheckOutcome(
-                "iso", "explicit permutation equivalence found",
-                "the equivalence of the two systems",
-                "SKIP", "size policy caps the search at q <= 4",
-            )
-        )
-    return rows
 
 
 def _check_girth(ctx: _Context) -> list[CheckOutcome]:
@@ -572,7 +588,7 @@ def _check_rank(ctx: _Context) -> list[CheckOutcome]:
         ("p1l1", pred.rank_p1l1),
         ("kim", pred.rank_p1l1),
     ):
-        got = ctx.matrix(system).rank
+        got = ctx.rank(system)
         rows.append(
             CheckOutcome(
                 "rank", f"computed rank of {system} matches the closed form",

@@ -12,7 +12,6 @@ reports, so each check has one implementation.  One opt-in gate
 
 import functools
 import itertools
-import random
 import time
 
 import numpy as np
@@ -249,21 +248,19 @@ def test_criterion_7_line_escapes_q16(quad):
     report(7, f"q=16: {escaped} of {Q.n_lines} line classes escape the digit span")
 
 
-def test_criterion_8_system_equivalence(matrix):
-    for q in (2, 4):
-        rep = check_kim_equivalence(matrix(q, "kim"), matrix(q, "p1l1"))
-        assert rep.row_perm is not None and rep.col_perm is not None
-        kim, p1l1 = matrix(q, "kim"), matrix(q, "p1l1")
-        spot = random.Random(q)
-        for _ in range(200):
-            i, j = spot.randrange(kim.n_rows), spot.randrange(kim.n_cols)
-            assert kim.bits.get(i, j) == p1l1.bits.get(rep.row_perm[i], rep.col_perm[j])
+def test_criterion_8_system_equivalence(quad, matrix):
+    # the coordinate map, checked on every entry at every q
     ranks = {}
     for q in ALL_Q:
-        rep = check_kim_equivalence(matrix(q, "kim"), matrix(q, "p1l1"))
-        assert rep.ranks_equal
-        ranks[q] = rep.rank_kim
-    report(8, f"explicit permutation equivalence at q=2,4; rank equality {ranks}")
+        kim, p1l1 = matrix(q, "kim"), matrix(q, "p1l1")
+        rep = check_kim_equivalence(quad(q), kim, p1l1)
+        rp, cp = rep.row_perm, rep.col_perm
+        assert sorted(rp) == list(range(q**3)) and sorted(cp) == list(range(q**3))
+        assert np.array_equal(kim.bits.to_numpy(), p1l1.bits.to_numpy()[np.ix_(rp, cp)])
+        assert kim.rank == p1l1.rank
+        ranks[q] = kim.rank
+    report(8, f"explicit permutation equivalence, every entry, at q={list(ALL_Q)}; "
+              f"rank equality {ranks}")
 
 
 def test_criterion_9_ldpc_properties(matrix):

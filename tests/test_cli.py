@@ -206,3 +206,36 @@ def test_irr_override(capsys):
                     "--irr", "1,0,1,1")
     assert code == 0
     assert "rank 282, predicted 282, PASS" in out
+
+
+def usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("construct", []),
+    ("export", []),
+    ("simulate", ["--trials", "2"]),
+])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command, extra):
+    target = tmp_path / "missing" / "x"
+    err = usage_error(capsys, command, "--q", "2", "--system", "kim",
+                      "--out", str(target), *extra)
+    assert f"lu3q: error: cannot write {target}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_config_must_be_a_json_object(capsys, tmp_path):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    err = usage_error(capsys, "--config", str(cfg), "verify")
+    assert f"lu3q: error: config {cfg} is not a JSON object" in err
+
+
+@pytest.mark.parametrize("checks", ["", ","])
+def test_verify_rejects_an_empty_check_list(capsys, checks):
+    err = usage_error(capsys, "verify", "--q", "2", "--checks", checks)
+    assert "lu3q: error: --checks selects no check group" in err

@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
 from lu3q.formulas import predict
-from lu3q.gf2 import Subspace, rank2
+from lu3q.gf2 import BitMatrix, Subspace, rank2
 from lu3q.incidence import (
-    EquivalenceReport,
+    EquivalenceMismatchError,
     SpanMismatchError,
     build_incidence,
     build_kim_matrix,
@@ -170,43 +171,112 @@ def test_corollary_gap_equality(quad, matrix, q):
     assert pl_rank - p1l1_rank == 2 * q
 
 
-def test_kim_equivalence_q2(field, matrix):
-    rep = check_kim_equivalence(matrix(2, "kim"), matrix(2, "p1l1"))
-    assert rep.rank_kim == rep.rank_p1l1 == 6
-    assert rep.iso_searched
-    assert rep.row_perm is not None and rep.col_perm is not None
-
-
-@pytest.mark.parametrize("q", [2, 4])
-def test_kim_equivalence_explicit_permutation(matrix, q):
-    kim = matrix(q, "kim")
-    p1l1 = matrix(q, "p1l1")
-    rep = check_kim_equivalence(kim, p1l1)
-    assert rep.iso_searched
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_kim_coordinate_map_is_an_exact_permutation(quad, matrix, q):
+    Q = quad(q)
+    kim, p1l1 = matrix(q, "kim"), matrix(q, "p1l1")
+    rep = check_kim_equivalence(Q, kim, p1l1)
     rp, cp = rep.row_perm, rep.col_perm
-    assert sorted(rp) == list(range(kim.n_rows))
-    assert sorted(cp) == list(range(kim.n_cols))
-    for i in range(kim.n_rows):
-        for j in range(kim.n_cols):
-            assert kim.bits.get(i, j) == p1l1.bits.get(rp[i], cp[j])
+    assert sorted(rp) == list(range(q**3))
+    assert sorted(cp) == list(range(q**3))
+    # the point map is the stated formula (a,b,c) -> <(c, b, -a, 1)>
+    for (a, b, c), i in zip(kim.row_labels, rp):
+        assert p1l1.row_labels[i] == Q.canonicalize((c, b, Q.F.neg(a), 1))
+    dense_kim, dense_p1l1 = kim.bits.to_numpy(), p1l1.bits.to_numpy()
+    assert np.array_equal(dense_kim, dense_p1l1[np.ix_(rp, cp)])
 
 
-def test_kim_equivalence_q8_rank_only(matrix):
-    rep = check_kim_equivalence(matrix(8, "kim"), matrix(8, "p1l1"))
-    assert rep.ranks_equal
-    assert not rep.iso_searched
-    assert rep.row_perm is None
+@pytest.mark.parametrize("row, col", [(0, 0), (5, 3), (63, 63)])
+def test_kim_coordinate_map_rejects_a_flipped_bit(quad, matrix, row, col):
+    p1l1 = matrix(4, "p1l1")
+    rows = list(p1l1.bits.rows)
+    rows[row] ^= 1 << col
+    bad = dataclasses.replace(p1l1, bits=BitMatrix(rows, p1l1.n_cols))
+    with pytest.raises(EquivalenceMismatchError, match="does not map onto"):
+        check_kim_equivalence(quad(4), matrix(4, "kim"), bad)
+
+
+def test_verify_ranks_come_from_one_elimination(monkeypatch):
+    # rank(p1l1) = |Z|, rank(kim) by the verified map, rank(pl) from
+    # verify_spanning: the only rank2 call left is select_Z's check
+    import sys
+
+    import lu3q.gf2
+    from lu3q.verify import run_checks
+
+    calls = []
+    original = lu3q.gf2.rank2
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lu3q") and getattr(mod, "rank2", None) is original:
+            monkeypatch.setattr(mod, "rank2", counting)
+    outcomes = run_checks(8, {"spans", "iso", "rank"})
+    assert [o.status for o in outcomes] == ["PASS"] * 6
+    assert len(calls) == 1
+
+
+def test_verify_reports_failed_sources_as_rows(monkeypatch):
+    # a failed selection or map gives FAIL rows, and the ranks fall back
+    # to eliminating each matrix
+    import lu3q.verify
+
+    def fail(error):
+        def raising(*args):
+            raise error("forced failure")
+        return raising
+
+    monkeypatch.setattr(lu3q.verify, "select_Z", fail(SpanMismatchError))
+    monkeypatch.setattr(lu3q.verify, "check_kim_equivalence", fail(EquivalenceMismatchError))
+    rows = [(o.group, o.status, o.detail)
+            for o in lu3q.verify.run_checks(4, {"spans", "iso", "rank"})]
+    assert rows == [
+        ("spans", "FAIL", "forced failure"),
+        ("iso", "FAIL", "rank 42 vs 42; forced failure"),
+        ("rank", "PASS", "rank 50, predicted 50"),
+        ("rank", "PASS", "rank 42, predicted 42"),
+        ("rank", "PASS", "rank 42, predicted 42"),
+    ]
+
+
+VERIFY_RANK_ROWS = {
+    3: (
+        "[    rank] computed rank of pl matches the closed form    PASS          "
+        "the rank formulas  (rank 25, predicted 25)\n"
+        "[    rank] computed rank of p1l1 matches the closed form  PASS          "
+        "the rank formulas  (rank 19, predicted 19)\n"
+        "[    rank] computed rank of kim matches the closed form   PASS          "
+        "the rank formulas  (rank 19, predicted 19)\n"
+        "verify q=3: OK\n"
+    ),
+    8: (
+        "[    rank] computed rank of pl matches the closed form    PASS          "
+        "the rank formulas  (rank 298, predicted 298)\n"
+        "[    rank] computed rank of p1l1 matches the closed form  PASS          "
+        "the rank formulas  (rank 282, predicted 282)\n"
+        "[    rank] computed rank of kim matches the closed form   PASS          "
+        "the rank formulas  (rank 282, predicted 282)\n"
+        "verify q=8: OK\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [3, 8])
+def test_verify_rank_rows_alone(capsys, q):
+    # the rank group on its own computes the selection, the spanning
+    # report and the map itself; its rows stay byte for byte the same
+    from lu3q.cli import main
+
+    assert main(["verify", "--q", str(q), "--checks", "rank"]) == 0
+    assert capsys.readouterr().out == VERIFY_RANK_ROWS[q]
 
 
 def test_build_incidence_rejects_unknown_system(quad):
     with pytest.raises(ValueError):
         build_incidence(quad(2), "nope")
-
-
-def test_equivalence_report_type(matrix):
-    rep = check_kim_equivalence(matrix(2, "kim"), matrix(2, "p1l1"))
-    assert isinstance(rep, EquivalenceReport)
-    assert rep.q == 2
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
