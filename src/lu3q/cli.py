@@ -1,27 +1,29 @@
 """Command-line interface: construct / rank / verify / formulas /
 simulate / export.
 
-Configuration can come from a JSON file (--config); explicit flags win
-over file values.  Data output is deterministic for a fixed
-configuration; log lines (with timestamps) go to stderr, controlled by
-the LU3Q_LOG_LEVEL environment variable.
+Configuration can come from a JSON file (--config): each entry is
+parsed by the flag it names, and explicit flags win over file values.
+Data output is deterministic for a fixed configuration; log lines (with
+timestamps) go to stderr, controlled by the LU3Q_LOG_LEVEL environment
+variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 
 from lu3q.alist import read_alist, to_alist_text, write_alist
 from lu3q.fields import factor_prime_power, field_for_order
 from lu3q.formulas import predict, predict_even, predict_odd
 from lu3q.geometry import enumerate_quadrangle
+from lu3q.gf2 import rank2
 from lu3q.incidence import build_incidence, build_kim_matrix
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.verify import CHECK_GROUPS, run_checks
@@ -34,64 +36,22 @@ SIM_CSV_HEADER = [
 ]
 
 
-@dataclass
-class RunConfig:
-    """Effective settings shared by every subcommand (flags over file)."""
-
-    q: int
-    system: str = "kim"
-    checks: str = "all"
-    seed: int = 0
-    out: str | None = None
-    irr: tuple[int, ...] | None = None
-    as_json: bool = False
-
-
 def _parse_irr(text: str | None):
     if not text:
         return None
     return tuple(int(c) for c in text.split(","))
 
 
-def _merge(args: argparse.Namespace, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    cfg = getattr(args, "_config_data", {})
-    return cfg.get(key, default)
-
-
-def _run_config(args, parser) -> RunConfig:
-    q = _merge(args, "q")
-    if q is None:
-        parser.error("--q is required")
-    try:
-        factor_prime_power(int(q))
-    except ValueError:
-        parser.error(f"{q} is not a prime power")
-    return RunConfig(
-        q=int(q),
-        system=_merge(args, "system", "kim"),
-        checks=str(_merge(args, "checks", "all")),
-        seed=int(_merge(args, "seed", 0) or 0),
-        out=_merge(args, "out"),
-        irr=_parse_irr(_merge(args, "irr")),
-        as_json=bool(_merge(args, "json", False)),
-    )
-
-
-def _build_matrix(q: int, system: str, irr):
-    F = field_for_order(q, irr)
-    if system == "kim":
+def _build_matrix(args):
+    F = field_for_order(args.q, _parse_irr(args.irr))
+    if args.system == "kim":
         return build_kim_matrix(F)
-    return build_incidence(enumerate_quadrangle(F), system)
+    return build_incidence(enumerate_quadrangle(F), args.system)
 
 
 def cmd_construct(args, parser) -> int:
-    cfg = _run_config(args, parser)
     if args.list_what:
-        Q = enumerate_quadrangle(field_for_order(cfg.q, cfg.irr))
+        Q = enumerate_quadrangle(field_for_order(args.q, _parse_irr(args.irr)))
         out = io.StringIO()
         if args.list_what == "points":
             out.write("index c0 c1 c2 c3\n")
@@ -105,43 +65,39 @@ def cmd_construct(args, parser) -> int:
                 out.write(f"{l.index} {r1} {r2} {len(l.points)}\n")
         sys.stdout.write(out.getvalue())
         return 0
-    if cfg.out is None:
+    if args.out is None:
         parser.error("construct needs --list or --system with --out")
-    m = _build_matrix(cfg.q, cfg.system, cfg.irr)
-    write_alist(m.bits, cfg.out)
-    log.info("wrote %s (%dx%d) to %s", cfg.system, m.n_rows, m.n_cols, cfg.out)
+    m = _build_matrix(args)
+    write_alist(m.bits, args.out)
+    log.info("wrote %s (%dx%d) to %s", args.system, m.n_rows, m.n_cols, args.out)
     return 0
 
 
 def cmd_rank(args, parser) -> int:
-    cfg = _run_config(args, parser)
-    pred = predict(cfg.q)
-    expected = pred.rank_pl if cfg.system == "pl" else pred.rank_p1l1
-    m = _build_matrix(cfg.q, cfg.system, cfg.irr)
-    got = m.rank
-    ok = got == expected
-    payload = {
-        "q": cfg.q,
-        "system": cfg.system,
-        "rank": got,
-        "predicted": expected,
-        "match": ok,
-    }
-    if cfg.system == "kim":
-        code = LdpcCode(m.bits, f"kim q={cfg.q}")
-        code_t = LdpcCode(m.bits.transpose(), f"kim-transpose q={cfg.q}")
+    pred = predict(args.q)
+    expected = pred.rank_pl if args.system == "pl" else pred.rank_p1l1
+    m = _build_matrix(args)
+    payload = {"q": args.q, "system": args.system, "predicted": expected}
+    if args.system == "kim":
+        code = LdpcCode(m.bits, f"kim q={args.q}")
+        code_t = LdpcCode(m.bits.transpose(), f"kim-transpose q={args.q}")
+        got = code.rank  # n - k: the code's nullspace has eliminated H once
         payload["dim_code"] = code.k
         payload["dim_code_transpose"] = code_t.k
-        payload["min_weight_upper_bound"] = code.min_weight_estimate(seed=cfg.seed)
+        payload["min_weight_upper_bound"] = code.min_weight_estimate(seed=args.seed)
         payload["min_weight_upper_bound_transpose"] = code_t.min_weight_estimate(
-            seed=cfg.seed
+            seed=args.seed
         )
-    if cfg.as_json:
+    else:
+        got = rank2(m.bits)
+    ok = got == expected
+    payload.update(rank=got, match=ok)
+    if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"system {cfg.system} at q={cfg.q}: rank {got}, predicted {expected}, "
+        print(f"system {args.system} at q={args.q}: rank {got}, predicted {expected}, "
               f"{'PASS' if ok else 'FAIL'}")
-        if cfg.system == "kim":
+        if args.system == "kim":
             print(
                 f"code dimensions: {payload['dim_code']} (parity-check H), "
                 f"{payload['dim_code_transpose']} (parity-check H^T); "
@@ -153,66 +109,44 @@ def cmd_rank(args, parser) -> int:
 
 
 def cmd_verify(args, parser) -> int:
-    cfg = _run_config(args, parser)
-    q = cfg.q
-    if cfg.checks == "all":
+    if args.checks == "all":
         groups = set(CHECK_GROUPS)
     else:
-        groups = set(filter(None, cfg.checks.split(",")))
+        groups = set(filter(None, args.checks.split(",")))
         unknown = groups - set(CHECK_GROUPS)
         if unknown:
             parser.error(f"unknown checks: {', '.join(sorted(unknown))}")
         if not groups:
             parser.error("--checks selects no check group")
-    outcomes = run_checks(q, groups, irr=cfg.irr, seed=cfg.seed)
+    outcomes = run_checks(args.q, groups, irr=_parse_irr(args.irr), seed=args.seed)
     failed = any(o.failed for o in outcomes)
-    if cfg.as_json:
-        print(
-            json.dumps(
-                {
-                    "q": q,
-                    "checks": [
-                        {
-                            "group": o.group,
-                            "name": o.name,
-                            "anchor": o.anchor,
-                            "status": o.status,
-                            "detail": o.detail,
-                        }
-                        for o in outcomes
-                    ],
-                    "ok": not failed,
-                },
-                sort_keys=True,
-            )
-        )
+    if args.json:
+        checks = [dataclasses.asdict(o) for o in outcomes]
+        print(json.dumps({"q": args.q, "checks": checks, "ok": not failed}, sort_keys=True))
     else:
         width = max(len(o.name) for o in outcomes) if outcomes else 0
         for o in outcomes:
             print(f"[{o.group:>8}] {o.name:<{width}}  {o.status:<13} {o.anchor}"
                   + (f"  ({o.detail})" if o.detail else ""))
-        print(f"verify q={q}: {'FAIL' if failed else 'OK'}")
+        print(f"verify q={args.q}: {'FAIL' if failed else 'OK'}")
     return 1 if failed else 0
 
 
 def cmd_formulas(args, parser) -> int:
-    t_max = _merge(args, "t_max", 5)
-    q_odd = _merge(args, "q_odd", "3,5,7,9")
-    odd_list = [int(x) for x in str(q_odd).split(",") if x]
     rows = []
-    for t in range(1, int(t_max) + 1):
+    for t in range(1, args.t_max + 1):
         p = predict_even(t)
         rows.append(
             {"q": p.q, "parity": "even", "rank_pl": p.rank_pl,
              "rank_p1l1": p.rank_p1l1, "dim_lu": p.dim_lu}
         )
-    for q in odd_list:
+    for q in [int(x) for x in args.q_odd.split(",") if x]:
         p = predict_odd(q)
         rows.append(
             {"q": p.q, "parity": "odd", "rank_pl": p.rank_pl,
              "rank_p1l1": p.rank_p1l1, "dim_lu": p.dim_lu}
         )
-    if _merge(args, "json", False):
+    if args.json:
         print(json.dumps(rows, sort_keys=True))
     else:
         print("q parity rank_pl rank_p1l1 dim_lu")
@@ -222,46 +156,37 @@ def cmd_formulas(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    cfg = _run_config(args, parser)
-    channel = _merge(args, "channel", "bsc")
-    decoder = _merge(args, "decoder", "minsum")
-    trials = int(_merge(args, "trials", 1000))
-    max_iters = int(_merge(args, "max_iters", 50))
-    normalization = float(_merge(args, "normalization", 0.75))
-    jobs = int(_merge(args, "jobs", 1))
-    transpose = bool(_merge(args, "transpose", False))
-    ps = [float(x) for x in str(_merge(args, "p", "0.01")).split(",")]
-    m = _build_matrix(cfg.q, cfg.system, cfg.irr)
-    H = m.bits.transpose() if transpose else m.bits
-    code = LdpcCode(H, f"{cfg.system} q={cfg.q}{' transposed' if transpose else ''}")
+    ps = [float(x) for x in args.p.split(",")]
+    m = _build_matrix(args)
+    H = m.bits.transpose() if args.transpose else m.bits
+    code = LdpcCode(H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
     log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
     rows = []
     for p in ps:
         rep = simulate(
             code,
-            ChannelSpec(channel, p, cfg.seed),
-            decoder=decoder,
-            trials=trials,
-            max_iters=max_iters,
-            normalization=normalization,
-            jobs=jobs,
+            ChannelSpec(args.channel, p, args.seed),
+            decoder=args.decoder,
+            trials=args.trials,
+            max_iters=args.max_iters,
+            normalization=args.normalization,
         )
         log.info(
             "%s p=%r: trials by iteration count %s, stuck %d",
-            decoder, p,
+            args.decoder, p,
             {i: c for i, c in enumerate(rep.iteration_histogram) if c}, rep.stuck,
         )
         rows.append(
-            [cfg.q, cfg.system, int(transpose), channel, repr(p), decoder,
-             max_iters, trials, rep.bit_errors, rep.frame_errors,
-             repr(rep.ber), repr(rep.fer), cfg.seed]
+            [args.q, args.system, int(args.transpose), args.channel, repr(p), args.decoder,
+             args.max_iters, args.trials, rep.bit_errors, rep.frame_errors,
+             repr(rep.ber), repr(rep.fer), args.seed]
         )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
     writer.writerows(rows)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
@@ -269,25 +194,21 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_export(args, parser) -> int:
-    cfg = _run_config(args, parser)
-    fmt = _merge(args, "format", "alist")
-    if cfg.out is None:
+    if args.out is None:
         parser.error("export needs --out")
-    m = _build_matrix(cfg.q, cfg.system, cfg.irr)
-    if fmt == "alist":
-        write_alist(m.bits, cfg.out)
-        back = read_alist(cfg.out)
+    m = _build_matrix(args)
+    if args.format == "alist":
+        write_alist(m.bits, args.out)
+        back = read_alist(args.out)
         if to_alist_text(back) != to_alist_text(m.bits):
             print("round-trip mismatch", file=sys.stderr)
             return 1
-    elif fmt == "csv":
-        with open(cfg.out, "w") as fh:
+    else:
+        with open(args.out, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             for row in m.bits.to_dense():
                 writer.writerow(row)
-    else:
-        parser.error(f"unknown format {fmt!r}")
-    log.info("exported %s q=%d as %s to %s", cfg.system, cfg.q, fmt, cfg.out)
+    log.info("exported %s q=%d as %s to %s", args.system, args.q, args.format, args.out)
     return 0
 
 
@@ -302,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, system=True):
         sp.add_argument("--q", type=int)
         sp.add_argument("--irr", help="comma-separated defining polynomial, constant first")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--json", action="store_true", default=None)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--json", action="store_true")
         if system:
-            sp.add_argument("--system", choices=["pl", "p1l1", "kim"])
+            sp.add_argument("--system", choices=["pl", "p1l1", "kim"], default="kim")
 
     sp = sub.add_parser("construct", help="enumerate geometry or export a matrix")
     common(sp)
@@ -319,35 +240,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run structural check suites")
     common(sp, system=False)
-    sp.add_argument("--checks", help="all or comma list of: " + ",".join(CHECK_GROUPS))
+    sp.add_argument("--checks", default="all",
+                    help="all or comma list of: " + ",".join(CHECK_GROUPS))
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("formulas", help="closed-form prediction tables")
-    sp.add_argument("--t-max", dest="t_max", type=int)
-    sp.add_argument("--q-odd", dest="q_odd")
-    sp.add_argument("--json", action="store_true", default=None)
+    sp.add_argument("--t-max", dest="t_max", type=int, default=5)
+    sp.add_argument("--q-odd", dest="q_odd", default="3,5,7,9")
+    sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_formulas)
 
     sp = sub.add_parser("simulate", help="Monte-Carlo decoding on the BSC")
     common(sp)
-    sp.add_argument("--transpose", action="store_true", default=None)
-    sp.add_argument("--channel", choices=["bsc"])
-    sp.add_argument("--p", help="crossover probability, or comma list")
-    sp.add_argument("--decoder", choices=["bitflip", "minsum"])
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--max-iters", dest="max_iters", type=int)
-    sp.add_argument("--normalization", type=float)
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument("--transpose", action="store_true")
+    sp.add_argument("--channel", choices=["bsc"], default="bsc")
+    sp.add_argument("--p", default="0.01", help="crossover probability, or comma list")
+    sp.add_argument("--decoder", choices=["bitflip", "minsum"], default="minsum")
+    sp.add_argument("--trials", type=int, default=1000)
+    sp.add_argument("--max-iters", dest="max_iters", type=int, default=50)
+    sp.add_argument("--normalization", type=float, default=0.75)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("export", help="write a matrix as alist or dense CSV")
     common(sp)
-    sp.add_argument("--format", choices=["alist", "csv"])
+    sp.add_argument("--format", choices=["alist", "csv"], default="alist")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_export)
 
     return parser
+
+
+def _install_config(parser, command: str, config: dict) -> None:
+    """Make the config entries that name flags of `command` its defaults.
+
+    Each entry is parsed by its flag as if typed: a string is the flag's
+    text, a number suits only a numeric flag, true turns a switch on,
+    and null or false leaves the flag out.  Other keys are ignored.
+    """
+    sub = next(a for a in parser._actions if a.dest == "command").choices[command]
+    tokens = []
+    for action in sub._actions:
+        value = config.get(action.dest)
+        if not action.option_strings or value is None or value is False:
+            continue
+        flag = action.option_strings[-1]
+        if action.nargs == 0 and value is True:
+            tokens.append(flag)
+        elif action.nargs != 0 and (
+            isinstance(value, str)
+            or (type(value) in (int, float) and action.type in (int, float))
+        ):
+            tokens.append(f"{flag}={value}")
+        else:
+            sub.error(f"config entry {action.dest!r} does not fit {flag}: {json.dumps(value)}")
+    sub.set_defaults(**vars(sub.parse_args(tokens)))
 
 
 def main(argv=None) -> int:
@@ -358,16 +305,23 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    config_data = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                config_data = json.load(fh)
+                config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"cannot read config {args.config}: {exc}")
-        if not isinstance(config_data, dict):
+        if not isinstance(config, dict):
             parser.error(f"config {args.config} is not a JSON object")
-    args._config_data = config_data
+        _install_config(parser, args.command, config)
+        args = parser.parse_args(argv)  # explicit flags win over the file
+    if "q" in vars(args):  # every subcommand but formulas
+        if args.q is None:
+            parser.error("--q is required")
+        try:
+            factor_prime_power(args.q)
+        except ValueError:
+            parser.error(f"{args.q} is not a prime power")
     try:
         return args.func(args, parser)
     except ValueError as exc:

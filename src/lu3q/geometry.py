@@ -86,7 +86,6 @@ class GridPair:
     line1: int
     line2: int
     z: int
-    valid_z: tuple[int, ...] = ()
 
 
 class Quadrangle:
@@ -204,14 +203,11 @@ class Quadrangle:
 
     # -- grids -------------------------------------------------------------
 
-    def grid_decompose(
-        self, l: int, lp: int, p: int, all_z: bool = False
-    ) -> GridPair:
+    def grid_decompose(self, l: int, lp: int, p: int) -> GridPair:
         """Search for a grid of lines between two lines concurrent at p.
 
         Every candidate z is validated against the full grid contract;
-        the first valid one (in point order) is returned, with the other
-        valid choices recorded in valid_z when all_z is set.
+        the first valid one (in point order) is returned.
         """
         if l == lp:
             raise ValueError("the two lines must be distinct")
@@ -220,25 +216,10 @@ class Quadrangle:
             raise ValueError("anchor point must lie on both lines")
         u1 = min(lpts - {p})
         w1 = min(lppts - {p})
-        candidates = sorted((self.collinear(u1) & self.collinear(w1)) - {p})
-        valid: list[GridPair] = []
-        for z in candidates:
+        for z in sorted((self.collinear(u1) & self.collinear(w1)) - {p}):
             pair = self._try_grid(l, lp, p, u1, w1, z)
             if pair is not None:
-                if not all_z:
-                    return pair
-                valid.append(pair)
-        if valid:
-            first = valid[0]
-            return GridPair(
-                first.delta,
-                first.lam,
-                first.anchor,
-                first.line1,
-                first.line2,
-                first.z,
-                tuple(g.z for g in valid),
-            )
+                return pair
         raise NoGridFoundError(
             f"no grid between lines {l} and {lp} through point {p}"
             + (" (odd characteristic: the grid hypothesis needs q even)"
@@ -301,27 +282,21 @@ def _enumerate_points(F: GF) -> list[Vec]:
 
 
 def _enumerate_lines(Q: Quadrangle) -> list[IsoLine]:
-    """All totally isotropic RREF 2x4 bases, in lexicographic order."""
+    """All totally isotropic 2-spaces by RREF basis, in lexicographic order.
+
+    On an RREF basis with pivot columns (j1, j2) the form is one linear
+    condition on the free entries, so each pivot pair gives a family in
+    closed form; the pairs (0, 3) and (1, 2) make the form 1 and give none.
+    """
     F = Q.F
     q = F.q
-    form = Q.space.form
-    bases: list[tuple[Vec, Vec]] = []
-    for j1, j2 in itertools.combinations(range(4), 2):
-        free1 = [c for c in range(4) if c > j1 and c != j2]
-        for vals1 in itertools.product(range(q), repeat=len(free1)):
-            r1 = [0, 0, 0, 0]
-            r1[j1] = 1
-            for c, v in zip(free1, vals1):
-                r1[c] = v
-            free2 = [c for c in range(4) if c > j2]
-            for vals2 in itertools.product(range(q), repeat=len(free2)):
-                r2 = [0, 0, 0, 0]
-                r2[j2] = 1
-                for c, v in zip(free2, vals2):
-                    r2[c] = v
-                u, w = tuple(r1), tuple(r2)
-                if form(u, w) == 0:
-                    bases.append((u, w))
+    els = range(q)
+    bases: list[tuple[Vec, Vec]] = [
+        ((1, 0, a, b), (0, 1, c, a)) for a, b, c in itertools.product(els, repeat=3)
+    ]
+    bases += [((1, a, 0, b), (0, 0, 1, F.neg(a))) for a, b in itertools.product(els, repeat=2)]
+    bases += [((0, 1, a, 0), (0, 0, 0, 1)) for a in els]
+    bases.append(((0, 0, 1, 0), (0, 0, 0, 1)))
     bases.sort(key=lambda b: b[0] + b[1])
     lines = []
     for idx, (u, w) in enumerate(bases):

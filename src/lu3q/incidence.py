@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 from lu3q.fields import GF
 from lu3q.gf2 import (
@@ -62,12 +61,6 @@ class IncidenceMatrix:
     @property
     def n_cols(self) -> int:
         return self.bits.n_cols
-
-    @cached_property
-    def rank(self) -> int:
-        """GF(2) rank, computed once; the bits are never modified after
-        construction."""
-        return rank2(self.bits)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A code keeps one edge layout, built from the packed rows on first use:
 ``checks`` lists the variables of each check and ``var_edges`` the edge
 slots of each variable in ascending check order.  Syndromes, the
-encoder's codeword check and both decoders run on it, and
-``girth_check`` reads the same edges; no dense copy of H is kept.
+encoder's codeword check and both decoders run on it; no dense copy of
+H is kept.  ``girth_check`` takes a bare matrix and unpacks its ones
+itself.
 
 Simulation transmits the zero codeword (valid on a symmetric channel for
 a linear code) and draws each trial's noise from its own generator,
@@ -362,13 +363,11 @@ def simulate(
     trials: int = 100,
     max_iters: int = 50,
     normalization: float = 0.75,
-    jobs: int = 1,
 ) -> SimReport:
     """Monte-Carlo decoding error rates on the BSC, zero codeword sent.
 
     Trials are decoded in blocks sized so that a block's messages take
-    about 1 MB; the result does not depend on the grouping.  ``jobs`` is
-    accepted for compatibility and does not change the result.
+    about 1 MB; the result does not depend on the grouping.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -25,7 +25,7 @@ import numpy as np
 from lu3q.fields import GF, factor_prime_power, field_for_order
 from lu3q.formulas import predict
 from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle
-from lu3q.gf2 import Subspace, kernel_intersection_basis, kernel_intersection_dim
+from lu3q.gf2 import Subspace, kernel_intersection_basis, kernel_intersection_dim, rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     EquivalenceReport,
@@ -141,7 +141,7 @@ class _Context:
             return len(self.selection.Z)
         if system == "pl" and isinstance(self.spanning, SpanningReport):
             return self.spanning.dim_pl
-        return self.matrix(system).rank
+        return rank2(self.matrix(system).bits)
 
 
 def _attempt(fn, *args):

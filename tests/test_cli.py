@@ -239,3 +239,31 @@ def test_config_must_be_a_json_object(capsys, tmp_path):
 def test_verify_rejects_an_empty_check_list(capsys, checks):
     err = usage_error(capsys, "verify", "--q", "2", "--checks", checks)
     assert "lu3q: error: --checks selects no check group" in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("rank", {"q": [4]}),
+    ("rank", {"q": 2, "irr": 5}),
+    ("rank", {"q": 2.7}),
+    ("rank", {"q": 2, "json": "no"}),
+    ("rank", {"q": 2, "seed": [1]}),
+    ("simulate", {"q": 2, "trials": 2.9}),
+    ("simulate", {"q": 2, "out": 1}),
+])
+def test_config_entry_is_parsed_by_its_flag(capsys, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = usage_error(capsys, "--config", str(cfg), command)
+    assert f"lu3q {command}: error:" in err
+    assert "Traceback" not in err
+
+
+def test_config_ignores_flags_the_subcommand_lacks(capsys, tmp_path):
+    # true turns a switch on, null leaves the default, and trials is not
+    # a flag of rank, so its value is never parsed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"q": 2, "system": "p1l1", "json": True, "seed": None, "trials": 2.9}))
+    code, out = run(capsys, "--config", str(cfg), "rank")
+    assert code == 0
+    assert json.loads(out)["system"] == "p1l1"

@@ -9,6 +9,7 @@ from lu3q.geometry import (
     PointOnLineError,
     SymplecticSpace,
 )
+from test_acceptance import ALL_Q
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
 
@@ -39,6 +40,17 @@ def test_point_and_line_counts(quad, q):
     expected = q**3 + q**2 + q + 1
     assert Q.n_points == expected
     assert Q.n_lines == expected
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_closed_form_lines_are_every_isotropic_line(quad, q):
+    # totally isotropic (the form is alternating, so the basis pair
+    # decides), pairwise distinct 2-spaces, and as many as W(q) has:
+    # so the closed-form families list every line
+    Q = quad(q)
+    assert all(Q.space.form(*l.basis) == 0 for l in Q.lines)
+    assert all(len(set(l.points)) == q + 1 for l in Q.lines)
+    assert len({l.points for l in Q.lines}) == len(Q.lines) == (q + 1) * (q**2 + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -210,13 +222,16 @@ def test_grid_absent_for_some_pair_q3(quad):
 
 def test_grid_all_z_recorded(quad):
     # measured regularity, pinned: every candidate z on the trace of
-    # {u1, w1} yields a valid grid at even q
+    # {u1, w1} yields a valid grid at even q; the search returns the first
     Q = quad(4)
     l, lp, p = _concurrent_pairs_on_ell0(Q)[0]
-    g = Q.grid_decompose(l, lp, p, all_z=True)
+    u1, w1 = min(Q.line_points(l) - {p}), min(Q.line_points(lp) - {p})
+    candidates = sorted((Q.collinear(u1) & Q.collinear(w1)) - {p})
+    valid = [z for z in candidates if Q._try_grid(l, lp, p, u1, w1, z) is not None]
+    assert len(valid) == 4
+    g = Q.grid_decompose(l, lp, p)
     assert isinstance(g, GridPair)
-    assert g.z == g.valid_z[0]
-    assert len(g.valid_z) == 4
+    assert g.z == valid[0]
 
 
 def test_grid_rejects_bad_arguments(quad):
