@@ -271,12 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _install_config(parser, command: str, config: dict) -> None:
+def _install_config(parser, command: str, config: dict, path: str) -> None:
     """Make the config entries that name flags of `command` its defaults.
 
     Each entry is parsed by its flag as if typed: a string is the flag's
     text, a number suits only a numeric flag, true turns a switch on,
-    and null or false leaves the flag out.  Other keys are ignored.
+    and null or false leaves the flag out.  Other keys are ignored.  An
+    entry that does not parse is a usage error naming the file and key.
     """
     sub = next(a for a in parser._actions if a.dest == "command").choices[command]
     tokens = []
@@ -286,14 +287,25 @@ def _install_config(parser, command: str, config: dict) -> None:
             continue
         flag = action.option_strings[-1]
         if action.nargs == 0 and value is True:
-            tokens.append(flag)
+            token = flag
         elif action.nargs != 0 and (
             isinstance(value, str)
             or (type(value) in (int, float) and action.type in (int, float))
         ):
-            tokens.append(f"{flag}={value}")
+            token = f"{flag}={value}"
         else:
-            sub.error(f"config entry {action.dest!r} does not fit {flag}: {json.dumps(value)}")
+            sub.error(
+                f"config {path} entry {action.dest!r} does not fit {flag}: "
+                f"{json.dumps(value)}"
+            )
+        sub.exit_on_error = False  # raise the flag's error to name the entry
+        try:
+            sub.parse_args([token])
+        except argparse.ArgumentError as exc:
+            sub.error(f"config {path} entry {action.dest!r}: {exc}")
+        finally:
+            sub.exit_on_error = True
+        tokens.append(token)
     sub.set_defaults(**vars(sub.parse_args(tokens)))
 
 
@@ -313,7 +325,7 @@ def main(argv=None) -> int:
             parser.error(f"cannot read config {args.config}: {exc}")
         if not isinstance(config, dict):
             parser.error(f"config {args.config} is not a JSON object")
-        _install_config(parser, args.command, config)
+        _install_config(parser, args.command, config, args.config)
         args = parser.parse_args(argv)  # explicit flags win over the file
     if "q" in vars(args):  # every subcommand but formulas
         if args.q is None:

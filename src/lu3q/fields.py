@@ -19,7 +19,9 @@ Built-in defining polynomials (minimal integer encoding, LSB-first):
 from __future__ import annotations
 
 import functools
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 
 class ReduciblePolynomialError(ValueError):
@@ -123,6 +125,14 @@ def default_irreducible(p: int, t: int) -> tuple[int, ...]:
         if is_irreducible(cand, p):
             return cand
     raise NoDefaultIrreducibleError(f"search exhausted for p={p}, t={t}")  # pragma: no cover
+
+
+class FieldTables(NamedTuple):
+    """The field operations as int32 lookup arrays indexed by elements."""
+
+    add: np.ndarray  # add[a, b] = a + b, shape (q, q)
+    mul: np.ndarray  # mul[a, b] = a * b, shape (q, q)
+    neg: np.ndarray  # neg[a] = -a, shape (q,)
 
 
 class GF:
@@ -258,6 +268,18 @@ class GF:
             base = self.mul(base, base)
             n >>= 1
         return result
+
+    @functools.cached_property
+    def tables(self) -> FieldTables:
+        """Addition, multiplication and negation as arrays, for evaluating
+        one operation on many elements at once."""
+        q = self.q
+        els = range(q)
+        return FieldTables(
+            np.array([[self.add(a, b) for b in els] for a in els], dtype=np.int32),
+            np.array([[self.mul(a, b) for b in els] for a in els], dtype=np.int32),
+            np.array([self.neg(a) for a in els], dtype=np.int32),
+        )
 
     def elements(self) -> range:
         return range(self.q)

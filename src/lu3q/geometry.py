@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from lu3q.fields import GF
 
@@ -132,13 +135,19 @@ class Quadrangle:
     def line_points(self, l: int) -> frozenset[int]:
         return self._line_point_sets[l]
 
+    @cached_property
+    def _point_array(self) -> np.ndarray:
+        """The point coordinates as an n x 4 int32 array."""
+        return np.array(self.points, dtype=np.int32)
+
     def perp(self, p: int) -> frozenset[int]:
-        """All x with (p, x) = 0, by direct evaluation of the form."""
-        u = self.points[p]
-        form = self.space.form
-        return frozenset(
-            i for i, v in enumerate(self.points) if form(u, v) == 0
-        )
+        """All x with (p, x) = 0, by evaluating the form on every point
+        at once through the field's lookup tables."""
+        T = self.F.tables
+        u, v = self.points[p], self._point_array.T
+        pos = T.add[T.mul[u[0], v[3]], T.mul[u[1], v[2]]]
+        neg = T.add[T.mul[u[2], v[1]], T.mul[u[3], v[0]]]
+        return frozenset(np.flatnonzero(T.add[pos, T.neg[neg]] == 0).tolist())
 
     def collinear(self, p: int) -> frozenset[int]:
         """Union of the lines through p (equals perp(p) in the quadrangle)."""

@@ -113,12 +113,19 @@ class BitMatrix:
 
 
 def echelon(
-    m: BitMatrix | Iterable[int], lowest: bool = False
+    m: BitMatrix | Iterable[int],
+    lowest: bool = False,
+    pivots: dict[int, int] | None = None,
 ) -> tuple[dict[int, int], list[int]]:
     """(echelon basis {pivot column: row}, indices of the rows outside
     the span of the rows before them).  The pivot is the highest set
-    bit, or the lowest with lowest=True; the input is not modified."""
-    pivots: dict[int, int] = {}
+    bit, or the lowest with lowest=True; the input is not modified.
+    The basis lists its rows in the order they were taken.  Given the
+    basis of an earlier call as ``pivots``, the rows continue that
+    elimination: the basis grows in place and the indices count the new
+    rows only."""
+    if pivots is None:
+        pivots = {}
     taken: list[int] = []
     for i, cur in enumerate(m.rows if isinstance(m, BitMatrix) else m):
         while cur:
@@ -140,19 +147,18 @@ def in_echelon(pivots: dict[int, int], v: int) -> bool:
 
 
 def _reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:
-    """Clear the other pivot columns from each echelon row.  Rows go in
-    the order that has their other pivots done first, and a reduced row
-    changes no pivot bit but its own."""
+    """Clear the other pivot columns from each echelon row, in place.
+    Rows go in the order that has their other pivots done first, and a
+    reduced row changes no pivot bit but its own."""
     mask = sum(1 << c for c in pivots)
-    reduced: dict[int, int] = {}
     for c in sorted(pivots, reverse=lowest):
         row, rest = pivots[c], (pivots[c] & mask) ^ (1 << c)
         while rest:
             c2 = rest.bit_length() - 1
-            row ^= reduced[c2]
+            row ^= pivots[c2]
             rest ^= 1 << c2
-        reduced[c] = row
-    return reduced
+        pivots[c] = row
+    return pivots
 
 
 def rank2(m: BitMatrix | Sequence[int]) -> int:
@@ -206,35 +212,61 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.n_cols})"
 
 
+def _pack(rows: Sequence[int], width: int) -> np.ndarray:
+    """Bitset rows as a len(rows) x width uint8 array, bit j of a row at
+    bit j % 8 of byte j // 8."""
+    packed = b"".join(r.to_bytes(width, "little") for r in rows)
+    return np.frombuffer(packed, np.uint8).reshape(len(rows), width)
+
+
+def _unpack(packed: np.ndarray) -> list[int]:
+    """The rows of a uint8 array as bitsets; inverse of ``_pack``."""
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+
+
+def _columns(packed: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Bits ``cols`` of each packed row, as a rows x len(cols) 0/1 array."""
+    return (packed[:, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
+
+
 def nullspace(m: BitMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}, one vector w_f per free column
-    (see the module docstring); dimension is n_cols - rank2(M)."""
+    (see the module docstring); dimension is n_cols - rank2(M).  The
+    basis is built a slice of free columns at a time, with bit f of each
+    pivot row read from the packed rows."""
     n = m.n_cols
     reduced = _reduced(echelon(m)[0], lowest=False)
-    pivot_cols = list(reduced)
-    free = [c for c in range(n) if c not in reduced]
-    width = (n + 7) // 8
-    packed = b"".join(reduced[c].to_bytes(width, "little") for c in pivot_cols)
-    rows = np.frombuffer(packed, np.uint8).reshape(len(pivot_cols), width)
-    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-    w = np.zeros((len(free), n), dtype=np.uint8)
-    w[:, pivot_cols] = bits[:, free].T
-    w[np.arange(len(free)), free] = 1
-    w = np.packbits(w, axis=1, bitorder="little")
-    return Subspace([int.from_bytes(r.tobytes(), "little") for r in w], free, n)
+    pivot_cols = np.fromiter(reduced, np.intp, len(reduced))
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivot_cols] = False
+    free = np.flatnonzero(is_free)
+    rows = _pack(list(reduced.values()), (n + 7) // 8)
+    del reduced  # the packed copy is all the slices read
+    basis: list[int] = []
+    step = max(8, 2**20 // max(n, 1))  # the slice's block stays near 1 MB
+    for s in range(0, len(free), step):
+        f = free[s : s + step]
+        wt = np.zeros((n, len(f)), dtype=np.uint8)  # column k is w_{f[k]}
+        wt[pivot_cols] = _columns(rows, f)
+        wt[f, np.arange(len(f))] = 1
+        basis += _unpack(np.packbits(wt, axis=0, bitorder="little").T.copy())
+    return Subspace(basis, free.tolist(), n)
 
 
 def restrict_vector(v: int, cols: Sequence[int]) -> int:
     """Project a bit vector onto the listed coordinates, in their order."""
-    out = 0
-    for k, c in enumerate(cols):
-        if (v >> c) & 1:
-            out |= 1 << k
-    return out
+    return restrict_rows([v], cols)[0]
 
 
 def restrict_rows(rows: Iterable[int], cols: Sequence[int]) -> list[int]:
-    return [restrict_vector(r, cols) for r in rows]
+    """Project each bit vector onto the listed coordinates, in their order."""
+    rows = list(rows)
+    cols = np.asarray(cols, dtype=np.intp)
+    if not len(cols):
+        return [0] * len(rows)
+    bits = max(max((r.bit_length() for r in rows), default=0), int(cols.max()) + 1)
+    picked = _columns(_pack(rows, (bits + 7) // 8), cols)
+    return _unpack(np.packbits(picked, axis=1, bitorder="little"))
 
 
 def kernel_intersection_dim(space: Subspace, kept_cols: Sequence[int]) -> int:

@@ -10,16 +10,27 @@ Three square bit matrices are built here:
                 against triples [x,y,z], incident iff y = ax+b and
                 z = ay+c, side q^3, weights q.
 
+kim is built from the field's lookup tables, one slab of fixed a at a
+time.
+
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
 the full code, and checks the explicit coordinate map that carries the
-digitized system onto the restricted one.
+digitized system onto the restricted one.  The span checks share two
+eliminations over the points, ordered with p0's perp first and P1
+after it: X0 then L1, whose rows with a pivot in P1 are Z and which
+``verify_spanning`` continues with Y and the remaining lines; and X0,
+Z, Y.  ``select_Z`` runs both and leaves them on the selection.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from lu3q.fields import GF
 from lu3q.gf2 import (
@@ -27,7 +38,6 @@ from lu3q.gf2 import (
     echelon,
     in_echelon,
     ones_vector,
-    rank2,
     restrict_rows,
 )
 from lu3q.geometry import Quadrangle
@@ -64,11 +74,28 @@ class IncidenceMatrix:
 
 
 @dataclass(frozen=True)
+class Elimination:
+    """A highest-bit elimination of line vectors in which point p is
+    bit col[p]: ``echelon``'s basis and taken rows for ``lines``."""
+
+    col: list[int]
+    lines: tuple[int, ...]
+    pivots: dict[int, int]
+    taken: list[int]
+
+
+@dataclass(frozen=True)
 class LineSetSelection:
+    """X0, Y and the selected Z, with the eliminations ``select_Z`` ran
+    (X0 then L1; X0, Z, Y) for ``verify_spanning`` to reuse.  A
+    selection built by hand has none and is eliminated afresh."""
+
     X: tuple[int, ...]
     X0: tuple[int, ...]
     Y: tuple[int, ...]
     Z: tuple[int, ...]
+    head: Elimination | None = field(default=None, compare=False, repr=False)
+    independent: Elimination | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -94,31 +121,27 @@ class EquivalenceReport:
 
 
 def build_kim_matrix(F: GF) -> IncidenceMatrix:
-    """The q^3 x q^3 system: (a,b,c) ~ [x,y,z] iff y = ax+b, z = ay+c."""
+    """The q^3 x q^3 system: (a,b,c) ~ [x,y,z] iff y = ax+b, z = ay+c.
+
+    Rows are built one slab of fixed a at a time from the field tables:
+    row (a,b,c) sets column (x*q + y)*q + z for each x, packed into bytes
+    and read back as an int."""
     q = F.q
     n = q**3
-    rows = [0] * n
-    row_labels = []
-    col_labels = []
+    labels = list(itertools.product(range(q), repeat=3))
+    T = F.tables
+    x = np.arange(q, dtype=np.int32)
+    width = (n + 7) // 8
+    slab_rows = np.repeat(np.arange(q * q, dtype=np.int32), q)  # row (b, c)
+    rows: list[int] = []
     for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                row_labels.append((a, b, c))
-    for x in range(q):
-        for y in range(q):
-            for z in range(q):
-                col_labels.append((x, y, z))
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                r = (a * q + b) * q + c
-                bits = 0
-                for x in range(q):
-                    y = F.add(F.mul(a, x), b)
-                    z = F.add(F.mul(a, y), c)
-                    bits |= 1 << ((x * q + y) * q + z)
-                rows[r] = bits
-    return IncidenceMatrix(BitMatrix(rows, n), row_labels, col_labels, "kim")
+        y = T.add[T.mul[a, x][None, :], x[:, None]]  # y[b, x] = ax + b
+        z = T.add[T.mul[a, y][:, None, :], x[None, :, None]]  # z[b, c, x] = ay + c
+        col = ((x * q + y)[:, None, :] * q + z).reshape(-1)
+        packed = np.zeros((q * q, width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (slab_rows, col >> 3), (1 << (col & 7)).astype(np.uint8))
+        rows += [int.from_bytes(r.tobytes(), "little") for r in packed]
+    return IncidenceMatrix(BitMatrix(rows, n), labels, list(labels), "kim")
 
 
 def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
@@ -155,26 +178,63 @@ def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
     raise ValueError(f"unknown system {system!r}")
 
 
+def _point_columns(Q: Quadrangle, P1: tuple[int, ...]) -> list[int]:
+    """The bit of each point in the span eliminations: the points of
+    p0's perp in index order, then P1[i] at bit |perp| + i."""
+    in_p1 = set(P1)
+    order = [p for p in range(Q.n_points) if p not in in_p1] + list(P1)
+    col = [0] * len(order)
+    for b, p in enumerate(order):
+        col[p] = b
+    return col
+
+
+def _line_rows(Q: Quadrangle, col: list[int], lines: Iterable[int]) -> Iterator[int]:
+    """The characteristic vector of each line, point p at bit col[p]."""
+    for l in lines:
+        v = 0
+        for p in Q.lines[l].points:
+            v |= 1 << col[p]
+        yield v
+
+
+def _eliminate(Q: Quadrangle, col: list[int], lines: tuple[int, ...]) -> Elimination:
+    return Elimination(col, lines, *echelon(_line_rows(Q, col, lines)))
+
+
 def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     """Z = lines of L1 whose restricted columns are elimination pivots.
 
-    The pivot columns of the restricted matrix's canonical RREF are the
-    columns outside the span of the columns before them; the
-    corresponding characteristic vectors, together with X0 and Y, must
-    be linearly independent over GF(2).
+    These are the columns of the restricted matrix outside the span of
+    the columns before them.  One highest-bit elimination of X0, then
+    L1, finds them: with p0's perp at the low bits, X0 has no P1 part
+    and each L1 line has its q points of P1 in the high bits and one
+    point of the perp, so an L1 row's P1 part reduces exactly as its
+    restricted column would and takes a pivot iff that column is
+    outside the span.  The P1 parts are the columns of ``m_p1l1``, so
+    |Z| is its rank.  X0, Z and Y must then be linearly independent.
     """
     rs = Q.restricted_sets()
-    _, pivot_cols = echelon(m_p1l1.bits.transpose().rows)
-    Z = tuple(rs.L1[j] for j in pivot_cols)
-    sel = LineSetSelection(rs.X, rs.X0, rs.Y, Z)
-    stacked = [Q.chi_line(l) for l in sel.X0 + sel.Y + sel.Z]
-    got = rank2(stacked)
+    col = _point_columns(Q, rs.P1)
+    split = Q.n_points - len(rs.P1)
+    perp_part = (1 << split) - 1
+    l1_rows = (
+        (c << split) | (v & perp_part)
+        for c, v in zip(m_p1l1.bits.transpose().rows, _line_rows(Q, col, rs.L1))
+    )
+    head = Elimination(
+        col, rs.X0 + rs.L1, *echelon(itertools.chain(_line_rows(Q, col, rs.X0), l1_rows))
+    )
+    # the basis lists its rows in the order they were taken
+    Z = tuple(head.lines[i] for i, c in zip(head.taken, head.pivots) if c >= split)
+    independent = _eliminate(Q, col, rs.X0 + Z + rs.Y)
+    got = len(independent.taken)
     want = 2 * Q.q + len(Z)
     if got != want:
         raise SpanMismatchError(
             f"X0 u Y u Z has rank {got}, expected {want}"
         )
-    return sel
+    return LineSetSelection(rs.X, rs.X0, rs.Y, Z, head, independent)
 
 
 def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
@@ -182,34 +242,43 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
 
     X0, Y, Z and L1 are sets of lines and Z lies in L1, so each identity
     is a containment, which holds iff two ranks are equal.  The ranks
-    are prefix ranks of two eliminations: X0, L1, Y, then every other
-    line; and X0, Z, Y.
+    are prefix ranks of the two eliminations ``select_Z`` ran: X0, L1,
+    continued here with Y and then every other line; and X0, Z, Y.
+    Ranks do not depend on the column order.  The selection's
+    eliminations are reused when they were run on its X0 (and Z, Y),
+    and run afresh otherwise.
 
     Raises SpanMismatchError (with the first offending line) if any
     containment fails; returns the measured dimensions otherwise.
     """
     rs = Q.restricted_sets()
-    chi = Q.chi_line
     if not set(sel.Z) <= set(rs.L1):
         raise SpanMismatchError("Z is not a subset of L1")
+    head = sel.head
+    if head is None or head.lines != sel.X0 + rs.L1:
+        head = _eliminate(Q, _point_columns(Q, rs.P1), sel.X0 + rs.L1)
+    col = head.col
+    independent = sel.independent
+    if independent is None or independent.lines != sel.X0 + sel.Z + sel.Y:
+        independent = _eliminate(Q, col, sel.X0 + sel.Z + sel.Y)
 
-    head = sel.X0 + rs.L1 + sel.Y
-    order = head + tuple(sorted(set(range(Q.n_lines)) - set(head)))
-    pivots, taken = echelon([chi(l) for l in order])
-    dim_pl = len(taken)
-    rank_head = bisect_left(taken, len(head))
-    if rank_head != dim_pl:
+    pivots = dict(head.pivots)  # the selection's basis stays as it was
+    echelon(_line_rows(Q, col, sel.Y), pivots=pivots)
+    rest = tuple(sorted(set(range(Q.n_lines)) - set(head.lines) - set(sel.Y)))
+    _, escaped = echelon(_line_rows(Q, col, rest), pivots=pivots)
+    if escaped:
         # the lines before the first one taken after the head lie in
         # span(head), so it has the lowest escaping index
-        l = order[taken[rank_head]]
+        l = rest[escaped[0]]
         raise SpanMismatchError(
             f"line {l} escapes the span of X0 u Y u L1", line=l
         )
     # no line after the head was taken: pivots span exactly the head
+    dim_pl = len(pivots)
     ones = ones_vector(Q.n_points)
     if not in_echelon(pivots, ones):
         raise SpanMismatchError("all-ones vector escapes span of X0 u Y u L1")
-    if not in_echelon(pivots, chi(Q.ell0)):
+    if not in_echelon(pivots, next(_line_rows(Q, col, (Q.ell0,)))):
         raise SpanMismatchError("ell0 escapes span of X0 u Y u L1", line=Q.ell0)
 
     # constructive all-ones identity: sum a line of L1 with every line
@@ -219,13 +288,12 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     total = 0
     for l in range(Q.n_lines):
         if Q.line_points(l) & star_pts:
-            total ^= chi(l)
+            total ^= Q.chi_line(l)
 
-    _, taken_z = echelon([chi(l) for l in sel.X0 + sel.Z + sel.Y])
-    rank_z_x0 = bisect_left(taken_z, len(sel.X0) + len(sel.Z))
-    if rank_z_x0 != bisect_left(taken, len(sel.X0) + len(rs.L1)):
+    rank_z_x0 = bisect_left(independent.taken, len(sel.X0) + len(sel.Z))
+    if rank_z_x0 != len(head.taken):
         raise SpanMismatchError("span(Z u X0) differs from span(L1 u X0)")
-    if len(taken_z) != dim_pl:
+    if len(independent.taken) != dim_pl:
         raise SpanMismatchError("Z u X0 u Y fails to span the full code")
 
     dim_p1l1 = len(sel.Z)

@@ -268,7 +268,7 @@ def _field_tables(F: GF) -> tuple[np.ndarray, np.ndarray]:
     """The multiplication table of GF(q), and the interpolation table whose
     row (x, v) packs K[e, x] * v for e = 0..q-1 into uint64 words."""
     q = F.q
-    mul = np.array([[F.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8)
+    mul = F.tables.mul.astype(np.uint8)
     K = np.zeros((q, q), dtype=np.uint8)
     K[0, 0] = K[q - 1] = 1
     for x in range(1, q):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -121,9 +121,12 @@ class _Context:
         """None at odd q, where the identities are not claimed."""
         if self.field.p != 2:
             return None
-        if isinstance(self.selection, Exception):
-            return self.selection
-        return _attempt(verify_spanning, self.quad, self.selection)
+        sel = self.selection
+        if isinstance(sel, Exception):
+            return sel
+        # verify_spanning spends the selection's eliminations: keep Z only
+        self.selection = replace(sel, head=None, independent=None)
+        return _attempt(verify_spanning, self.quad, sel)
 
     @cached_property
     def equivalence(self) -> EquivalenceReport | EquivalenceMismatchError:

@@ -258,6 +258,21 @@ def test_config_entry_is_parsed_by_its_flag(capsys, tmp_path, command, config):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, key, reason", [
+    ({"q": 2, "trials": 2.9}, "trials", "argument --trials: invalid int value: '2.9'"),
+    ({"q": 2, "decoder": "x"}, "decoder", "argument --decoder: invalid choice: 'x'"),
+    ({"q": 2, "max_iters": "many"}, "max_iters",
+     "argument --max-iters: invalid int value: 'many'"),
+    ({"q": 2, "out": 1}, "out", "does not fit --out: 1"),
+])
+def test_config_error_names_the_file_and_the_key(capsys, tmp_path, config, key, reason):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    err = usage_error(capsys, "--config", str(cfg), "simulate")
+    assert f"lu3q simulate: error: config {cfg} entry {key!r}" in err
+    assert reason in err
+
+
 def test_config_ignores_flags_the_subcommand_lacks(capsys, tmp_path):
     # true turns a switch on, null leaves the default, and trials is not
     # a flag of rank, so its value is never parsed

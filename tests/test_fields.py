@@ -122,6 +122,20 @@ def test_fermat_and_group_order(q):
             assert F.pow(a, q - 1) == 1
 
 
+@pytest.mark.parametrize("q, irr", [
+    (2, None), (3, None), (4, None), (8, None), (8, (1, 0, 1, 1)),
+    (9, None), (9, (2, 2, 1)), (16, None), (25, None), (27, None), (32, None),
+])
+def test_tables_equal_the_scalar_operations(q, irr):
+    F = field_for_order(q, irr)
+    T = F.tables
+    assert T.add.dtype == T.mul.dtype == T.neg.dtype == "int32"
+    els = list(F.elements())
+    assert T.add.tolist() == [[F.add(a, b) for b in els] for a in els]
+    assert T.mul.tolist() == [[F.mul(a, b) for b in els] for a in els]
+    assert T.neg.tolist() == [F.neg(a) for a in els]
+
+
 def test_pow_conventions():
     F = build_field(2, 2)
     for a in F.elements():

@@ -53,6 +53,18 @@ def test_closed_form_lines_are_every_isotropic_line(quad, q):
     assert len({l.points for l in Q.lines}) == len(Q.lines) == (q + 1) * (q**2 + 1)
 
 
+@pytest.mark.parametrize("q", ALL_Q)
+def test_perp_is_the_form_evaluated_point_by_point(quad, q):
+    Q = quad(q)
+    form = Q.space.form
+    probe = range(Q.n_points) if q <= 5 else random.Random(q).sample(range(Q.n_points), 30)
+    for p in probe:
+        u = Q.points[p]
+        assert Q.perp(p) == frozenset(
+            i for i, v in enumerate(Q.points) if form(u, v) == 0
+        )
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_degree_regularity(quad, q):
     Q = quad(q)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lu3q.formulas import predict
-from lu3q.gf2 import BitMatrix, Subspace, rank2
+from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     SpanMismatchError,
@@ -16,6 +16,29 @@ from lu3q.incidence import (
     select_Z,
     verify_spanning,
 )
+from test_acceptance import ALL_Q
+
+
+def reference_kim_rows(F):
+    """The scalar definition, one field call per entry."""
+    q = F.q
+    rows = []
+    for a, b, c in itertools.product(range(q), repeat=3):
+        bits = 0
+        for x in range(q):
+            y = F.add(F.mul(a, x), b)
+            z = F.add(F.mul(a, y), c)
+            bits |= 1 << ((x * q + y) * q + z)
+        rows.append(bits)
+    return rows
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_kim_rows_equal_the_scalar_definition(field, q):
+    m = build_kim_matrix(field(q))
+    assert m.bits.rows == reference_kim_rows(field(q))
+    assert m.bits.n_cols == q**3
+    assert m.row_labels == m.col_labels == list(itertools.product(range(q), repeat=3))
 
 
 def test_kim_row_000_q2(field):
@@ -100,6 +123,70 @@ def test_select_z_is_deterministic(quad, matrix):
     Q = quad(2)
     m = matrix(2, "p1l1")
     assert select_Z(m, Q) == select_Z(m, Q)
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_shared_elimination_selects_the_restricted_pivots(quad, matrix, q):
+    # Z from the elimination of X0 then L1 is the set of pivot columns
+    # of the restricted matrix eliminated on its own
+    Q = quad(q)
+    m = matrix(q, "p1l1")
+    L1 = Q.restricted_sets().L1
+    _, pivot_cols = echelon(m.bits.transpose().rows)
+    assert select_Z(m, Q).Z == tuple(L1[j] for j in pivot_cols)
+
+
+def test_select_z_follows_the_matrix_passed_in(quad, matrix):
+    # |Z| is the rank of the given matrix: with column 0 made a unit
+    # vector the rank is 43, and 2q + 43 lines cannot be independent in
+    # the 50-dimensional code
+    Q = quad(4)
+    p1l1 = matrix(4, "p1l1")
+    rows = [r & ~1 for r in p1l1.bits.rows]
+    rows[0] |= 1
+    bad = dataclasses.replace(p1l1, bits=BitMatrix(rows, p1l1.n_cols))
+    assert rank2(bad.bits) == rank2(p1l1.bits) + 1 == 43
+    with pytest.raises(SpanMismatchError, match="X0 u Y u Z has rank 50, expected 51"):
+        select_Z(bad, Q)
+
+
+def count_eliminations(monkeypatch):
+    """Record (rows, continued) for every echelon call made in lu3q."""
+    import sys
+
+    import lu3q.gf2
+
+    calls = []
+    original = lu3q.gf2.echelon
+
+    def counting(m, *args, **kwargs):
+        rows = list(m.rows if isinstance(m, BitMatrix) else m)
+        calls.append((len(rows), kwargs.get("pivots") is not None))
+        return original(rows, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lu3q") and getattr(mod, "echelon", None) is original:
+            monkeypatch.setattr(mod, "echelon", counting)
+    return calls
+
+
+@pytest.mark.parametrize("rebuild, fresh", [
+    (lambda sel: sel, []),
+    (lambda sel: type(sel)(sel.X, sel.X0, sel.Y, sel.Z), [4 + 64, 8 + 42]),
+    (lambda sel: dataclasses.replace(sel, Y=sel.Y[::-1]), [8 + 42]),
+    (lambda sel: dataclasses.replace(sel, X0=sel.X0[::-1]), [4 + 64, 8 + 42]),
+])
+def test_selection_without_matching_eliminations_is_eliminated_afresh(
+    quad, matrix, monkeypatch, rebuild, fresh
+):
+    Q = quad(4)
+    sel = rebuild(select_Z(matrix(4, "p1l1"), Q))
+    calls = count_eliminations(monkeypatch)
+    rep = verify_spanning(Q, sel)
+    assert (rep.dim_pl, rep.dim_p1l1, rep.ok) == (50, 42, True)
+    assert [n for n, continued in calls if not continued] == fresh
+    # Y, then every line outside X0, L1 and Y, continue the head
+    assert [n for n, continued in calls if continued] == [4, 85 - 8 - 64]
 
 
 @pytest.mark.parametrize("q, dim_pl, dim_p1l1", [(2, 10, 6), (4, 50, 42)])
@@ -198,7 +285,9 @@ def test_kim_coordinate_map_rejects_a_flipped_bit(quad, matrix, row, col):
 
 def test_verify_ranks_come_from_one_elimination(monkeypatch):
     # rank(p1l1) = |Z|, rank(kim) by the verified map, rank(pl) from
-    # verify_spanning: the only rank2 call left is select_Z's check
+    # verify_spanning: no rank2 call is left, and the spans group runs
+    # two eliminations, X0 then L1 (continued with Y and the rest) and
+    # X0, Z, Y, so the L1 rows are eliminated once
     import sys
 
     import lu3q.gf2
@@ -214,9 +303,11 @@ def test_verify_ranks_come_from_one_elimination(monkeypatch):
     for name, mod in list(sys.modules.items()):
         if name.startswith("lu3q") and getattr(mod, "rank2", None) is original:
             monkeypatch.setattr(mod, "rank2", counting)
+    eliminations = count_eliminations(monkeypatch)
     outcomes = run_checks(8, {"spans", "iso", "rank"})
     assert [o.status for o in outcomes] == ["PASS"] * 6
-    assert len(calls) == 1
+    assert calls == []
+    assert eliminations == [(8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True)]
 
 
 def test_verify_reports_failed_sources_as_rows(monkeypatch):
