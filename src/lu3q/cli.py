@@ -55,14 +55,14 @@ def cmd_construct(args, parser) -> int:
         out = io.StringIO()
         if args.list_what == "points":
             out.write("index c0 c1 c2 c3\n")
-            for i, v in enumerate(Q.points):
+            for i, v in enumerate(Q.points.tolist()):
                 out.write(f"{i} {v[0]} {v[1]} {v[2]} {v[3]}\n")
         else:
             out.write("index basis_row1 basis_row2 n_points\n")
-            for l in Q.lines:
-                r1 = ",".join(map(str, l.basis[0]))
-                r2 = ",".join(map(str, l.basis[1]))
-                out.write(f"{l.index} {r1} {r2} {len(l.points)}\n")
+            for l, ((u, w), pts) in enumerate(zip(Q.bases.tolist(), Q.line_pts.tolist())):
+                r1 = ",".join(map(str, u))
+                r2 = ",".join(map(str, w))
+                out.write(f"{l} {r1} {r2} {len(pts)}\n")
         sys.stdout.write(out.getvalue())
         return 0
     if args.out is None:

@@ -1,10 +1,14 @@
 """The symplectic generalized quadrangle on a 4-dimensional space.
 
 Points are the 1-spaces of F_q^4, stored as canonical homogeneous
-coordinate tuples (first nonzero coordinate scaled to 1) and indexed in
-lexicographic order.  Lines are the 2-spaces on which the alternating
-form vanishes identically, stored by their reduced row-echelon basis
-and indexed in lexicographic order of the flattened basis.  Both
+coordinates (first nonzero coordinate 1) in an n x 4 array, in
+lexicographic order.  Their packed codes v0*q^3 + v1*q^2 + v2*q + v3
+therefore ascend, and a point is found by binary search on them.
+Lines are the 2-spaces on which the alternating form vanishes
+identically, stored by their reduced row-echelon basis and indexed in
+lexicographic order of the flattened basis.  The incidence is stored
+once, as two index arrays: ``line_pts`` lists the points of each line
+and ``point_lines`` the lines through each point, both ascending.  Both
 enumerations are fully determined by the field presentation, so every
 derived matrix is byte-reproducible.
 
@@ -17,15 +21,20 @@ with the signs immaterial in characteristic 2.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from lu3q.fields import GF
+from lu3q.gf2 import pack_indices
 
 Vec = tuple[int, int, int, int]
+
+E0, E1 = (1, 0, 0, 0), (0, 1, 0, 0)  # p0 = <E0> and ell0 = <E0, E1>
 
 
 class PointOnLineError(ValueError):
@@ -60,15 +69,6 @@ class SymplecticSpace:
 
 
 @dataclass(frozen=True)
-class IsoLine:
-    """A totally isotropic 2-space: RREF basis plus its point indices."""
-
-    basis: tuple[Vec, Vec]
-    points: tuple[int, ...]
-    index: int
-
-
-@dataclass(frozen=True)
 class RestrictedSets:
     """The point/line subsets cut out by the flag (p0, ell0)."""
 
@@ -96,21 +96,20 @@ class Quadrangle:
 
     def __init__(self, F: GF):
         self.F = F
-        self.q = F.q
+        self.q = q = F.q
         self.space = SymplecticSpace(F)
-        self.points: list[Vec] = _enumerate_points(F)
-        self.point_index: dict[Vec, int] = {v: i for i, v in enumerate(self.points)}
-        self.lines: list[IsoLine] = _enumerate_lines(self)
-        self.line_index: dict[tuple[Vec, Vec], int] = {
-            l.basis: l.index for l in self.lines
-        }
-        self.point_to_lines: list[list[int]] = [[] for _ in self.points]
-        for l in self.lines:
-            for p in l.points:
-                self.point_to_lines[p].append(l.index)
-        self.p0 = self.point_index[(1, 0, 0, 0)]
-        self.ell0 = self.line_index[((1, 0, 0, 0), (0, 1, 0, 0))]
-        self._line_point_sets = [frozenset(l.points) for l in self.lines]
+        # the canonical vectors (0, .., 0, 1, tail) have codes q^k + tail
+        codes = np.concatenate([q**k + np.arange(q**k) for k in range(4)])
+        self.points = codes[:, None] // q ** np.arange(3, -1, -1) % q
+        flat = _line_bases(F)
+        self.bases = flat.reshape(-1, 2, 4)
+        self.line_pts = _line_points(F, self.bases, codes)
+        # lines in index order within each point, as a stable sort keeps them
+        self.point_lines = (
+            np.argsort(self.line_pts, axis=None, kind="stable").astype(np.int32) // (q + 1)
+        ).reshape(len(codes), q + 1)
+        self.p0 = int(np.searchsorted(codes, _code(np.array(E0), q)))
+        self.ell0 = int(np.searchsorted(_code(flat, q), _code(np.array(E0 + E1), q)))
 
     # -- elementary queries ----------------------------------------------
 
@@ -120,87 +119,88 @@ class Quadrangle:
 
     @property
     def n_lines(self) -> int:
-        return len(self.lines)
+        return len(self.bases)
 
-    def canonicalize(self, v: Vec) -> Vec:
-        F = self.F
-        k = next((i for i, x in enumerate(v) if x), None)
-        if k is None:
-            raise ValueError("zero vector has no projective point")
-        if v[k] == 1:
-            return v
-        ci = F.inv(v[k])
-        return tuple(F.mul(ci, x) for x in v)  # type: ignore[return-value]
+    def point_of(self, v: np.ndarray) -> np.ndarray:
+        """The index of the point each nonzero vector (a row of v) spans."""
+        T = self.F.tables
+        v = np.asarray(v)
+        lead = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
+        inv = (T.mul == 1).argmax(axis=1)  # each nonzero element's inverse
+        return np.searchsorted(_code(self.points, self.q), _code(T.mul[inv[lead], v], self.q))
 
     def line_points(self, l: int) -> frozenset[int]:
-        return self._line_point_sets[l]
-
-    @cached_property
-    def _point_array(self) -> np.ndarray:
-        """The point coordinates as an n x 4 int32 array."""
-        return np.array(self.points, dtype=np.int32)
+        return frozenset(self.line_pts[l].tolist())
 
     def perp(self, p: int) -> frozenset[int]:
         """All x with (p, x) = 0, by evaluating the form on every point
         at once through the field's lookup tables."""
         T = self.F.tables
-        u, v = self.points[p], self._point_array.T
+        u, v = self.points[p], self.points.T
         pos = T.add[T.mul[u[0], v[3]], T.mul[u[1], v[2]]]
         neg = T.add[T.mul[u[2], v[1]], T.mul[u[3], v[0]]]
         return frozenset(np.flatnonzero(T.add[pos, T.neg[neg]] == 0).tolist())
 
     def collinear(self, p: int) -> frozenset[int]:
         """Union of the lines through p (equals perp(p) in the quadrangle)."""
-        out: set[int] = set()
-        for l in self.point_to_lines[p]:
-            out.update(self.lines[l].points)
-        return frozenset(out)
+        return frozenset(self.line_pts[self.point_lines[p]].ravel().tolist())
 
-    def line_through(self, p1: int, p2: int) -> int:
-        """The line joining two distinct collinear points."""
-        for l in self.point_to_lines[p1]:
-            if p2 in self._line_point_sets[l]:
-                return l
-        raise ValueError(f"points {p1} and {p2} are not collinear")
+    def line_through(self, p1, p2) -> np.ndarray:
+        """The line joining two distinct collinear points, elementwise for
+        arrays of points: the one line both rows of ``point_lines`` list."""
+        both = np.sort(
+            np.concatenate([self.point_lines[p1], self.point_lines[p2]], axis=-1), axis=-1
+        )
+        same = both[..., 1:] == both[..., :-1]
+        if (same.sum(axis=-1) != 1).any():
+            raise ValueError("some point pair is not two distinct collinear points")
+        return both[..., 1:][same].reshape(np.shape(p1))
+
+    def connectors(self, p: int, l: int) -> list[int]:
+        """The lines through p that meet l."""
+        target = self.line_points(l)
+        through = self.point_lines[p].tolist()
+        return [
+            m for m, pts in zip(through, self.line_pts[through].tolist())
+            if not target.isdisjoint(pts)
+        ]
 
     def unique_connector(self, p: int, l: int) -> int:
         """The one line through p that meets l, for p not on l."""
-        if p in self._line_point_sets[l]:
+        if p in self.line_points(l):
             raise PointOnLineError(f"point {p} lies on line {l}")
-        target = self._line_point_sets[l]
-        hits = [
-            m for m in self.point_to_lines[p] if target & self._line_point_sets[m]
-        ]
+        hits = self.connectors(p, l)
         if len(hits) != 1:
             raise RuntimeError(
                 f"expected exactly one connector, found {len(hits)}"
             )  # pragma: no cover
         return hits[0]
 
+    def chi_lines(self, lines: Sequence[int]) -> list[int]:
+        """Characteristic bit vectors of lines over the point set."""
+        return pack_indices(self.line_pts[np.asarray(lines, dtype=np.intp)], self.n_points)
+
     def chi_line(self, l: int) -> int:
-        """Characteristic bit vector of a line over the point set."""
-        v = 0
-        for p in self.lines[l].points:
-            v |= 1 << p
-        return v
+        return self.chi_lines([l])[0]
 
     # -- the distinguished subsets ----------------------------------------
 
+    @cached_property
     def restricted_sets(self) -> RestrictedSets:
+        """P1, L1, X, X0 and Y, computed once per quadrangle."""
         q = self.q
-        perp_p0 = self.collinear(self.p0)
-        P1 = tuple(i for i in range(self.n_points) if i not in perp_p0)
-        ell0_pts = self._line_point_sets[self.ell0]
-        L1 = tuple(
-            l.index
-            for l in self.lines
-            if not (ell0_pts & self._line_point_sets[l.index])
-        )
-        X = tuple(self.point_to_lines[self.p0])
-        X0 = tuple(l for l in X if l != self.ell0)
-        Y = []
-        for p in sorted(ell0_pts - {self.p0}):
-            Y.append(min(l for l in self.point_to_lines[p] if l != self.ell0))
+        X = self.point_lines[self.p0]
+        ell0_pts = self.line_pts[self.ell0]
+        in_perp = np.zeros(self.n_points, dtype=bool)
+        in_perp[self.line_pts[X]] = True
+        on_ell0 = np.zeros(self.n_points, dtype=bool)
+        on_ell0[ell0_pts] = True
+        P1 = np.flatnonzero(~in_perp)
+        L1 = np.flatnonzero(~on_ell0[self.line_pts].any(axis=1))
+        X0 = X[X != self.ell0]
+        # the lowest line other than ell0 through each other point of ell0
+        through = self.point_lines[ell0_pts[ell0_pts != self.p0]]
+        Y = np.where(through[:, 0] == self.ell0, through[:, 1], through[:, 0])
         if not (
             len(P1) == len(L1) == q**3 and len(X) == q + 1 and len(X0) == len(Y) == q
         ):
@@ -208,7 +208,7 @@ class Quadrangle:
                 f"restricted sets have sizes |P1|={len(P1)}, |L1|={len(L1)}, "
                 f"|X|={len(X)}, |X0|={len(X0)}, |Y|={len(Y)}"
             )
-        return RestrictedSets(P1, L1, X, X0, tuple(Y))
+        return RestrictedSets(*(tuple(s.tolist()) for s in (P1, L1, X, X0, Y)))
 
     # -- grids -------------------------------------------------------------
 
@@ -220,7 +220,7 @@ class Quadrangle:
         """
         if l == lp:
             raise ValueError("the two lines must be distinct")
-        lpts, lppts = self._line_point_sets[l], self._line_point_sets[lp]
+        lpts, lppts = self.line_points(l), self.line_points(lp)
         if p not in lpts or p not in lppts:
             raise ValueError("anchor point must lie on both lines")
         u1 = min(lpts - {p})
@@ -240,13 +240,13 @@ class Quadrangle:
         self, l: int, lp: int, p: int, u1: int, w1: int, z: int
     ) -> GridPair | None:
         try:
-            lam1 = self.line_through(w1, z)
-            del1 = self.line_through(u1, z)
+            lam1 = int(self.line_through(w1, z))
+            del1 = int(self.line_through(u1, z))
             delta = tuple(
-                sorted(self.unique_connector(u, lam1) for u in self._line_point_sets[l] - {p})
+                sorted(self.unique_connector(u, lam1) for u in self.line_points(l) - {p})
             )
             lam = tuple(
-                sorted(self.unique_connector(w, del1) for w in self._line_point_sets[lp] - {p})
+                sorted(self.unique_connector(w, del1) for w in self.line_points(lp) - {p})
             )
         except (PointOnLineError, ValueError):
             return None
@@ -257,64 +257,71 @@ class Quadrangle:
             return None
         if l in delta or lp in delta or l in lam or lp in lam:
             return None
+        delta_pts = [self.line_points(d) for d in delta]
+        lam_pts = [self.line_points(m) for m in lam]
         # each delta line meets l \ {p} in its own point; same for lam with lp
-        hits_l = [self._line_point_sets[d] & self._line_point_sets[l] for d in delta]
-        hits_lp = [self._line_point_sets[m] & self._line_point_sets[lp] for m in lam]
+        hits_l = [d & self.line_points(l) for d in delta_pts]
+        hits_lp = [m & self.line_points(lp) for m in lam_pts]
         if any(len(h) != 1 for h in hits_l + hits_lp):
             return None
         pts_l = set().union(*hits_l)
         pts_lp = set().union(*hits_lp)
         if len(pts_l) != q or p in pts_l or len(pts_lp) != q or p in pts_lp:
             return None
-        for d in delta:
-            dpts = self._line_point_sets[d]
-            if any(len(dpts & self._line_point_sets[m]) != 1 for m in lam):
+        for d in delta_pts:
+            if any(len(d & m) != 1 for m in lam_pts):
                 return None
-        total = 0
-        for g in delta + lam:
-            total ^= self.chi_line(g)
-        if total != self.chi_line(l) ^ self.chi_line(lp):
+        # the 2q lines must sum to chi_l + chi_lp
+        if functools.reduce(operator.xor, self.chi_lines(delta + lam + (l, lp))):
             return None
         return GridPair(delta, lam, p, l, lp, z)
 
 
-def _enumerate_points(F: GF) -> list[Vec]:
-    """Canonical representatives in lexicographic coordinate order."""
-    pts: list[Vec] = []
-    q = F.q
-    for lead in (3, 2, 1, 0):
-        tail_len = 3 - lead
-        for tail in itertools.product(range(q), repeat=tail_len):
-            pts.append((0,) * lead + (1,) + tail)
-    pts.sort()
-    return pts
+def _code(v: np.ndarray, q: int) -> np.ndarray:
+    """Coordinate rows (the last axis) packed as base-q numbers, first
+    coordinate most significant, so lexicographic order is code order."""
+    return v @ q ** np.arange(v.shape[-1] - 1, -1, -1)
 
 
-def _enumerate_lines(Q: Quadrangle) -> list[IsoLine]:
-    """All totally isotropic 2-spaces by RREF basis, in lexicographic order.
+def _line_bases(F: GF) -> np.ndarray:
+    """All totally isotropic 2-spaces by flattened RREF basis, in
+    lexicographic order.
 
     On an RREF basis with pivot columns (j1, j2) the form is one linear
     condition on the free entries, so each pivot pair gives a family in
     closed form; the pairs (0, 3) and (1, 2) make the form 1 and give none.
     """
-    F = Q.F
-    q = F.q
-    els = range(q)
-    bases: list[tuple[Vec, Vec]] = [
-        ((1, 0, a, b), (0, 1, c, a)) for a, b, c in itertools.product(els, repeat=3)
-    ]
-    bases += [((1, a, 0, b), (0, 0, 1, F.neg(a))) for a, b in itertools.product(els, repeat=2)]
-    bases += [((0, 1, a, 0), (0, 0, 0, 1)) for a in els]
-    bases.append(((0, 0, 1, 0), (0, 0, 0, 1)))
-    bases.sort(key=lambda b: b[0] + b[1])
-    lines = []
-    for idx, (u, w) in enumerate(bases):
-        pts = [Q.point_index[w]]
-        for lam in range(q):
-            vec = tuple(F.add(u[i], F.mul(lam, w[i])) for i in range(4))
-            pts.append(Q.point_index[vec])
-        lines.append(IsoLine((u, w), tuple(sorted(pts)), idx))
-    return lines
+    q, neg = F.q, F.tables.neg
+
+    def family(*entries) -> np.ndarray:  # constant entries repeat on every basis
+        return np.stack(np.broadcast_arrays(*entries), axis=1)
+
+    a, b, c = np.indices((q, q, q)).reshape(3, -1)
+    flat = [family(1, 0, a, b, 0, 1, c, a)]  # pivots (0, 1)
+    a, b = np.indices((q, q)).reshape(2, -1)
+    flat.append(family(1, a, 0, b, 0, 0, 1, neg[a]))  # pivots (0, 2)
+    flat.append(family(0, 1, np.arange(q), 0, 0, 0, 0, 1))  # pivots (1, 3)
+    flat.append(np.array([[0, 0, 1, 0, 0, 0, 0, 1]]))  # pivots (2, 3)
+    flat = np.concatenate(flat)
+    return flat[np.argsort(_code(flat, q))]
+
+
+def _line_points(F: GF, bases: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The points of each line, ascending: u + lam*w for every lam, and w.
+    Each is canonical as it stands, since on an RREF basis w is zero up
+    to and at u's leading 1, so its index is its code's position.
+
+    Lines go 256 at a time.  In one pass, the q=16 coordinates make a
+    2.4 MB temporary, and repeated ``verify --q 16`` runs in one process
+    then crept to a 4 MB higher peak RSS."""
+    T, q = F.tables, F.q
+    lam = np.arange(q)[:, None]
+    pts = np.empty((len(bases), q + 1), dtype=np.int32)
+    for s in range(0, len(bases), 256):
+        u, w = bases[s : s + 256, 0, None], bases[s : s + 256, 1, None]
+        on_line = np.concatenate([T.add[u, T.mul[lam, w]], w], axis=1)
+        pts[s : s + 256] = np.sort(np.searchsorted(codes, _code(on_line, q)), axis=1)
+    return pts
 
 
 def enumerate_quadrangle(F: GF) -> Quadrangle:

@@ -63,13 +63,7 @@ class BitMatrix:
         return [r.bit_count() for r in self.rows]
 
     def col_weights(self) -> list[int]:
-        out = [0] * self.n_cols
-        for r in self.rows:
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] += 1
-                r ^= low
-        return out
+        return np.bincount(bit_indices(self)[1], minlength=self.n_cols).tolist()
 
     def transpose(self) -> "BitMatrix":
         cols = [0] * self.n_cols
@@ -90,13 +84,8 @@ class BitMatrix:
         return out
 
     def to_numpy(self) -> np.ndarray:
-        arr = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                arr[i, low.bit_length() - 1] = 1
-                r ^= low
-        return arr
+        packed = _pack(self.rows, (self.n_cols + 7) // 8)
+        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
 
     def to_dense(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
@@ -224,6 +213,44 @@ def _unpack(packed: np.ndarray) -> list[int]:
     return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
+def _slice_rows(row_bytes: int, block: int = 2**20) -> int:
+    """Rows per slice for a slice of about ``block`` bytes."""
+    return max(8, block // max(row_bytes, 1))
+
+
+def pack_indices(cols: np.ndarray, n_cols: int) -> list[int]:
+    """Bitset rows from rows of column indices: row i has bit c set for
+    each entry c of cols[i].  Negative entries set no bit, so rows may
+    have different weights.  Packed a slice of rows at a time."""
+    cols = np.asarray(cols)
+    width = (n_cols + 7) // 8
+    out: list[int] = []
+    step = _slice_rows(width, 2**18)  # the index temporaries are several times this
+    for s in range(0, len(cols), step):
+        block = cols[s : s + step]
+        i, k = np.nonzero(block >= 0)
+        c = block[i, k]
+        packed = np.zeros((len(block), width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (i, c >> 3), np.left_shift(1, c & 7).astype(np.uint8))
+        out += _unpack(packed)
+    return out
+
+
+def bit_indices(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the 1s of m, in row-major order: the
+    nonzero bytes of a slice of packed rows at a time, unpacked."""
+    width = (m.n_cols + 7) // 8
+    step = _slice_rows(width, 2**18)
+    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    for s in range(0, m.n_rows, step):
+        packed = _pack(m.rows[s : s + step], width).ravel()
+        at = np.flatnonzero(packed)
+        k, b = np.nonzero(np.unpackbits(packed[at, None], axis=1, bitorder="little"))
+        rows.append(s + at[k] // width)
+        cols.append(at[k] % width * 8 + b)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def _columns(packed: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Bits ``cols`` of each packed row, as a rows x len(cols) 0/1 array."""
     return (packed[:, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
@@ -243,7 +270,7 @@ def nullspace(m: BitMatrix) -> Subspace:
     rows = _pack(list(reduced.values()), (n + 7) // 8)
     del reduced  # the packed copy is all the slices read
     basis: list[int] = []
-    step = max(8, 2**20 // max(n, 1))  # the slice's block stays near 1 MB
+    step = _slice_rows(n)  # wt below is n x step bytes
     for s in range(0, len(free), step):
         f = free[s : s + step]
         wt = np.zeros((n, len(f)), dtype=np.uint8)  # column k is w_{f[k]}
@@ -303,12 +330,7 @@ def vec_from_bits(bits: Iterable[int]) -> int:
 
 
 def vec_to_bits(v: int, n: int) -> np.ndarray:
-    out = np.zeros(n, dtype=np.uint8)
-    while v:
-        low = v & -v
-        out[low.bit_length() - 1] = 1
-        v ^= low
-    return out
+    return np.unpackbits(_pack([v], (n + 7) // 8)[0], count=n, bitorder="little")
 
 
 def ones_vector(n: int) -> int:

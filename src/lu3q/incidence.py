@@ -10,8 +10,9 @@ Three square bit matrices are built here:
                 against triples [x,y,z], incident iff y = ax+b and
                 z = ay+c, side q^3, weights q.
 
-kim is built from the field's lookup tables, one slab of fixed a at a
-time.
+The incidence comes from the quadrangle's index arrays (and kim's
+from the field's lookup tables) as rows of column indices, which
+``gf2.pack_indices`` packs into bit rows.
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
@@ -25,20 +26,23 @@ Z, Y.  ``select_Z`` runs both and leaves them on the selection.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Sequence
 
 import numpy as np
 
 from lu3q.fields import GF
 from lu3q.gf2 import (
     BitMatrix,
+    bit_indices,
     echelon,
     in_echelon,
     ones_vector,
-    restrict_rows,
+    pack_indices,
 )
 from lu3q.geometry import Quadrangle
 
@@ -78,7 +82,7 @@ class Elimination:
     """A highest-bit elimination of line vectors in which point p is
     bit col[p]: ``echelon``'s basis and taken rows for ``lines``."""
 
-    col: list[int]
+    col: np.ndarray
     lines: tuple[int, ...]
     pivots: dict[int, int]
     taken: list[int]
@@ -123,25 +127,20 @@ class EquivalenceReport:
 def build_kim_matrix(F: GF) -> IncidenceMatrix:
     """The q^3 x q^3 system: (a,b,c) ~ [x,y,z] iff y = ax+b, z = ay+c.
 
-    Rows are built one slab of fixed a at a time from the field tables:
-    row (a,b,c) sets column (x*q + y)*q + z for each x, packed into bytes
-    and read back as an int."""
+    Row (a,b,c) sets column (x*q + y)*q + z for each x.  The columns come
+    from the field tables one slab of fixed a at a time, so each index
+    array has q^2 rows."""
     q = F.q
-    n = q**3
-    labels = list(itertools.product(range(q), repeat=3))
     T = F.tables
+    b, c = np.indices((q, q)).reshape(2, -1, 1)
     x = np.arange(q, dtype=np.int32)
-    width = (n + 7) // 8
-    slab_rows = np.repeat(np.arange(q * q, dtype=np.int32), q)  # row (b, c)
     rows: list[int] = []
     for a in range(q):
-        y = T.add[T.mul[a, x][None, :], x[:, None]]  # y[b, x] = ax + b
-        z = T.add[T.mul[a, y][:, None, :], x[None, :, None]]  # z[b, c, x] = ay + c
-        col = ((x * q + y)[:, None, :] * q + z).reshape(-1)
-        packed = np.zeros((q * q, width), dtype=np.uint8)
-        np.bitwise_or.at(packed, (slab_rows, col >> 3), (1 << (col & 7)).astype(np.uint8))
-        rows += [int.from_bytes(r.tobytes(), "little") for r in packed]
-    return IncidenceMatrix(BitMatrix(rows, n), labels, list(labels), "kim")
+        y = T.add[T.mul[a, x], b]
+        z = T.add[T.mul[a, y], c]
+        rows += pack_indices((x * q + y) * q + z, q**3)
+    labels = list(itertools.product(range(q), repeat=3))
+    return IncidenceMatrix(BitMatrix(rows, q**3), labels, list(labels), "kim")
 
 
 def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
@@ -149,56 +148,39 @@ def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
     if system == "kim":
         return build_kim_matrix(Q.F)
     if system == "pl":
-        n = Q.n_points
-        rows = [0] * n
-        for l in Q.lines:
-            for p in l.points:
-                rows[p] |= 1 << l.index
-        return IncidenceMatrix(
-            BitMatrix(rows, Q.n_lines), list(Q.points),
-            [l.basis for l in Q.lines], "pl",
-        )
-    if system == "p1l1":
-        rs = Q.restricted_sets()
-        col_of = {l: j for j, l in enumerate(rs.L1)}
-        rows = [0] * len(rs.P1)
-        for i, p in enumerate(rs.P1):
-            bits = 0
-            for l in Q.point_to_lines[p]:
-                j = col_of.get(l)
-                if j is not None:
-                    bits |= 1 << j
-            rows[i] = bits
-        return IncidenceMatrix(
-            BitMatrix(rows, len(rs.L1)),
-            [Q.points[p] for p in rs.P1],
-            [Q.lines[l].basis for l in rs.L1],
-            "p1l1",
-        )
-    raise ValueError(f"unknown system {system!r}")
+        points, lines = range(Q.n_points), range(Q.n_lines)
+        rows = pack_indices(Q.point_lines, Q.n_lines)
+    elif system == "p1l1":
+        points, lines = Q.restricted_sets.P1, Q.restricted_sets.L1
+        col_of = np.full(Q.n_lines, -1)  # -1 marks the lines outside L1
+        col_of[list(lines)] = np.arange(len(lines))
+        rows = pack_indices(col_of[Q.point_lines[list(points)]], len(lines))
+    else:
+        raise ValueError(f"unknown system {system!r}")
+    return IncidenceMatrix(
+        BitMatrix(rows, len(lines)),
+        [tuple(v) for v in Q.points[list(points)].tolist()],
+        [(tuple(u), tuple(w)) for u, w in Q.bases[list(lines)].tolist()],
+        system,
+    )
 
 
-def _point_columns(Q: Quadrangle, P1: tuple[int, ...]) -> list[int]:
+def _point_columns(Q: Quadrangle, P1: tuple[int, ...]) -> np.ndarray:
     """The bit of each point in the span eliminations: the points of
     p0's perp in index order, then P1[i] at bit |perp| + i."""
-    in_p1 = set(P1)
-    order = [p for p in range(Q.n_points) if p not in in_p1] + list(P1)
-    col = [0] * len(order)
-    for b, p in enumerate(order):
-        col[p] = b
+    in_p1 = np.zeros(Q.n_points, dtype=bool)
+    in_p1[list(P1)] = True
+    col = np.empty(Q.n_points, dtype=np.intp)
+    col[np.concatenate([np.flatnonzero(~in_p1), P1])] = np.arange(Q.n_points)
     return col
 
 
-def _line_rows(Q: Quadrangle, col: list[int], lines: Iterable[int]) -> Iterator[int]:
+def _line_rows(Q: Quadrangle, col: np.ndarray, lines: Sequence[int]) -> list[int]:
     """The characteristic vector of each line, point p at bit col[p]."""
-    for l in lines:
-        v = 0
-        for p in Q.lines[l].points:
-            v |= 1 << col[p]
-        yield v
+    return pack_indices(col[Q.line_pts[np.asarray(lines, dtype=np.intp)]], Q.n_points)
 
 
-def _eliminate(Q: Quadrangle, col: list[int], lines: tuple[int, ...]) -> Elimination:
+def _eliminate(Q: Quadrangle, col: np.ndarray, lines: tuple[int, ...]) -> Elimination:
     return Elimination(col, lines, *echelon(_line_rows(Q, col, lines)))
 
 
@@ -214,13 +196,13 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     outside the span.  The P1 parts are the columns of ``m_p1l1``, so
     |Z| is its rank.  X0, Z and Y must then be linearly independent.
     """
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     col = _point_columns(Q, rs.P1)
     split = Q.n_points - len(rs.P1)
-    perp_part = (1 << split) - 1
+    # the perp point has the lowest bit of each L1 line
+    perp_bit = col[Q.line_pts[list(rs.L1)]].min(axis=1).tolist()
     l1_rows = (
-        (c << split) | (v & perp_part)
-        for c, v in zip(m_p1l1.bits.transpose().rows, _line_rows(Q, col, rs.L1))
+        (c << split) | (1 << b) for c, b in zip(m_p1l1.bits.transpose().rows, perp_bit)
     )
     head = Elimination(
         col, rs.X0 + rs.L1, *echelon(itertools.chain(_line_rows(Q, col, rs.X0), l1_rows))
@@ -251,7 +233,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     Raises SpanMismatchError (with the first offending line) if any
     containment fails; returns the measured dimensions otherwise.
     """
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     if not set(sel.Z) <= set(rs.L1):
         raise SpanMismatchError("Z is not a subset of L1")
     head = sel.head
@@ -278,17 +260,13 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     ones = ones_vector(Q.n_points)
     if not in_echelon(pivots, ones):
         raise SpanMismatchError("all-ones vector escapes span of X0 u Y u L1")
-    if not in_echelon(pivots, next(_line_rows(Q, col, (Q.ell0,)))):
+    if not in_echelon(pivots, _line_rows(Q, col, (Q.ell0,))[0]):
         raise SpanMismatchError("ell0 escapes span of X0 u Y u L1", line=Q.ell0)
 
     # constructive all-ones identity: sum a line of L1 with every line
     # meeting it
-    l_star = rs.L1[0]
-    star_pts = Q.line_points(l_star)
-    total = 0
-    for l in range(Q.n_lines):
-        if Q.line_points(l) & star_pts:
-            total ^= Q.chi_line(l)
+    meeting = sorted(set(Q.point_lines[Q.line_pts[rs.L1[0]]].ravel().tolist()))
+    total = functools.reduce(operator.xor, Q.chi_lines(meeting))
 
     rank_z_x0 = bisect_left(independent.taken, len(sel.X0) + len(sel.Z))
     if rank_z_x0 != len(head.taken):
@@ -322,46 +300,43 @@ def check_kim_equivalence(
 
     Raises EquivalenceMismatchError on any failure.
     """
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     n = len(rs.P1)
     if not (kim.n_rows, kim.n_cols) == (p1l1.n_rows, p1l1.n_cols) == (n, n):
         raise EquivalenceMismatchError("systems have different shapes")
-    row_of = {p: i for i, p in enumerate(rs.P1)}
-    col_of = {l: j for j, l in enumerate(rs.L1)}
-
-    def point(v: tuple[int, int, int, int]) -> int:
-        return Q.point_index[Q.canonicalize(v)]
-
+    T = Q.F.tables
+    a, b, c = np.array(kim.row_labels).T
+    x, y, z = np.array(kim.col_labels).T
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    row_of = np.full(Q.n_points, -1)  # -1 off P1, and off L1 below
+    row_of[list(rs.P1)] = np.arange(n)
+    col_of = np.full(Q.n_lines, -1)
+    col_of[list(rs.L1)] = np.arange(n)
+    row_perm = row_of[Q.point_of(np.stack([c, b, T.neg[a], one], axis=1))]
     try:
-        row_perm = [row_of.get(point((c, b, Q.F.neg(a), 1))) for a, b, c in kim.row_labels]
-        col_perm = [
-            col_of.get(Q.line_through(point((y, x, 1, 0)), point((z, y, 0, 1))))
-            for x, y, z in kim.col_labels
-        ]
+        lines = Q.line_through(
+            Q.point_of(np.stack([y, x, one, zero], axis=1)),
+            Q.point_of(np.stack([z, y, zero, one], axis=1)),
+        )
     except ValueError as exc:
         raise EquivalenceMismatchError(f"coordinate map undefined: {exc}") from exc
+    col_perm = col_of[lines]
     # n images, so covering all n indices makes each map a bijection
-    if set(row_perm) != set(range(n)):
+    if not np.array_equal(np.sort(row_perm), np.arange(n)):
         raise EquivalenceMismatchError("the point map is not a bijection onto P1")
-    if set(col_perm) != set(range(n)):
+    if not np.array_equal(np.sort(col_perm), np.arange(n)):
         raise EquivalenceMismatchError("the line map is not a bijection onto L1")
-    for i, bits in enumerate(kim.bits.rows):
-        image = 0
-        while bits:
-            low = bits & -bits
-            image |= 1 << col_perm[low.bit_length() - 1]
-            bits ^= low
-        if image != p1l1.bits.rows[row_perm[i]]:
+    # kim row i, its column j at col_perm[j], must equal p1l1 row
+    # row_perm[i]: compare their 1s as sorted keys i * n + column, a
+    # slice of rows at a time; the lowest key in only one names the row
+    for s in range(0, n, 1024):
+        rows = slice(s, s + 1024)
+        i, j = bit_indices(BitMatrix(kim.bits.rows[rows], n))
+        got = np.sort(i * n + col_perm[j])
+        r, c = bit_indices(BitMatrix([p1l1.bits.rows[k] for k in row_perm[rows]], n))
+        if not np.array_equal(got, r * n + c):
+            i = s + int(np.setxor1d(got, r * n + c)[0] // n)
             raise EquivalenceMismatchError(
                 f"kim row {kim.row_labels[i]} does not map onto p1l1 row {row_perm[i]}"
             )
-    return EquivalenceReport(row_perm, col_perm)
-
-
-def restricted_submatrix_check(Q: Quadrangle) -> bool:
-    """The restricted matrix really is the (P1, L1) submatrix of the full one."""
-    rs = Q.restricted_sets()
-    pl = build_incidence(Q, "pl")
-    p1l1 = build_incidence(Q, "p1l1")
-    sub = restrict_rows([pl.bits.rows[p] for p in rs.P1], rs.L1)
-    return sub == p1l1.bits.rows
+    return EquivalenceReport(row_perm.tolist(), col_perm.tolist())

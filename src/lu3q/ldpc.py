@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, nullspace, vec_to_bits
+from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace, vec_to_bits
 
 # Bytes of float64 check-to-variable messages per simulation block.
 _BLOCK_BYTES = 1 << 20
@@ -83,15 +83,6 @@ class GirthReport:
     cols: tuple[int, int] | None = None
 
 
-def _ones(H: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the 1s of H, in row-major order."""
-    width = (H.n_cols + 7) // 8
-    packed = np.frombuffer(
-        b"".join(r.to_bytes(width, "little") for r in H.rows), dtype=np.uint8
-    ).reshape(H.n_rows, width)
-    return np.nonzero(np.unpackbits(packed, axis=1, count=H.n_cols, bitorder="little"))
-
-
 def _degree(index: np.ndarray, count: int, what: str) -> int:
     """The common number of edges at each of ``count`` nodes."""
     degrees = np.bincount(index, minlength=count)
@@ -118,7 +109,7 @@ class LdpcCode:
     @cached_property
     def checks(self) -> np.ndarray:
         """(m, d_c): the variables of each check, ascending."""
-        rows, cols = _ones(self.H)
+        rows, cols = bit_indices(self.H)
         return cols.reshape(self.m, _degree(rows, self.m, "row"))
 
     @cached_property
@@ -187,7 +178,7 @@ def girth_check(H: BitMatrix) -> GirthReport:
     pair contributed twice.  A failing report names the lexicographically
     first such pair and the two lowest columns it shares.
     """
-    rows, cols = _ones(H)
+    rows, cols = bit_indices(H)
     by_col = np.argsort(cols, kind="stable")  # ascending row within a column
     rows, cols = rows[by_col], cols[by_col]
     keys, key_cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]

@@ -128,7 +128,7 @@ def indicator_of_zero_set(forms: list[PolyFn], F: GF) -> PolyFn:
 
 def delta_line(l: int, Q: Quadrangle) -> PolyFn:
     """Reduced polynomial whose values realize the line's indicator."""
-    u, w = Q.lines[l].basis
+    u, w = Q.bases[l].tolist()
     forms = [
         linear_form(Q.space.form_functional(u)),
         linear_form(Q.space.form_functional(w)),
@@ -313,7 +313,7 @@ def code_coefficients(Q: Quadrangle, vectors: Sequence[int]) -> np.ndarray:
     parity of the weight at 0.  A line's vector gives ``delta_line``."""
     mul, _ = _field_tables(Q.F)
     q, n = Q.q, Q.n_points
-    multiples = mul[np.arange(1, q)[:, None, None], np.array(Q.points)]
+    multiples = mul[np.arange(1, q)[:, None, None], Q.points]
     point_of = np.full(q**4, n)
     point_of[multiples.astype(np.intp) @ q ** np.arange(3, -1, -1)] = np.arange(n)
     bits = np.zeros((len(vectors), n + 1), dtype=np.uint8)
@@ -340,7 +340,7 @@ def kernel_normal_form(
     F = Q.F
     q = F.q
     if p1 is None:
-        p1 = Q.restricted_sets().P1
+        p1 = Q.restricted_sets.P1
     p1_mask = 0
     for p in p1:
         p1_mask |= 1 << p

@@ -14,7 +14,9 @@ calls the same pure functions, so each check has one implementation.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -195,14 +197,14 @@ class QuadrangleCounts(NamedTuple):
 def quadrangle_counts(Q: Quadrangle) -> QuadrangleCounts:
     q = Q.q
     expected = q**3 + q**2 + q + 1
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     sizes = (len(rs.P1), len(rs.L1), len(rs.X0), len(rs.Y))
     return QuadrangleCounts(
         Q.n_points,
         Q.n_lines,
         Q.n_points == expected and Q.n_lines == expected,
-        all(len(l.points) == q + 1 for l in Q.lines)
-        and all(len(ls) == q + 1 for ls in Q.point_to_lines),
+        bool((np.diff(Q.line_pts, axis=1) > 0).all())  # q+1 distinct points a line
+        and bool((np.bincount(Q.line_pts.ravel(), minlength=Q.n_points) == q + 1).all()),
         sizes,
         sizes == (q**3, q**3, q, q),
     )
@@ -260,10 +262,7 @@ def gq_axioms(Q: Quadrangle, seed: int = 0) -> GqAxioms:
             l = rng.randrange(Q.n_lines)
             if p not in Q.line_points(l):
                 off_line.append((p, l))
-    connector_ok = all(
-        sum(1 for m in Q.point_to_lines[p] if Q.line_points(m) & Q.line_points(l)) == 1
-        for p, l in off_line
-    )
+    connector_ok = all(len(Q.connectors(p, l)) == 1 for p, l in off_line)
     return GqAxioms(scope, pairs, violations, perp_ok, connector_ok)
 
 
@@ -271,7 +270,7 @@ def concurrent_pairs(Q: Quadrangle) -> list[tuple[int, int, int]]:
     """(l, l', p) for every two lines other than ell0 through a point p of ell0."""
     pairs = []
     for p in sorted(Q.line_points(Q.ell0)):
-        through = [l for l in Q.point_to_lines[p] if l != Q.ell0]
+        through = [l for l in Q.point_lines[p].tolist() if l != Q.ell0]
         pairs.extend((l, lp, p) for l, lp in itertools.combinations(through, 2))
     return pairs
 
@@ -298,24 +297,22 @@ def grid_sums(Q: Quadrangle, seed: int = 0) -> GridSums:
         except NoGridFoundError:
             no_grid += 1
             continue
-        total = 0
-        for m in g.delta + g.lam:
-            total ^= Q.chi_line(m)
-        if total != Q.chi_line(l) ^ Q.chi_line(lp):
+        # the 2q lines must sum to chi_l + chi_lp
+        if functools.reduce(operator.xor, Q.chi_lines(g.delta + g.lam + (l, lp))):
             bad_sums += 1
     return GridSums(len(sample), no_grid, bad_sums)
 
 
 def line_code(Q: Quadrangle) -> Subspace:
     """C(P,L): the span of the characteristic vectors of all lines."""
-    return Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
+    return Subspace.span(Q.chi_lines(range(Q.n_lines)), Q.n_points)
 
 
 def kernel_dims(Q: Quadrangle, code_pl: Subspace) -> tuple[int, int]:
     """Dimensions of the restriction kernel (vectors zero on P1) inside
     C(P,L) and inside C(P,L1); the claims are q+1 and q-1."""
-    rs = Q.restricted_sets()
-    code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], Q.n_points)
+    rs = Q.restricted_sets
+    code_pl1 = Subspace.span(Q.chi_lines(rs.L1), Q.n_points)
     return (
         kernel_intersection_dim(code_pl, rs.P1),
         kernel_intersection_dim(code_pl1, rs.P1),
@@ -334,12 +331,13 @@ def digit_roundtrip_failures(F: GF) -> int:
 def line_profile_failures(Q: Quadrangle) -> int:
     """Lines whose indicator polynomial misevaluates at some point."""
     F = Q.F
+    points = Q.points.tolist()
     bad = 0
     for l in range(Q.n_lines):
         d = delta_line(l, Q)
         pts = Q.line_points(l)
         if any(
-            evaluate(d, v, F) != (1 if i in pts else 0) for i, v in enumerate(Q.points)
+            evaluate(d, v, F) != (1 if i in pts else 0) for i, v in enumerate(points)
         ):
             bad += 1
     return bad
@@ -349,7 +347,7 @@ def line_span_residuals(Q: Quadrangle) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors of every line indicator, one row per line, and
     their digit-span syndromes: line l escapes the span iff syndrome row
     l is nonzero."""
-    vecs = code_coefficients(Q, [Q.chi_line(l) for l in range(Q.n_lines)])
+    vecs = code_coefficients(Q, Q.chi_lines(range(Q.n_lines)))
     return vecs, reduce_against_beta(vecs, Q.F)
 
 
@@ -362,7 +360,7 @@ class KernelForms(NamedTuple):
 def kernel_forms(Q: Quadrangle, code_pl: Subspace) -> KernelForms:
     """Normal form and digit-span membership on a full basis of the
     restriction kernel inside C(P,L)."""
-    P1 = Q.restricted_sets().P1
+    P1 = Q.restricted_sets.P1
     kernel = kernel_intersection_basis(code_pl, P1)
     vecs = code_coefficients(Q, kernel)
     violations = 0

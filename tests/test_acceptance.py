@@ -211,7 +211,7 @@ def test_criterion_7_structural_suites(quad, matrix):
             beta_low and escaped == high and len(escaped) == LINE_ESCAPES[q],
             f"{len(escaped)} escape, {len(high)} have a degree-3 digit, digit "
             f"tuples {'stay within' if beta_low else 'exceed'} degree 2")
-        through_p0 = Q.point_to_lines[Q.p0]
+        through_p0 = Q.point_lines[Q.p0].tolist()
         p0_escaped = escaped.intersection(through_p0)
         sub(f"digit-span membership for the {len(through_p0)} lines through "
             f"p0 at q={q}",

@@ -1,22 +1,23 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from lu3q.formulas import predict
-from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2
+from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2, restrict_rows
 from lu3q.incidence import (
     EquivalenceMismatchError,
     SpanMismatchError,
     build_incidence,
     build_kim_matrix,
     check_kim_equivalence,
-    restricted_submatrix_check,
     select_Z,
     verify_spanning,
 )
 from test_acceptance import ALL_Q
+from test_geometry import canonical
 
 
 def reference_kim_rows(F):
@@ -87,6 +88,15 @@ def test_p1l1_shape_and_weights_q2(matrix):
     assert m.bits.col_weights() == [2] * 8
 
 
+def restricted_submatrix_check(Q) -> bool:
+    """The restricted matrix really is the (P1, L1) submatrix of the full one."""
+    rs = Q.restricted_sets
+    pl = build_incidence(Q, "pl")
+    p1l1 = build_incidence(Q, "p1l1")
+    sub = restrict_rows([pl.bits.rows[p] for p in rs.P1], rs.L1)
+    return sub == p1l1.bits.rows
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_p1l1_is_submatrix_of_pl(quad, q):
     assert restricted_submatrix_check(quad(q))
@@ -96,11 +106,11 @@ def test_p1l1_is_submatrix_of_pl(quad, q):
 def test_l1_columns_lose_one_point_outside_p1(quad, matrix, q):
     # a line missing ell0 meets the perp of p0 in exactly one point
     Q = quad(q)
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     pl = matrix(q, "pl")
     p1 = set(rs.P1)
     for l in rs.L1:
-        outside = [p for p in Q.lines[l].points if p not in p1]
+        outside = [p for p in Q.line_pts[l].tolist() if p not in p1]
         assert len(outside) == 1
 
 
@@ -131,7 +141,7 @@ def test_shared_elimination_selects_the_restricted_pivots(quad, matrix, q):
     # of the restricted matrix eliminated on its own
     Q = quad(q)
     m = matrix(q, "p1l1")
-    L1 = Q.restricted_sets().L1
+    L1 = Q.restricted_sets.L1
     _, pivot_cols = echelon(m.bits.transpose().rows)
     assert select_Z(m, Q).Z == tuple(L1[j] for j in pivot_cols)
 
@@ -209,7 +219,7 @@ def test_spanning_with_randomized_y(quad, matrix, q):
     sel = select_Z(matrix(q, "p1l1"), Q)
     alt_y = []
     for p in sorted(Q.line_points(Q.ell0) - {Q.p0}):
-        alt_y.append(max(l for l in Q.point_to_lines[p] if l != Q.ell0))
+        alt_y.append(max(l for l in Q.point_lines[p].tolist() if l != Q.ell0))
     alt = type(sel)(sel.X, sel.X0, tuple(alt_y), sel.Z)
     rep = verify_spanning(Q, alt)
     assert rep.ok
@@ -218,7 +228,7 @@ def test_spanning_with_randomized_y(quad, matrix, q):
 def test_spanning_without_y_reports_first_escaping_line(quad, matrix):
     Q = quad(4)
     sel = dataclasses.replace(select_Z(matrix(4, "p1l1"), Q), Y=())
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     span = Subspace.span([Q.chi_line(l) for l in sel.X0 + rs.L1], Q.n_points)
     first = next(l for l in range(Q.n_lines) if not span.contains(Q.chi_line(l)))
     with pytest.raises(SpanMismatchError, match=f"line {first} escapes") as exc:
@@ -268,7 +278,7 @@ def test_kim_coordinate_map_is_an_exact_permutation(quad, matrix, q):
     assert sorted(cp) == list(range(q**3))
     # the point map is the stated formula (a,b,c) -> <(c, b, -a, 1)>
     for (a, b, c), i in zip(kim.row_labels, rp):
-        assert p1l1.row_labels[i] == Q.canonicalize((c, b, Q.F.neg(a), 1))
+        assert p1l1.row_labels[i] == canonical(Q.F, (c, b, Q.F.neg(a), 1))
     dense_kim, dense_p1l1 = kim.bits.to_numpy(), p1l1.bits.to_numpy()
     assert np.array_equal(dense_kim, dense_p1l1[np.ix_(rp, cp)])
 
@@ -281,6 +291,20 @@ def test_kim_coordinate_map_rejects_a_flipped_bit(quad, matrix, row, col):
     bad = dataclasses.replace(p1l1, bits=BitMatrix(rows, p1l1.n_cols))
     with pytest.raises(EquivalenceMismatchError, match="does not map onto"):
         check_kim_equivalence(quad(4), matrix(4, "kim"), bad)
+
+
+@pytest.mark.parametrize("q, row, col", [(4, 0, 0), (4, 5, 3), (4, 63, 63), (16, 3000, 7)])
+def test_kim_coordinate_map_rejects_a_flipped_bit_in_kim(quad, matrix, q, row, col):
+    # the flip changes the row's weight, which the row comparison must
+    # report like any other difference; at q=16 the row lies past the
+    # first slice the comparison reads
+    kim = matrix(q, "kim")
+    rows = list(kim.bits.rows)
+    rows[row] ^= 1 << col
+    bad = dataclasses.replace(kim, bits=BitMatrix(rows, kim.n_cols))
+    label = re.escape(f"kim row {kim.row_labels[row]} does")
+    with pytest.raises(EquivalenceMismatchError, match=label):
+        check_kim_equivalence(quad(q), bad, matrix(q, "p1l1"))
 
 
 def test_verify_ranks_come_from_one_elimination(monkeypatch):
@@ -382,7 +406,7 @@ def test_ell0_restricts_to_zero(quad):
 
     for q in (2, 4):
         Q = quad(q)
-        rs = Q.restricted_sets()
+        rs = Q.restricted_sets
         assert restrict_vector(Q.chi_line(Q.ell0), rs.P1) == 0
 
 
@@ -395,10 +419,10 @@ def test_difference_vectors_span_restricted_kernel(quad, q):
     from lu3q.gf2 import Subspace, kernel_intersection_dim, restrict_vector
 
     Q = quad(q)
-    rs = Q.restricted_sets()
+    rs = Q.restricted_sets
     n = Q.n_points
     code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], n)
-    through = [l for l in Q.point_to_lines[Q.p0] if l != Q.ell0]
+    through = [l for l in Q.point_lines[Q.p0].tolist() if l != Q.ell0]
     fixed = through[0]
     vecs = [Q.chi_line(fixed) ^ Q.chi_line(other) for other in through[1:]]
     assert len(vecs) == q - 1

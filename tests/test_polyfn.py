@@ -40,7 +40,7 @@ ONE = {(0, 0, 0, 0): 1}
 def delta_point(p, Q):
     """Reference point indicator by polynomial products: (1 + form^(q-1))
     over three linear forms that vanish exactly on the point's span."""
-    v = Q.points[p]
+    v = Q.points[p].tolist()
     F = Q.F
     k = next(i for i, x in enumerate(v) if x)
     forms = []
@@ -136,11 +136,11 @@ def test_delta_line_profile_matches_adjacency(quad, q):
     for l in range(Q.n_lines):
         d = delta_line(l, Q)
         pts = Q.line_points(l)
-        for i, v in enumerate(Q.points):
+        for i, v in enumerate(Q.points.tolist()):
             assert evaluate(d, v, F) == (1 if i in pts else 0)
         # scale invariance on a couple of non-canonical representatives
         for lam in range(2, q):
-            v = Q.points[min(pts)]
+            v = Q.points[min(pts)].tolist()
             scaled = tuple(F.mul(lam, x) for x in v)
             assert evaluate(d, scaled, F) == 1
 
@@ -155,7 +155,7 @@ def test_delta_point_profile(quad, q):
     rng = random.Random(17)
     for p in rng.sample(range(Q.n_points), 6):
         d = interpolate_code_vector(1 << p, Q)
-        for i, v in enumerate(Q.points):
+        for i, v in enumerate(Q.points.tolist()):
             assert evaluate(d, v, F) == (1 if i == p else 0)
 
 
@@ -280,7 +280,7 @@ def test_kernel_elements_in_beta_span(quad, q):
     # holds there
     Q = quad(q)
     code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
-    p1 = Q.restricted_sets().P1
+    p1 = Q.restricted_sets.P1
     for c in kernel_intersection_basis(code, p1):
         r_star = interpolate_code_vector(c, Q)
         assert in_span_beta(r_star, Q.F)
@@ -290,7 +290,7 @@ def test_x_line_deltas_in_beta_span(quad):
     # lines through p0 factor through coordinate forms and stay in the span
     for q in (2, 4, 8):
         Q = quad(q)
-        for l in Q.point_to_lines[Q.p0]:
+        for l in Q.point_lines[Q.p0].tolist():
             assert in_span_beta(delta_line(l, Q), Q.F)
 
 
@@ -334,7 +334,7 @@ def test_kernel_basis_all_pass_and_h_space_small(quad, q):
     Q = quad(q)
     n = Q.n_points
     code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], n)
-    p1 = Q.restricted_sets().P1
+    p1 = Q.restricted_sets.P1
     kernel = kernel_intersection_basis(code, p1)
     assert len(kernel) == q + 1
     ops = GFqLinAlg(Q.F)
@@ -348,7 +348,7 @@ def test_kernel_basis_all_pass_and_h_space_small(quad, q):
 
 def test_kernel_rejects_vector_with_p1_support(quad):
     Q = quad(2)
-    p1 = Q.restricted_sets().P1
+    p1 = Q.restricted_sets.P1
     with pytest.raises(NotInKernelError):
         kernel_normal_form(1 << p1[0], interpolate_code_vector(1 << p1[0], Q), Q)
 
