@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from lu3q.gf2 import BitMatrix
+import numpy as np
+
+from lu3q.gf2 import BitMatrix, bit_indices
 
 
 def write_alist(m: BitMatrix, path: str | Path) -> None:
@@ -25,18 +27,10 @@ def write_alist(m: BitMatrix, path: str | Path) -> None:
 
 def to_alist_text(m: BitMatrix) -> str:
     n_rows, n_cols = m.n_rows, m.n_cols
-    col_lists: list[list[int]] = [[] for _ in range(n_cols)]
-    row_lists: list[list[int]] = []
-    for i, r in enumerate(m.rows):
-        cols = []
-        while r:
-            low = r & -r
-            j = low.bit_length() - 1
-            cols.append(j)
-            r ^= low
-        row_lists.append(cols)
-        for j in cols:
-            col_lists[j].append(i)
+    rows, cols = bit_indices(m)
+    order = np.argsort(cols, kind="stable")  # ascending rows within a column
+    row_lists = _split(cols.tolist(), rows, n_rows)
+    col_lists = _split(rows[order].tolist(), cols, n_cols)
     max_col = max((len(c) for c in col_lists), default=0)
     max_row = max((len(r) for r in row_lists), default=0)
     lines = [
@@ -52,6 +46,13 @@ def to_alist_text(m: BitMatrix) -> str:
         padded = [j + 1 for j in r] + [0] * (max_row - len(r))
         lines.append(" ".join(map(str, padded)))
     return "\n".join(lines) + "\n"
+
+
+def _split(values: list[int], keys: np.ndarray, n: int) -> list[list[int]]:
+    """values grouped into n consecutive lists, list k holding as many
+    as keys has entries equal to k."""
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def read_alist(path: str | Path) -> BitMatrix:

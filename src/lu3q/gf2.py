@@ -66,14 +66,9 @@ class BitMatrix:
         return np.bincount(bit_indices(self)[1], minlength=self.n_cols).tolist()
 
     def transpose(self) -> "BitMatrix":
-        cols = [0] * self.n_cols
-        for i, r in enumerate(self.rows):
-            bit = 1 << i
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= bit
-                r ^= low
-        return BitMatrix(cols, self.n_rows)
+        r, c = bit_indices(self)
+        order = np.argsort(c, kind="stable")  # ascending rows within a column
+        return BitMatrix(_pack_pairs(c[order], r[order], self.n_cols, self.n_rows), self.n_rows)
 
     def mul_vec(self, v: int) -> int:
         """Matrix-vector product over GF(2); v and result are bitsets."""
@@ -218,21 +213,32 @@ def _slice_rows(row_bytes: int, block: int = 2**20) -> int:
     return max(8, block // max(row_bytes, 1))
 
 
+def _pack_pairs(r: np.ndarray, c: np.ndarray, n_rows: int, n_cols: int) -> list[int]:
+    """n_rows bitset rows, row r[k] with bit c[k] set, for r ascending.
+    Packed a slice of rows at a time."""
+    width = (n_cols + 7) // 8
+    step = _slice_rows(width)
+    out: list[int] = []
+    for s in range(0, n_rows, step):
+        lo, hi = np.searchsorted(r, (s, s + step))
+        i, j = r[lo:hi] - s, c[lo:hi]
+        packed = np.zeros((min(step, n_rows - s), width), dtype=np.uint8)
+        np.bitwise_or.at(packed, (i, j >> 3), np.left_shift(1, j & 7).astype(np.uint8))
+        out += _unpack(packed)
+    return out
+
+
 def pack_indices(cols: np.ndarray, n_cols: int) -> list[int]:
     """Bitset rows from rows of column indices: row i has bit c set for
     each entry c of cols[i].  Negative entries set no bit, so rows may
     have different weights.  Packed a slice of rows at a time."""
     cols = np.asarray(cols)
-    width = (n_cols + 7) // 8
     out: list[int] = []
-    step = _slice_rows(width, 2**18)  # the index temporaries are several times this
+    step = _slice_rows((n_cols + 7) // 8, 2**18)  # the index temporaries are several times this
     for s in range(0, len(cols), step):
         block = cols[s : s + step]
         i, k = np.nonzero(block >= 0)
-        c = block[i, k]
-        packed = np.zeros((len(block), width), dtype=np.uint8)
-        np.bitwise_or.at(packed, (i, c >> 3), np.left_shift(1, c & 7).astype(np.uint8))
-        out += _unpack(packed)
+        out += _pack_pairs(i, block[i, k], len(block), n_cols)
     return out
 
 
@@ -278,47 +284,6 @@ def nullspace(m: BitMatrix) -> Subspace:
         wt[f, np.arange(len(f))] = 1
         basis += _unpack(np.packbits(wt, axis=0, bitorder="little").T.copy())
     return Subspace(basis, free.tolist(), n)
-
-
-def restrict_vector(v: int, cols: Sequence[int]) -> int:
-    """Project a bit vector onto the listed coordinates, in their order."""
-    return restrict_rows([v], cols)[0]
-
-
-def restrict_rows(rows: Iterable[int], cols: Sequence[int]) -> list[int]:
-    """Project each bit vector onto the listed coordinates, in their order."""
-    rows = list(rows)
-    cols = np.asarray(cols, dtype=np.intp)
-    if not len(cols):
-        return [0] * len(rows)
-    bits = max(max((r.bit_length() for r in rows), default=0), int(cols.max()) + 1)
-    picked = _columns(_pack(rows, (bits + 7) // 8), cols)
-    return _unpack(np.packbits(picked, axis=1, bitorder="little"))
-
-
-def kernel_intersection_dim(space: Subspace, kept_cols: Sequence[int]) -> int:
-    """dim {c in space : c restricted to kept_cols is zero}."""
-    return space.dim - rank2(restrict_rows(space.basis, kept_cols))
-
-
-def kernel_intersection_basis(space: Subspace, kept_cols: Sequence[int]) -> list[int]:
-    """Basis of {c in space : c restricted to kept_cols is zero}.
-
-    Coefficient vectors come from the nullspace of the restricted basis
-    viewed column-wise, then get recombined into ambient vectors.
-    """
-    restricted = restrict_rows(space.basis, kept_cols)
-    coeffs = nullspace(BitMatrix(restricted, len(kept_cols)).transpose())
-    out = []
-    for alpha in coeffs.basis:
-        v = 0
-        a = alpha
-        while a:
-            low = a & -a
-            v ^= space.basis[low.bit_length() - 1]
-            a ^= low
-        out.append(v)
-    return out
 
 
 def vec_from_bits(bits: Iterable[int]) -> int:

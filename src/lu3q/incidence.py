@@ -16,12 +16,13 @@ from the field's lookup tables) as rows of column indices, which
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
-the full code, and checks the explicit coordinate map that carries the
-digitized system onto the restricted one.  The span checks share two
-eliminations over the points, ordered with p0's perp first and P1
-after it: X0 then L1, whose rows with a pivot in P1 are Z and which
-``verify_spanning`` continues with Y and the remaining lines; and X0,
-Z, Y.  ``select_Z`` runs both and leaves them on the selection.
+the full code, reads off the restriction kernel, and checks the
+explicit coordinate map that carries the digitized system onto the
+restricted one.  The span checks share two eliminations over the
+points, ordered with p0's perp first and P1 after it: L1 then X0,
+whose rows with a pivot in P1 are Z and which ``verify_spanning``
+continues with Y and the remaining lines; and X0, Z, Y.  ``select_Z``
+runs both and leaves them on the selection.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class Elimination:
 @dataclass(frozen=True)
 class LineSetSelection:
     """X0, Y and the selected Z, with the eliminations ``select_Z`` ran
-    (X0 then L1; X0, Z, Y) for ``verify_spanning`` to reuse.  A
+    (L1 then X0; X0, Z, Y) for ``verify_spanning`` to reuse.  A
     selection built by hand has none and is eliminated afresh."""
 
     X: tuple[int, ...]
@@ -104,10 +105,20 @@ class LineSetSelection:
 
 @dataclass
 class SpanningReport:
+    """The span dimensions, and the restriction kernel: the vectors that
+    vanish on P1, inside C(P,L) (``kernel`` is a basis, point p at bit
+    p) and inside C(P,L1)."""
+
     q: int
     dim_pl: int
     dim_p1l1: int
     ones_sum_identity: bool
+    kernel: list[int]
+    dim_ker_pl1: int
+
+    @property
+    def dim_ker_pl(self) -> int:
+        return len(self.kernel)
 
     @property
     def ok(self) -> bool:
@@ -188,13 +199,14 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     """Z = lines of L1 whose restricted columns are elimination pivots.
 
     These are the columns of the restricted matrix outside the span of
-    the columns before them.  One highest-bit elimination of X0, then
-    L1, finds them: with p0's perp at the low bits, X0 has no P1 part
-    and each L1 line has its q points of P1 in the high bits and one
-    point of the perp, so an L1 row's P1 part reduces exactly as its
-    restricted column would and takes a pivot iff that column is
-    outside the span.  The P1 parts are the columns of ``m_p1l1``, so
-    |Z| is its rank.  X0, Z and Y must then be linearly independent.
+    the columns before them.  One highest-bit elimination of L1, then
+    X0, finds them: with p0's perp at the low bits, each L1 line has its
+    q points of P1 in the high bits and one point of the perp, so an L1
+    row's P1 part reduces exactly as its restricted column would and
+    takes a pivot iff that column is outside the span.  X0 has no P1
+    part, so no X0 row takes a pivot there.  The P1 parts are the
+    columns of ``m_p1l1``, so |Z| is its rank.  X0, Z and Y must then be
+    linearly independent.
     """
     rs = Q.restricted_sets
     col = _point_columns(Q, rs.P1)
@@ -205,7 +217,7 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
         (c << split) | (1 << b) for c, b in zip(m_p1l1.bits.transpose().rows, perp_bit)
     )
     head = Elimination(
-        col, rs.X0 + rs.L1, *echelon(itertools.chain(_line_rows(Q, col, rs.X0), l1_rows))
+        col, rs.L1 + rs.X0, *echelon(itertools.chain(l1_rows, _line_rows(Q, col, rs.X0)))
     )
     # the basis lists its rows in the order they were taken
     Z = tuple(head.lines[i] for i, c in zip(head.taken, head.pivots) if c >= split)
@@ -224,21 +236,29 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
 
     X0, Y, Z and L1 are sets of lines and Z lies in L1, so each identity
     is a containment, which holds iff two ranks are equal.  The ranks
-    are prefix ranks of the two eliminations ``select_Z`` ran: X0, L1,
+    are prefix ranks of the two eliminations ``select_Z`` ran: L1, X0,
     continued here with Y and then every other line; and X0, Z, Y.
     Ranks do not depend on the column order.  The selection's
     eliminations are reused when they were run on its X0 (and Z, Y),
     and run afresh otherwise.
 
+    The restriction kernel comes from the same elimination.  A vector's
+    highest bit is the highest pivot of the basis rows it is made of,
+    and P1 holds the high bits, so the kernel inside the span of the
+    rows so far is spanned by the basis rows with a pivot below P1.
+    After every line that gives the kernel inside C(P,L).  After L1 its
+    dimension inside C(P,L1) is rank(L1) less the pivots in P1.
+
     Raises SpanMismatchError (with the first offending line) if any
-    containment fails; returns the measured dimensions otherwise.
+    containment fails; returns the measured dimensions and the kernel
+    otherwise.
     """
     rs = Q.restricted_sets
     if not set(sel.Z) <= set(rs.L1):
         raise SpanMismatchError("Z is not a subset of L1")
     head = sel.head
-    if head is None or head.lines != sel.X0 + rs.L1:
-        head = _eliminate(Q, _point_columns(Q, rs.P1), sel.X0 + rs.L1)
+    if head is None or head.lines != rs.L1 + sel.X0:
+        head = _eliminate(Q, _point_columns(Q, rs.P1), rs.L1 + sel.X0)
     col = head.col
     independent = sel.independent
     if independent is None or independent.lines != sel.X0 + sel.Z + sel.Y:
@@ -279,7 +299,14 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
         raise SpanMismatchError(
             f"dimension gap {dim_pl - dim_p1l1} is not 2q = {2 * Q.q}"
         )
-    return SpanningReport(Q.q, dim_pl, dim_p1l1, ones_sum_identity=total == ones)
+
+    split = Q.n_points - len(rs.P1)
+    low = [row for c, row in pivots.items() if c < split]
+    perp = np.flatnonzero(col < split)  # the point of each bit below P1
+    kernel = pack_indices(np.where(BitMatrix(low, split).to_numpy(), perp, -1), Q.n_points)
+    rank_l1 = bisect_left(head.taken, len(rs.L1))
+    dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.pivots)
+    return SpanningReport(Q.q, dim_pl, dim_p1l1, total == ones, kernel, dim_ker_pl1)
 
 
 # -- permutation equivalence of the digitized and geometric systems --------

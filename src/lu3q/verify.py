@@ -14,9 +14,7 @@ calls the same pure functions, so each check has one implementation.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -27,7 +25,7 @@ import numpy as np
 from lu3q.fields import GF, factor_prime_power, field_for_order
 from lu3q.formulas import predict
 from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle
-from lu3q.gf2 import Subspace, kernel_intersection_basis, kernel_intersection_dim, rank2
+from lu3q.gf2 import rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     EquivalenceReport,
@@ -104,10 +102,6 @@ class _Context:
     @cached_property
     def quad(self) -> Quadrangle:
         return enumerate_quadrangle(self.field)
-
-    @cached_property
-    def code_pl(self) -> Subspace:
-        return line_code(self.quad)
 
     def matrix(self, system: str) -> IncidenceMatrix:
         if system not in self._mats:
@@ -278,45 +272,25 @@ def concurrent_pairs(Q: Quadrangle) -> list[tuple[int, int, int]]:
 class GridSums(NamedTuple):
     pairs: int
     no_grid: int  # pairs whose grid search failed
-    bad_sums: int  # grids whose 2q lines do not sum to the two lines
 
     @property
     def ok(self) -> bool:
-        return self.no_grid == 0 and self.bad_sums == 0
+        return self.no_grid == 0
 
 
 def grid_sums(Q: Quadrangle, seed: int = 0) -> GridSums:
-    """Grid decompositions of at most 20 seeded concurrent pairs."""
+    """Grid decompositions of at most 20 seeded concurrent pairs.  A
+    grid is found only when its 2q lines sum to chi_l + chi_l'."""
     pairs = concurrent_pairs(Q)
     rng = random.Random(20_000 + seed + Q.q)
     sample = pairs if len(pairs) <= 20 else rng.sample(pairs, 20)
-    no_grid = bad_sums = 0
-    for l, lp, p in sample:
+    no_grid = 0
+    for pair in sample:
         try:
-            g = Q.grid_decompose(l, lp, p)
+            Q.grid_decompose(*pair)
         except NoGridFoundError:
             no_grid += 1
-            continue
-        # the 2q lines must sum to chi_l + chi_lp
-        if functools.reduce(operator.xor, Q.chi_lines(g.delta + g.lam + (l, lp))):
-            bad_sums += 1
-    return GridSums(len(sample), no_grid, bad_sums)
-
-
-def line_code(Q: Quadrangle) -> Subspace:
-    """C(P,L): the span of the characteristic vectors of all lines."""
-    return Subspace.span(Q.chi_lines(range(Q.n_lines)), Q.n_points)
-
-
-def kernel_dims(Q: Quadrangle, code_pl: Subspace) -> tuple[int, int]:
-    """Dimensions of the restriction kernel (vectors zero on P1) inside
-    C(P,L) and inside C(P,L1); the claims are q+1 and q-1."""
-    rs = Q.restricted_sets
-    code_pl1 = Subspace.span(Q.chi_lines(rs.L1), Q.n_points)
-    return (
-        kernel_intersection_dim(code_pl, rs.P1),
-        kernel_intersection_dim(code_pl1, rs.P1),
-    )
+    return GridSums(len(sample), no_grid)
 
 
 def digit_roundtrip_failures(F: GF) -> int:
@@ -357,11 +331,10 @@ class KernelForms(NamedTuple):
     outside_span: int  # basis vectors whose interpolation escapes the digit span
 
 
-def kernel_forms(Q: Quadrangle, code_pl: Subspace) -> KernelForms:
-    """Normal form and digit-span membership on a full basis of the
-    restriction kernel inside C(P,L)."""
+def kernel_forms(Q: Quadrangle, kernel: list[int]) -> KernelForms:
+    """Normal form and digit-span membership on a basis of the
+    restriction kernel inside C(P,L), ``SpanningReport.kernel``."""
     P1 = Q.restricted_sets.P1
-    kernel = kernel_intersection_basis(code_pl, P1)
     vecs = code_coefficients(Q, kernel)
     violations = 0
     for c, v in zip(kernel, vecs):
@@ -429,7 +402,7 @@ def _check_grid(ctx: _Context) -> list[CheckOutcome]:
             CheckOutcome(
                 "grid", "grid sum of 2q lines equals the two-line sum", "the grid decomposition",
                 _status(g.ok),
-                f"{g.pairs} pairs, {g.no_grid} without grid, {g.bad_sums} bad sums",
+                f"{g.pairs} pairs, {g.no_grid} without grid",
             )
         ]
     return [
@@ -484,12 +457,17 @@ def _check_kernel(ctx: _Context) -> list[CheckOutcome]:
                 else "size policy caps this check at q <= 8",
             )
         ]
-    d1, d2 = kernel_dims(ctx.quad, ctx.code_pl)
+    rep = ctx.spanning
+    if isinstance(rep, Exception):
+        ok, detail = False, str(rep)
+    else:
+        d1, d2 = rep.dim_ker_pl, rep.dim_ker_pl1
+        ok = d1 == q + 1 and d2 == q - 1
+        detail = f"dim(ker in C(P,L)) = {d1}, dim(ker in C(P,L1)) = {d2}"
     return [
         CheckOutcome(
             "kernel", "kernel meets the codes in dimensions q+1 and q-1",
-            "the kernel dimension counts", _status(d1 == q + 1 and d2 == q - 1),
-            f"dim(ker in C(P,L)) = {d1}, dim(ker in C(P,L1)) = {d2}",
+            "the kernel dimension counts", _status(ok), detail,
         )
     ]
 
@@ -531,19 +509,24 @@ def _check_poly(ctx: _Context) -> list[CheckOutcome]:
                " (the stated containment fails beyond q=2; see README)"),
         )
     )
-    k = kernel_forms(Q, ctx.code_pl)
+    rep = ctx.spanning
+    if isinstance(rep, Exception):
+        nf_ok = span_ok = False
+        detail = str(rep)
+    else:
+        k = kernel_forms(Q, rep.kernel)
+        nf_ok, span_ok = k.nf_violations == 0, k.outside_span == 0
+        detail = f"{k.size} kernel basis vectors"
     rows.append(
         CheckOutcome(
             "poly", "kernel elements admit the x3-free normal form",
-            "the kernel normal form", _status(k.nf_violations == 0),
-            f"{k.size} kernel basis vectors",
+            "the kernel normal form", _status(nf_ok), detail,
         )
     )
     rows.append(
         CheckOutcome(
             "poly", "kernel elements lie in the digit-tuple span",
-            "the digit-span containment", _status(k.outside_span == 0),
-            f"{k.size} kernel basis vectors",
+            "the digit-span containment", _status(span_ok), detail,
         )
     )
     return rows

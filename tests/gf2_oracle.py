@@ -1,0 +1,62 @@
+"""Restriction kernels by projection: the reference for the span elimination.
+
+``lu3q.incidence.verify_spanning`` reads the restriction kernel (the
+vectors that vanish on P1) straight off its highest-bit elimination of
+the lines.  This module finds the same kernel the long way: it takes
+the canonical basis of the line code, projects it onto the kept
+coordinates, and ranks the projection or takes its nullspace, so the
+tests can compare the two methods.
+"""
+
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from lu3q.geometry import Quadrangle
+from lu3q.gf2 import BitMatrix, Subspace, nullspace, pack_indices, rank2
+
+
+def line_code(Q: Quadrangle) -> Subspace:
+    """C(P,L): the span of the characteristic vectors of all lines."""
+    return Subspace.span(Q.chi_lines(range(Q.n_lines)), Q.n_points)
+
+
+def restrict_vector(v: int, cols: Sequence[int]) -> int:
+    """Project a bit vector onto the listed coordinates, in their order."""
+    return restrict_rows([v], cols)[0]
+
+
+def restrict_rows(rows: Iterable[int], cols: Sequence[int]) -> list[int]:
+    """Project each bit vector onto the listed coordinates, in their order."""
+    rows = list(rows)
+    cols = np.asarray(cols, dtype=np.intp)
+    if not len(cols):
+        return [0] * len(rows)
+    bits = max(max((r.bit_length() for r in rows), default=0), int(cols.max()) + 1)
+    picked = BitMatrix(rows, bits).to_numpy()[:, cols]
+    return pack_indices(np.where(picked, np.arange(len(cols)), -1), len(cols))
+
+
+def kernel_intersection_dim(space: Subspace, kept_cols: Sequence[int]) -> int:
+    """dim {c in space : c restricted to kept_cols is zero}."""
+    return space.dim - rank2(restrict_rows(space.basis, kept_cols))
+
+
+def kernel_intersection_basis(space: Subspace, kept_cols: Sequence[int]) -> list[int]:
+    """Basis of {c in space : c restricted to kept_cols is zero}.
+
+    Coefficient vectors come from the nullspace of the restricted basis
+    viewed column-wise, then get recombined into ambient vectors.
+    """
+    restricted = restrict_rows(space.basis, kept_cols)
+    coeffs = nullspace(BitMatrix(restricted, len(kept_cols)).transpose())
+    out = []
+    for alpha in coeffs.basis:
+        v = 0
+        a = alpha
+        while a:
+            low = a & -a
+            v ^= space.basis[low.bit_length() - 1]
+            a ^= low
+        out.append(v)
+    return out

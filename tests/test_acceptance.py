@@ -35,9 +35,7 @@ from lu3q.verify import (
     girth_reports,
     gq_axioms,
     grid_sums,
-    kernel_dims,
     kernel_forms,
-    line_code,
     line_profile_failures,
     line_span_residuals,
     quadrangle_counts,
@@ -122,11 +120,16 @@ def test_criterion_5_gap_identity(matrix):
     report(5, f"rank gap equals 2q at every tested q: {gaps}")
 
 
-def test_criterion_6_kernel_dimensions(quad):
+def spanning_report(quad, matrix, q):
+    Q = quad(q)
+    return verify_spanning(Q, select_Z(matrix(q, "p1l1"), Q))
+
+
+def test_criterion_6_kernel_dimensions(quad, matrix):
     dims = {}
     for q in (2, 4, 8):
-        Q = quad(q)
-        d1, d2 = kernel_dims(Q, line_code(Q))
+        rep = spanning_report(quad, matrix, q)
+        d1, d2 = rep.dim_ker_pl, rep.dim_ker_pl1
         assert d1 == q + 1
         assert d2 == q - 1
         dims[q] = (d1, d2)
@@ -155,8 +158,7 @@ def test_criterion_7_structural_suites(quad, matrix):
 
     # independence (select_Z raises otherwise) and span equalities
     for q in (2, 4):
-        Q = quad(q)
-        rep = verify_spanning(Q, select_Z(matrix(q, "p1l1"), Q))
+        rep = spanning_report(quad, matrix, q)
         sub(f"selection independence and span equalities at q={q}",
             rep.ok,
             f"dim {rep.dim_pl} = {rep.dim_p1l1} + 2q; all-ones identity "
@@ -220,7 +222,7 @@ def test_criterion_7_structural_suites(quad, matrix):
     # kernel normal forms and digit-span membership on a full kernel basis
     for q in (2, 4, 8):
         Q = quad(q)
-        k = kernel_forms(Q, line_code(Q))
+        k = kernel_forms(Q, spanning_report(quad, matrix, q).kernel)
         sub(f"kernel normal forms on the full kernel basis at q={q}",
             k.size == q + 1 and k.nf_violations == 0)
         sub(f"digit-span membership of the {k.size} kernel basis "

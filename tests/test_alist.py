@@ -134,6 +134,29 @@ def test_random_matrices_roundtrip_bytes(m):
     assert to_alist_text(back) == text
 
 
+def reference_alist_text(m):
+    """The writer as a per-entry loop."""
+    row_lists = [[j + 1 for j in range(m.n_cols) if m.get(i, j)] for i in range(m.n_rows)]
+    col_lists = [[i + 1 for i in range(m.n_rows) if m.get(i, j)] for j in range(m.n_cols)]
+    max_col = max(map(len, col_lists), default=0)
+    max_row = max(map(len, row_lists), default=0)
+    lines = [f"{m.n_cols} {m.n_rows}", f"{max_col} {max_row}",
+             " ".join(str(len(c)) for c in col_lists), " ".join(str(len(r)) for r in row_lists)]
+    lines += [" ".join(map(str, c + [0] * (max_col - len(c)))) for c in col_lists]
+    lines += [" ".join(map(str, r + [0] * (max_row - len(r)))) for r in row_lists]
+    return "\n".join(lines) + "\n"
+
+
+@given(bit_matrices())
+def test_writer_equals_the_per_entry_loop(m):
+    assert to_alist_text(m) == reference_alist_text(m)
+
+
+def test_writer_equals_the_per_entry_loop_on_p1l1_q4(matrix):
+    m = matrix(4, "p1l1").bits
+    assert to_alist_text(m) == reference_alist_text(m)
+
+
 @given(bit_matrices(), st.data())
 def test_malformed_text_raises_only_value_error(m, data):
     tokens = to_alist_text(m).split()

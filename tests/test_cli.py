@@ -1,8 +1,13 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lu3q
 from lu3q.alist import read_alist
 from lu3q.cli import main
 
@@ -39,6 +44,22 @@ def test_verify_poly_q4_reports_known_failure(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "verify q=4: FAIL" in out
+
+
+def test_verify_output_survives_optimize():
+    # python -O strips assert statements; every check must still run
+    # and print the same table
+    src = str(Path(lu3q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "lu3q", "verify", "--q", "4", "--checks", "all"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
+                       text=True, timeout=300)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 1  # the refuted digit-span row
+    assert "verify q=4" in plain.stdout
+    assert optimized.stdout == plain.stdout
 
 
 def test_verify_unknown_check_rejected(capsys):

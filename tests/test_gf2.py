@@ -1,20 +1,19 @@
 import random
 import tracemalloc
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gf2_oracle import kernel_intersection_dim, restrict_rows, restrict_vector
 from lu3q.gf2 import (
     BitMatrix,
     Subspace,
     echelon,
     in_echelon,
-    kernel_intersection_dim,
     nullspace,
     ones_vector,
     rank2,
-    restrict_rows,
-    restrict_vector,
     rref,
     vec_from_bits,
     vec_to_bits,
@@ -262,6 +261,14 @@ def test_nullspace_peak_memory_q16(matrix):
         tracemalloc.stop()
     assert ns.dim == 2238
     assert peak < 22.9e6 / 3
+
+
+@given(bit_matrices())
+def test_transpose_equals_the_dense_transpose(m):
+    t = m.transpose()
+    assert (t.n_rows, t.n_cols) == (m.n_cols, m.n_rows)
+    assert np.array_equal(t.to_numpy(), m.to_numpy().T)
+    assert t.transpose() == m
 
 
 def test_transpose_and_weights():

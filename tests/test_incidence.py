@@ -5,8 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from gf2_oracle import (
+    kernel_intersection_basis,
+    kernel_intersection_dim,
+    line_code,
+    restrict_rows,
+    restrict_vector,
+)
 from lu3q.formulas import predict
-from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2, restrict_rows
+from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     SpanMismatchError,
@@ -211,6 +218,23 @@ def test_spanning_report(quad, matrix, q, dim_pl, dim_p1l1):
     assert rep.ones_sum_identity
 
 
+@pytest.mark.parametrize("q", [2, 4, 8, pytest.param(16, marks=pytest.mark.slow)])
+def test_spanning_kernel_equals_the_restriction_reference(quad, matrix, q):
+    # the kernel read off the span elimination, against the canonical
+    # basis of the line code projected onto P1 (about 6 s at q=16)
+    Q = quad(q)
+    rs = Q.restricted_sets
+    rep = verify_spanning(Q, select_Z(matrix(q, "p1l1"), Q))
+    code = line_code(Q)
+    code_l1 = Subspace.span(Q.chi_lines(rs.L1), Q.n_points)
+    assert (rep.dim_ker_pl, rep.dim_ker_pl1) == (
+        kernel_intersection_dim(code, rs.P1),
+        kernel_intersection_dim(code_l1, rs.P1),
+    ) == (q + 1, q - 1)
+    reference = kernel_intersection_basis(code, rs.P1)
+    assert Subspace.span(rep.kernel, Q.n_points) == Subspace.span(reference, Q.n_points)
+
+
 @pytest.mark.parametrize("q", [2, 4])
 def test_spanning_with_randomized_y(quad, matrix, q):
     # the choice of Y is free: rerun the span checks with a different
@@ -334,6 +358,35 @@ def test_verify_ranks_come_from_one_elimination(monkeypatch):
     assert eliminations == [(8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True)]
 
 
+def test_kernel_group_adds_no_elimination(monkeypatch):
+    # the kernel comes from the spans group's elimination: with the
+    # kernel group the run makes the same four echelon calls, so no
+    # lowest-bit one either (rref eliminates through echelon)
+    from lu3q.verify import run_checks
+
+    calls = count_eliminations(monkeypatch)
+    run_checks(8, {"spans"})
+    spans_only = list(calls)
+    outcomes = run_checks(8, {"spans", "kernel"})
+    assert [o.status for o in outcomes] == ["PASS"] * 3
+    assert spans_only == [(8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True)]
+    assert calls[len(spans_only):] == spans_only
+
+
+def test_failed_span_check_fails_the_kernel_rows(monkeypatch):
+    import lu3q.verify
+
+    def raising(*args):
+        raise SpanMismatchError("forced failure")
+
+    monkeypatch.setattr(lu3q.verify, "verify_spanning", raising)
+    rows = [(o.group, o.status, o.detail)
+            for o in lu3q.verify.run_checks(2, {"kernel", "poly"})]
+    assert rows[0] == ("kernel", "FAIL", "forced failure")
+    assert rows[-2:] == [("poly", "FAIL", "forced failure")] * 2
+    assert [status for _, status, _ in rows[1:-2]] == ["PASS"] * 3
+
+
 def test_verify_reports_failed_sources_as_rows(monkeypatch):
     # a failed selection or map gives FAIL rows, and the ranks fall back
     # to eliminating each matrix
@@ -402,8 +455,6 @@ def test_constructed_matrix_rank_equals_transpose_rank(matrix, q):
 
 
 def test_ell0_restricts_to_zero(quad):
-    from lu3q.gf2 import restrict_vector
-
     for q in (2, 4):
         Q = quad(q)
         rs = Q.restricted_sets
@@ -416,8 +467,6 @@ def test_difference_vectors_span_restricted_kernel(quad, q):
     # varying, both != ell0) are independent, lie in the restricted
     # code, vanish off the perp, and therefore span the q-1 dimensional
     # kernel piece
-    from lu3q.gf2 import Subspace, kernel_intersection_dim, restrict_vector
-
     Q = quad(q)
     rs = Q.restricted_sets
     n = Q.n_points

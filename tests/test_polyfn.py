@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lu3q.verify
+from gf2_oracle import kernel_intersection_basis, line_code, restrict_vector
 from gfq_oracle import GFqLinAlg, beta_reference
-from lu3q.gf2 import Subspace, kernel_intersection_basis, restrict_vector
 from lu3q.polyfn import (
     NormalFormViolationError,
     NotInKernelError,
@@ -31,7 +31,7 @@ from lu3q.polyfn import (
     reduce_mod_I,
     vec_to_poly,
 )
-from lu3q.verify import kernel_forms, line_code
+from lu3q.verify import kernel_forms
 from test_acceptance import LINE_ESCAPES
 
 ONE = {(0, 0, 0, 0): 1}
@@ -279,7 +279,7 @@ def test_kernel_elements_in_beta_span(quad, q):
     # the span argument is applied to kernel elements only; membership
     # holds there
     Q = quad(q)
-    code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], Q.n_points)
+    code = line_code(Q)
     p1 = Q.restricted_sets.P1
     for c in kernel_intersection_basis(code, p1):
         r_star = interpolate_code_vector(c, Q)
@@ -332,8 +332,7 @@ def test_kernel_normal_form_of_ell0(quad):
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_kernel_basis_all_pass_and_h_space_small(quad, q):
     Q = quad(q)
-    n = Q.n_points
-    code = Subspace.span([Q.chi_line(l) for l in range(Q.n_lines)], n)
+    code = line_code(Q)
     p1 = Q.restricted_sets.P1
     kernel = kernel_intersection_basis(code, p1)
     assert len(kernel) == q + 1
@@ -435,6 +434,6 @@ def test_kernel_forms_interpolate_each_vector_once(quad, monkeypatch):
         return original(Q, vectors)
 
     monkeypatch.setattr(lu3q.verify, "code_coefficients", counting)
-    k = kernel_forms(Q, line_code(Q))
+    k = kernel_forms(Q, kernel_intersection_basis(line_code(Q), Q.restricted_sets.P1))
     assert k == (5, 0, 0)
     assert len(interpolated) == k.size
