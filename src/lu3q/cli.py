@@ -80,8 +80,8 @@ def cmd_rank(args, parser) -> int:
     payload = {"q": args.q, "system": args.system, "predicted": expected}
     if args.system == "kim":
         code = LdpcCode(m.bits, f"kim q={args.q}")
-        code_t = LdpcCode(m.bits.transpose(), f"kim-transpose q={args.q}")
-        got = code.rank  # n - k: the code's nullspace has eliminated H once
+        code_t = code.transpose(f"kim-transpose q={args.q}")
+        got = code.rank  # n - k: one elimination of H serves both codes
         payload["dim_code"] = code.k
         payload["dim_code_transpose"] = code_t.k
         payload["min_weight_upper_bound"] = code.min_weight_estimate(seed=args.seed)
@@ -160,7 +160,8 @@ def cmd_simulate(args, parser) -> int:
     m = _build_matrix(args)
     H = m.bits.transpose() if args.transpose else m.bits
     code = LdpcCode(H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
-    log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
+    if log.isEnabledFor(logging.INFO):  # k costs an elimination the decoders do not need
+        log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
     rows = []
     for p in ps:
         rep = simulate(

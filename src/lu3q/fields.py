@@ -19,6 +19,7 @@ Built-in defining polynomials (minimal integer encoding, LSB-first):
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -314,17 +315,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, t) with q = p^t, or raise ValueError if q is not a prime power."""
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            t = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                t += 1
-            if m == 1:
-                return p, t
-            raise ValueError(f"{q} is not a prime power")
-    raise ValueError(f"{q} is not a prime power")  # pragma: no cover
+    # the least prime factor; a q with none up to isqrt(q) is prime
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    t, m = 0, q
+    while m % p == 0:
+        m //= p
+        t += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, t
 
 
 def field_for_order(q: int, irreducible: Sequence[int] | None = None) -> GF:

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace, vec_to_bits
+from lu3q.gf2 import BitMatrix, Subspace, _pack, bit_indices, nullspace, vec_to_bits
 
 # Bytes of float64 check-to-variable messages per simulation block.
 _BLOCK_BYTES = 1 << 20
@@ -101,10 +101,38 @@ class LdpcCode:
         self.H = H
         self.n = H.n_cols
         self.m = H.n_rows
-        self.generator: Subspace = nullspace(H)
-        self.k = self.generator.dim
-        self.rank = self.n - self.k
         self.provenance = provenance
+
+    @cached_property
+    def generator(self) -> Subspace:
+        """The canonical basis of the code, ker(H); eliminated on first use."""
+        return nullspace(self.H)
+
+    @property
+    def k(self) -> int:
+        return self.generator.dim
+
+    @property
+    def rank(self) -> int:
+        return self.n - self.k
+
+    def transpose(self, provenance: str = "") -> "LdpcCode":
+        """The code with parity-check matrix H^T, its kernel read off this
+        code's elimination of H.
+
+        Let R be the highest-bit RREF of H and P its pivot columns, the
+        columns that ``generator`` leaves free.  Each row h of H is
+        sum_{p in P} h[p] R_p, so H = C R with C = H[:, P], and R has
+        full row rank, so ker(H^T) = ker(C^T).  The rows of C^T are the
+        rows P of H^T and are independent, and ``nullspace`` returns a
+        canonical basis, so the result equals nullspace(H^T) bit for bit.
+        """
+        Ht = self.H.transpose()
+        code = LdpcCode(Ht, provenance)
+        in_P = np.ones(self.n, dtype=bool)
+        in_P[self.generator.pivot_cols] = False
+        code.generator = nullspace(BitMatrix([Ht.rows[p] for p in np.flatnonzero(in_P)], self.m))
+        return code
 
     @cached_property
     def checks(self) -> np.ndarray:
@@ -148,24 +176,32 @@ class LdpcCode:
         return not self.syndrome(bits).any()
 
     def min_weight_estimate(self, seed: int = 0, samples: int = 200) -> int:
-        """Upper bound on the minimum distance from sampled codewords."""
-        best = min(
-            (r.bit_count() for r in self.generator.basis), default=0
-        )
-        if self.k == 0:
+        """Upper bound on the minimum distance: the least weight of a basis
+        row or of a sampled nonzero codeword.
+
+        Sample s is the sum of the basis rows its message selects, drawn
+        by the s-th ``rng.integers`` call.  The sums of all samples are
+        taken eight basis rows at a time, from a table of the 256 sums of
+        those rows indexed by each message's byte for them.
+        """
+        basis = self.generator.basis
+        if not basis:
             return 0
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD15))))
-        for _ in range(samples):
-            msg = rng.integers(0, 2, size=self.k, dtype=np.uint8)
-            if not msg.any():
-                continue
-            word = 0
-            for i in np.nonzero(msg)[0]:
-                word ^= self.generator.basis[int(i)]
-            w = word.bit_count()
-            if 0 < w < best:
-                best = w
-        return best
+        msgs = np.empty((samples, self.k), dtype=np.uint8)
+        for msg in msgs:
+            msg[:] = rng.integers(0, 2, size=self.k, dtype=np.uint8)
+        selects = np.packbits(msgs, axis=1, bitorder="little")  # byte j: rows 8j..8j+7
+        width = -(-self.n // 64)
+        words = np.zeros((samples, width), dtype=np.uint64)
+        table = np.zeros((256, width), dtype=np.uint64)
+        for j in range(selects.shape[1]):
+            rows = _pack(basis[8 * j : 8 * j + 8], 8 * width).view(np.uint64)
+            for b, row in enumerate(rows):
+                np.bitwise_xor(table[: 1 << b], row, out=table[1 << b : 2 << b])
+            words ^= table[selects[:, j]]
+        weights = np.bitwise_count(words).sum(axis=1)  # 0 only for an all-zero message
+        return int(np.min(weights[weights > 0], initial=min(r.bit_count() for r in basis)))
 
     def __repr__(self) -> str:
         return f"LdpcCode(n={self.n}, k={self.k}, checks={self.m}, {self.provenance})"

@@ -601,9 +601,8 @@ def _check_formulas(ctx: _Context) -> list[CheckOutcome]:
         for t in range(1, 11)
     )
     gap_ok = all(
-        predict(qq).rank_pl - predict(qq).rank_p1l1 == 2 * qq
-        for qq in range(2, 1025)
-        if _is_prime_power(qq)
+        pred.rank_pl - pred.rank_p1l1 == 2 * pred.q
+        for pred in map(predict, filter(_is_prime_power, range(2, 1025)))
     )
     rows.append(
         CheckOutcome(

@@ -10,6 +10,7 @@ import pytest
 import lu3q
 from lu3q.alist import read_alist
 from lu3q.cli import main
+from test_incidence import count_eliminations
 
 
 def run(capsys, *argv):
@@ -152,6 +153,54 @@ def test_rank_kim_reports_both_codes(capsys):
     assert payload["match"] is True
     assert payload["dim_code"] == payload["dim_code_transpose"] == 2
     assert payload["min_weight_upper_bound"] >= 1
+
+
+# (q, rank, dim of both codes, min-weight bounds of H and H^T), the same
+# for seeds 0 and 1000
+RANK_KIM = [
+    (2, 6, 2, 4, 4),
+    (3, 19, 8, 8, 6),
+    (4, 42, 22, 8, 8),
+    (5, 81, 44, 22, 10),
+    (8, 282, 230, 16, 16),
+    (9, 433, 296, 108, 18),
+    pytest.param(16, 1858, 2238, 32, 32, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("q,rank,k,w,w_t", RANK_KIM)
+@pytest.mark.parametrize("seed", ["0", "1000"])
+def test_rank_kim_output_bytes(capsys, q, rank, k, w, w_t, seed):
+    code, out = run(capsys, "rank", "--q", str(q), "--system", "kim", "--seed", seed)
+    assert code == 0
+    assert out == (
+        f"system kim at q={q}: rank {rank}, predicted {rank}, PASS\n"
+        f"code dimensions: {k} (parity-check H), {k} (parity-check H^T); "
+        f"sampled minimum-weight upper bounds {w} / {w_t}\n"
+    )
+    code, out = run(capsys, "rank", "--q", str(q), "--system", "kim", "--seed", seed, "--json")
+    assert code == 0
+    assert out == (
+        f'{{"dim_code": {k}, "dim_code_transpose": {k}, "match": true, '
+        f'"min_weight_upper_bound": {w}, "min_weight_upper_bound_transpose": {w_t}, '
+        f'"predicted": {rank}, "q": {q}, "rank": {rank}, "system": "kim"}}\n'
+    )
+
+
+def test_rank_kim_eliminates_H_once(capsys, monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    code, _ = run(capsys, "rank", "--q", "4", "--system", "kim")
+    assert code == 0
+    # all 64 rows of H, then only the 42 rows of H^T at H's pivot columns
+    assert calls == [(64, False), (42, False)]
+
+
+def test_simulate_runs_no_elimination(capsys, monkeypatch):
+    calls = count_eliminations(monkeypatch)
+    code, _ = run(capsys, "simulate", "--q", "4", "--system", "kim", "--transpose",
+                  "--trials", "5")
+    assert code == 0
+    assert calls == []
 
 
 def test_formulas_table(capsys):

@@ -163,6 +163,31 @@ def test_factor_prime_power():
             factor_prime_power(bad)
 
 
+def _factor_by_every_divisor(q):
+    """Reference: the least divisor of q, found by trial division up to q."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    t, m = 0, q
+    while m % p == 0:
+        m //= p
+        t += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, t
+
+
+def test_factor_prime_power_equals_reference_below_5000():
+    def outcome(factor, q):
+        try:
+            return factor(q)
+        except ValueError as exc:
+            return str(exc)
+
+    for q in range(-2, 5000):
+        assert outcome(factor_prime_power, q) == outcome(_factor_by_every_divisor, q), q
+
+
 def test_is_irreducible_small_cases():
     assert is_irreducible((1, 1, 1), 2)
     assert not is_irreducible((1, 0, 1), 2)  # x^2+1 = (x+1)^2

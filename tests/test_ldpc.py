@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -6,12 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lu3q
+from ldpc_oracle import min_weight_estimate as min_weight_reference
 from lu3q import ldpc
-from lu3q.gf2 import BitMatrix, vec_to_bits
+from lu3q.gf2 import BitMatrix, nullspace, vec_to_bits
 from lu3q.ldpc import (
     ChannelSpec,
     GirthReport,
@@ -22,6 +25,7 @@ from lu3q.ldpc import (
     girth_check,
     simulate,
 )
+from test_acceptance import ALL_Q
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +116,42 @@ def test_min_weight_estimate_exact_for_tiny_code(code2):
             if m0 or m1:
                 words.append(int(code2.encode([m0, m1]).sum()))
     assert code2.min_weight_estimate(seed=3, samples=64) == min(words)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_min_weight_estimate_equals_reference(matrix, q, transposed):
+    code = LdpcCode(matrix(q, "kim").bits)
+    code = code.transpose() if transposed else code
+    for seed in (0, 1, 1000):
+        for samples in (0, 1, 7, 200):
+            assert code.min_weight_estimate(seed, samples) == min_weight_reference(
+                code, seed, samples)
+
+
+def test_min_weight_estimate_equals_reference_where_samples_decide():
+    # The code spanned by e_i + T (i < 21, T the ones at bits 21..60):
+    # its basis rows weigh 41, and a message with an even number c of
+    # ones gives a word of weight c, so only the samples find light words.
+    # 21 rows also leave a last table of 5 rows.
+    k, tail = 21, 40
+    T = ((1 << tail) - 1) << k
+    dual = nullspace(BitMatrix([(1 << i) | T for i in range(k)], k + tail))
+    code = LdpcCode(BitMatrix(dual.basis, k + tail))
+    assert code.k == k
+    found = set()
+    for seed in range(6):
+        for samples in (0, 1, 7, 200):
+            estimate = code.min_weight_estimate(seed, samples)
+            assert estimate == min_weight_reference(code, seed, samples)
+            found.add(estimate)
+    assert max(found) == tail + 1 and len(found) > 2
+
+
+def test_min_weight_estimate_of_zero_code():
+    code = LdpcCode(BitMatrix.identity(5))
+    assert code.k == 0
+    assert code.min_weight_estimate(3) == min_weight_reference(code, 3) == 0
 
 
 def test_bitflip_keeps_valid_codeword(code2):
@@ -457,3 +497,36 @@ def test_girth_equals_pairwise_reference_on_constructed(matrix, q, system):
     bad = BitMatrix(H.rows + [(1 << cols[0]) | (1 << cols[1])], H.n_cols)
     assert girth_check(bad) == girth_reference(bad) == GirthReport(
         False, rows=(0, H.n_rows), cols=tuple(cols))
+
+
+@pytest.mark.parametrize("system", ["kim", "pl", "p1l1"])
+@pytest.mark.parametrize("q", ALL_Q)
+def test_transpose_kernel_equals_full_elimination(matrix, q, system):
+    H = matrix(q, system).bits
+    code_t = LdpcCode(H).transpose()
+    ref = nullspace(H.transpose())
+    assert code_t.H == H.transpose()
+    assert (code_t.generator.basis, code_t.generator.pivot_cols) == (ref.basis, ref.pivot_cols)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """H = A B with A m x r and B r x n, so rank(H) <= r."""
+    m, n = draw(st.integers(0, 10)), draw(st.integers(1, 10))
+    r = draw(st.integers(0, min(m, n)))
+    B = draw(st.lists(st.integers(0, 2**n - 1), min_size=r, max_size=r))
+    A = draw(st.lists(st.integers(0, 2**r - 1), min_size=m, max_size=m))
+    rows = [functools.reduce(operator.xor, (B[j] for j in range(r) if a >> j & 1), 0)
+            for a in A]
+    return BitMatrix(rows, n)
+
+
+@given(st.one_of(low_rank_matrices(), dense_matrices()))
+@example(BitMatrix([], 5))  # no rows: P is empty
+@example(BitMatrix.zeros(4, 6))  # rank 0: P is empty
+@example(BitMatrix([0b011, 0b110, 0b111, 0b101], 3))  # full column rank: k = 0, P is every column
+@example(BitMatrix([0b0110, 0b1010, 0b1100], 4))  # rank 2 < 3 rows
+def test_transpose_kernel_equals_full_elimination_random(H):
+    got = LdpcCode(H).transpose().generator
+    ref = nullspace(H.transpose())
+    assert (got.basis, got.pivot_cols, got.n_cols) == (ref.basis, ref.pivot_cols, ref.n_cols)
