@@ -2,15 +2,20 @@
 
 A row is a Python int used as a bitset: bit j of the row is the entry
 in column j.  Machine words inside the int give word-packed XOR row
-operations for free.  All elimination runs one loop, ``echelon``.
-Rank, span tests, kernels and pivot columns pivot on the highest set
-bit, which keeps fill-in low on the incidence matrices here.  ``rref``
-pivots on the lowest set bit: it gives the canonical form in which
-``Subspace`` keeps a span, so two spans are equal iff their bases are.
-``nullspace`` returns that form too: with M reduced on highest-bit
-pivots, free column f gives w_f = e_f + e_p for each pivot row r_p
-with bit f.  Each such p exceeds f, so w_f has lowest bit f and no
-other free bit, and the w_f in ascending f are the canonical basis.
+operations for free.  Two eliminations share the pivot rule.
+``echelon`` keeps an echelon basis of ints and serves rank, span tests,
+prefix ranks and continued eliminations.  ``reduced_echelon`` keeps a
+reduced basis of packed uint64 rows and serves ``rref`` and
+``nullspace``: every basis row holds no pivot bit but its own, so an
+incoming row is reduced by one XOR of the basis rows at its pivot bits.
+Both pivot on the highest set bit by default, which keeps fill-in low
+on the incidence matrices here.  ``rref`` pivots on the lowest set bit:
+it gives the canonical form in which ``Subspace`` keeps a span, so two
+spans are equal iff their bases are.  ``nullspace`` returns that form
+too: with M reduced on highest-bit pivots, free column f gives
+w_f = e_f + e_p for each pivot row r_p with bit f.  Each such p exceeds
+f, so w_f has lowest bit f and no other free bit, and the w_f in
+ascending f are the canonical basis.
 """
 
 from __future__ import annotations
@@ -130,19 +135,52 @@ def in_echelon(pivots: dict[int, int], v: int) -> bool:
     return not v
 
 
-def _reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:
-    """Clear the other pivot columns from each echelon row, in place.
-    Rows go in the order that has their other pivots done first, and a
-    reduced row changes no pivot bit but its own."""
-    mask = sum(1 << c for c in pivots)
-    for c in sorted(pivots, reverse=lowest):
-        row, rest = pivots[c], (pivots[c] & mask) ^ (1 << c)
-        while rest:
-            c2 = rest.bit_length() - 1
-            row ^= pivots[c2]
-            rest ^= 1 << c2
-        pivots[c] = row
-    return pivots
+def reduced_echelon(
+    m: BitMatrix | Sequence[int], lowest: bool = False
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(reduced basis as a rank x ceil(n/64) uint64 array, bit j of a row
+    at bit j % 64 of word j // 64; the basis rows' pivot columns; indices
+    of the rows outside the span of the rows before them).  The basis
+    equals ``echelon``'s with every other pivot bit cleared from each
+    row, in the order taken: for each prefix of the rows, both pivot sets
+    are the leading bits of its span, and a reduced basis is unique for
+    its pivot set.  The input is packed a slice of rows at a time."""
+    rows = m.rows if isinstance(m, BitMatrix) else list(m)
+    n = m.n_cols if isinstance(m, BitMatrix) else max(map(int.bit_length, rows), default=0)
+    width = (n + 63) // 64
+    basis = np.zeros((8, width), "<u8")  # grown by doubling
+    row_of = np.full(n, -1, np.intp)  # the basis row of each pivot column
+    cols: list[int] = []
+    taken: list[int] = []
+    step = _slice_rows(8 * width, 2**18)  # the index temporaries are several times this
+    for s in range(0, len(rows), step):
+        packed = _pack(rows[s : s + step], 8 * width)
+        at, bit = _indices(packed)
+        starts = np.searchsorted(at, np.arange(len(packed) + 1)).tolist()
+        for i, x in enumerate(packed.view("<u8")):
+            hit = row_of[bit[starts[i] : starts[i + 1]]]
+            hit = hit[hit >= 0]
+            if len(hit):
+                x = x ^ np.bitwise_xor.reduce(basis[hit])
+            nz = x.nonzero()[0]
+            if not len(nz):
+                continue
+            w = int(nz[0] if lowest else nz[-1])
+            v = int(x[w])
+            c = 64 * w + ((v & -v) if lowest else v).bit_length() - 1
+            k = len(cols)
+            # the rows with bit c have pivots above c and x has no bit above
+            # c (below, if lowest), so only the words up to c's (from c's) change
+            words = slice(w, None) if lowest else slice(0, w + 1)
+            clear = ((basis[:k, w] >> (c & 63)) & 1).nonzero()[0]
+            basis[clear, words] ^= x[words]
+            if k == len(basis):
+                basis = np.concatenate([basis, np.zeros_like(basis)])
+            basis[k] = x
+            row_of[c] = k
+            cols.append(c)
+            taken.append(s + i)
+    return basis[: len(cols)], np.array(cols, np.intp), taken
 
 
 def rank2(m: BitMatrix | Sequence[int]) -> int:
@@ -152,9 +190,9 @@ def rank2(m: BitMatrix | Sequence[int]) -> int:
 
 def rref(m: BitMatrix | Sequence[int]) -> tuple[list[int], list[int]]:
     """Canonical RREF: (rows sorted by lowest-bit pivot, pivot columns)."""
-    reduced = _reduced(echelon(m, lowest=True)[0], lowest=True)
-    cols = sorted(reduced)
-    return [reduced[c] for c in cols], cols
+    basis, cols, _ = reduced_echelon(m, lowest=True)
+    order = np.argsort(cols)
+    return _unpack(basis[order]), cols[order].tolist()
 
 
 class Subspace:
@@ -242,18 +280,26 @@ def pack_indices(cols: np.ndarray, n_cols: int) -> list[int]:
     return out
 
 
+def _indices(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the 1s of a uint8 array of packed rows,
+    in row-major order: its nonzero bytes, unpacked."""
+    width = packed.shape[1]
+    flat = packed.ravel()
+    at = np.flatnonzero(flat)
+    k, b = np.nonzero(np.unpackbits(flat[at, None], axis=1, bitorder="little"))
+    return at[k] // width, at[k] % width * 8 + b
+
+
 def bit_indices(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the 1s of m, in row-major order: the
-    nonzero bytes of a slice of packed rows at a time, unpacked."""
+    """Row and column indices of the 1s of m, in row-major order, a slice
+    of packed rows at a time."""
     width = (m.n_cols + 7) // 8
     step = _slice_rows(width, 2**18)
     rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     for s in range(0, m.n_rows, step):
-        packed = _pack(m.rows[s : s + step], width).ravel()
-        at = np.flatnonzero(packed)
-        k, b = np.nonzero(np.unpackbits(packed[at, None], axis=1, bitorder="little"))
-        rows.append(s + at[k] // width)
-        cols.append(at[k] % width * 8 + b)
+        r, c = _indices(_pack(m.rows[s : s + step], width))
+        rows.append(s + r)
+        cols.append(c)
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -266,23 +312,21 @@ def nullspace(m: BitMatrix) -> Subspace:
     """Canonical basis of {v : M v = 0}, one vector w_f per free column
     (see the module docstring); dimension is n_cols - rank2(M).  The
     basis is built a slice of free columns at a time, with bit f of each
-    pivot row read from the packed rows."""
+    pivot row read from the packed reduced rows."""
     n = m.n_cols
-    reduced = _reduced(echelon(m)[0], lowest=False)
-    pivot_cols = np.fromiter(reduced, np.intp, len(reduced))
+    reduced, pivot_cols, _ = reduced_echelon(m)
     is_free = np.ones(n, dtype=bool)
     is_free[pivot_cols] = False
     free = np.flatnonzero(is_free)
-    rows = _pack(list(reduced.values()), (n + 7) // 8)
-    del reduced  # the packed copy is all the slices read
+    rows = reduced.view(np.uint8)  # bit j at byte j // 8
     basis: list[int] = []
-    step = _slice_rows(n)  # wt below is n x step bytes
+    step = _slice_rows(n)  # w below is step x n bytes
     for s in range(0, len(free), step):
         f = free[s : s + step]
-        wt = np.zeros((n, len(f)), dtype=np.uint8)  # column k is w_{f[k]}
-        wt[pivot_cols] = _columns(rows, f)
-        wt[f, np.arange(len(f))] = 1
-        basis += _unpack(np.packbits(wt, axis=0, bitorder="little").T.copy())
+        w = np.zeros((len(f), n), dtype=np.uint8)  # row k is w_{f[k]}
+        w[:, pivot_cols] = _columns(rows, f).T
+        w[np.arange(len(f)), f] = 1
+        basis += _unpack(np.packbits(w, axis=1, bitorder="little"))
     return Subspace(basis, free.tolist(), n)
 
 

@@ -1,4 +1,8 @@
-"""Restriction kernels by projection: the reference for the span elimination.
+"""References for the GF(2) eliminations.
+
+``reduced`` back-substitutes an ``echelon`` basis one pivot row at a
+time: ``lu3q.gf2.reduced_echelon`` must give the same rows, in the same
+order, from its packed incremental reduction.
 
 ``lu3q.incidence.verify_spanning`` reads the restriction kernel (the
 vectors that vanish on P1) straight off its highest-bit elimination of
@@ -14,6 +18,21 @@ import numpy as np
 
 from lu3q.geometry import Quadrangle
 from lu3q.gf2 import BitMatrix, Subspace, nullspace, pack_indices, rank2
+
+
+def reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:
+    """Clear the other pivot columns from each echelon row, in place.
+    Rows go in the order that has their other pivots done first, and a
+    reduced row changes no pivot bit but its own."""
+    mask = sum(1 << c for c in pivots)
+    for c in sorted(pivots, reverse=lowest):
+        row, rest = pivots[c], (pivots[c] & mask) ^ (1 << c)
+        while rest:
+            c2 = rest.bit_length() - 1
+            row ^= pivots[c2]
+            rest ^= 1 << c2
+        pivots[c] = row
+    return pivots
 
 
 def line_code(Q: Quadrangle) -> Subspace:

@@ -2,10 +2,11 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gf2_oracle import kernel_intersection_dim, restrict_rows, restrict_vector
+from gf2_oracle import kernel_intersection_dim, reduced, restrict_rows, restrict_vector
 from lu3q.gf2 import (
     BitMatrix,
     Subspace,
@@ -14,6 +15,7 @@ from lu3q.gf2 import (
     nullspace,
     ones_vector,
     rank2,
+    reduced_echelon,
     rref,
     vec_from_bits,
     vec_to_bits,
@@ -187,6 +189,51 @@ def test_in_echelon_is_span_membership(m, data):
     assert in_echelon(pivots, v) == Subspace.span(m.rows, m.n_cols).contains(v)
 
 
+def assert_reduced_echelon_equals_reference(m, lowest):
+    pivots, taken = echelon(m, lowest=lowest)
+    want = reduced(pivots, lowest)
+    basis, cols, got_taken = reduced_echelon(m, lowest=lowest)
+    assert basis.shape == (len(want), (m.n_cols + 63) // 64)
+    assert basis.dtype == np.uint64
+    assert [int.from_bytes(r.tobytes(), "little") for r in basis] == list(want.values())
+    assert cols.tolist() == list(want)
+    assert got_taken == taken
+
+
+@st.composite
+def word_matrices(draw):
+    """Rows across word boundaries, with zero rows and repeated rows."""
+    n_cols = draw(st.sampled_from([1, 2, 7, 63, 64, 65, 129]))
+    row = st.integers(0, (1 << n_cols) - 1)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = draw(st.lists(st.one_of(row, st.just(0), st.sampled_from(pool)), max_size=24))
+    return BitMatrix(rows, n_cols)
+
+
+@given(st.one_of(word_matrices(), bit_matrices()), st.booleans())
+def test_reduced_echelon_equals_the_back_substituted_echelon(m, lowest):
+    assert_reduced_echelon_equals_reference(m, lowest)
+
+
+@pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("lowest", [False, True])
+def test_reduced_echelon_edge_cases(n_cols, lowest):
+    rng = random.Random(n_cols)
+    # full rank: unit rows with random bits below (above, if lowest) the
+    # unit, shuffled, then every row again and a sum of two
+    full = [
+        (1 << i) | rng.getrandbits(n_cols) & (~((2 << i) - 1) if lowest else (1 << i) - 1)
+        for i in range(n_cols)
+    ]
+    rng.shuffle(full)
+    full += full + [full[0] ^ full[-1]]
+    for rows in ([], [0], [0] * 3, full[:n_cols], full):
+        assert_reduced_echelon_equals_reference(BitMatrix(rows, n_cols), lowest)
+    _, cols, taken = reduced_echelon(BitMatrix(full, n_cols), lowest)
+    assert sorted(cols.tolist()) == list(range(n_cols))
+    assert taken == list(range(n_cols))
+
+
 def test_subspace_contains_and_equality():
     rows = [0b0111, 0b1100, 0b1011]
     s = Subspace.span(rows, 4)
@@ -250,8 +297,9 @@ def test_restrict_rows_equals_the_per_bit_loop(rows, cols):
 
 
 def test_nullspace_peak_memory_q16(matrix):
-    # the basis is built a slice of free columns at a time; the earlier
-    # full rank x n unpacking peaked at 22.9 MB here
+    # the rows are packed and the kernel built a slice at a time, and the
+    # reduced basis is packed words; the earlier full rank x n unpacking
+    # peaked at 22.9 MB here
     kim = matrix(16, "kim").bits
     tracemalloc.start()
     try:

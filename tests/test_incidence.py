@@ -168,22 +168,27 @@ def test_select_z_follows_the_matrix_passed_in(quad, matrix):
 
 
 def count_eliminations(monkeypatch):
-    """Record (rows, continued) for every echelon call made in lu3q."""
+    """Record (rows, continued) for every elimination made in lu3q: each
+    ``echelon`` call, and each ``reduced_echelon`` call (rref, nullspace),
+    which never continues one."""
     import sys
 
     import lu3q.gf2
 
     calls = []
-    original = lu3q.gf2.echelon
+    for name in ("echelon", "reduced_echelon"):
+        original = getattr(lu3q.gf2, name)
 
-    def counting(m, *args, **kwargs):
-        rows = list(m.rows if isinstance(m, BitMatrix) else m)
-        calls.append((len(rows), kwargs.get("pivots") is not None))
-        return original(rows, *args, **kwargs)
+        def counting(m, *args, original=original, **kwargs):
+            rows = list(m.rows if isinstance(m, BitMatrix) else m)
+            calls.append((len(rows), kwargs.get("pivots") is not None))
+            if isinstance(m, BitMatrix):
+                rows = BitMatrix(rows, m.n_cols)
+            return original(rows, *args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("lu3q") and getattr(mod, "echelon", None) is original:
-            monkeypatch.setattr(mod, "echelon", counting)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("lu3q") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
     return calls
 
 
@@ -360,8 +365,8 @@ def test_verify_ranks_come_from_one_elimination(monkeypatch):
 
 def test_kernel_group_adds_no_elimination(monkeypatch):
     # the kernel comes from the spans group's elimination: with the
-    # kernel group the run makes the same four echelon calls, so no
-    # lowest-bit one either (rref eliminates through echelon)
+    # kernel group the run makes the same four echelon calls, and no
+    # rref or nullspace one either
     from lu3q.verify import run_checks
 
     calls = count_eliminations(monkeypatch)
