@@ -133,6 +133,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_formulas(args, parser) -> int:
+    if args.t_max < 0:
+        parser.error(f"--t-max must be >= 0, got {args.t_max}")
     rows = []
     for t in range(1, args.t_max + 1):
         p = predict_even(t)

@@ -2,24 +2,26 @@
 
 A row is a Python int used as a bitset: bit j of the row is the entry
 in column j.  Machine words inside the int give word-packed XOR row
-operations for free.  Two eliminations share the pivot rule.
-``echelon`` keeps an echelon basis of ints and serves rank, span tests,
-prefix ranks and continued eliminations.  ``reduced_echelon`` keeps a
-reduced basis of packed uint64 rows and serves ``rref`` and
-``nullspace``: every basis row holds no pivot bit but its own, so an
-incoming row is reduced by one XOR of the basis rows at its pivot bits.
-Both pivot on the highest set bit by default, which keeps fill-in low
-on the incidence matrices here.  ``rref`` pivots on the lowest set bit:
-it gives the canonical form in which ``Subspace`` keeps a span, so two
-spans are equal iff their bases are.  ``nullspace`` returns that form
-too: with M reduced on highest-bit pivots, free column f gives
-w_f = e_f + e_p for each pivot row r_p with bit f.  Each such p exceeds
-f, so w_f has lowest bit f and no other free bit, and the w_f in
-ascending f are the canonical basis.
+operations for free.  One elimination serves every rank, span test and
+kernel: ``ReducedEchelon`` keeps a reduced basis of packed uint64 rows,
+in which every basis row holds no pivot bit but its own, so an incoming
+row is reduced by one XOR of the basis rows at its pivot bits.  It can
+be copied and continued, and the indices of the rows it takes give
+prefix ranks, pivot columns and span membership (a vector lies in the
+span iff a continuation does not take it).  It pivots on the highest
+set bit by default, which keeps fill-in low on the incidence matrices
+here.  ``rref`` pivots on the lowest set bit: it gives the canonical
+form in which ``Subspace`` keeps a span, so two spans are equal iff
+their bases are.  ``nullspace`` returns that form too: with M reduced
+on highest-bit pivots, free column f gives w_f = e_f + e_p for each
+pivot row r_p with bit f.  Each such p exceeds f, so w_f has lowest bit
+f and no other free bit, and the w_f in ascending f are the canonical
+basis.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -101,98 +103,95 @@ class BitMatrix:
         return f"BitMatrix({self.n_rows}x{self.n_cols})"
 
 
-def echelon(
-    m: BitMatrix | Iterable[int],
-    lowest: bool = False,
-    pivots: dict[int, int] | None = None,
-) -> tuple[dict[int, int], list[int]]:
-    """(echelon basis {pivot column: row}, indices of the rows outside
-    the span of the rows before them).  The pivot is the highest set
-    bit, or the lowest with lowest=True; the input is not modified.
-    The basis lists its rows in the order they were taken.  Given the
-    basis of an earlier call as ``pivots``, the rows continue that
-    elimination: the basis grows in place and the indices count the new
-    rows only."""
-    if pivots is None:
-        pivots = {}
-    taken: list[int] = []
-    for i, cur in enumerate(m.rows if isinstance(m, BitMatrix) else m):
-        while cur:
-            c = (cur & -cur if lowest else cur).bit_length() - 1
-            p = pivots.get(c)
-            if p is None:
-                pivots[c] = cur
-                taken.append(i)
-                break
-            cur ^= p
-    return pivots, taken
+class ReducedEchelon:
+    """A reduced echelon basis, continued a batch of rows at a time.
 
-
-def in_echelon(pivots: dict[int, int], v: int) -> bool:
-    """Whether v lies in the span of a highest-bit echelon basis."""
-    while v and v.bit_length() - 1 in pivots:
-        v ^= pivots[v.bit_length() - 1]
-    return not v
-
-
-def reduced_echelon(
-    m: BitMatrix | Sequence[int], lowest: bool = False
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """(reduced basis as a rank x ceil(n/64) uint64 array, bit j of a row
-    at bit j % 64 of word j // 64; the basis rows' pivot columns; indices
-    of the rows outside the span of the rows before them).  The basis
-    equals ``echelon``'s with every other pivot bit cleared from each
-    row, in the order taken: for each prefix of the rows, both pivot sets
+    ``basis`` is a rank x ceil(n/64) uint64 array, bit j of a row at bit
+    j % 64 of word j // 64, with its rows in the order taken and their
+    pivot columns in ``cols``.  For each prefix of the rows the pivots
     are the leading bits of its span, and a reduced basis is unique for
-    its pivot set.  The input is packed a slice of rows at a time."""
-    rows = m.rows if isinstance(m, BitMatrix) else list(m)
-    n = m.n_cols if isinstance(m, BitMatrix) else max(map(int.bit_length, rows), default=0)
-    width = (n + 63) // 64
-    basis = np.zeros((8, width), "<u8")  # grown by doubling
-    row_of = np.full(n, -1, np.intp)  # the basis row of each pivot column
-    cols: list[int] = []
-    taken: list[int] = []
-    step = _slice_rows(8 * width, 2**18)  # the index temporaries are several times this
-    for s in range(0, len(rows), step):
-        packed = _pack(rows[s : s + step], 8 * width)
-        at, bit = _indices(packed)
-        starts = np.searchsorted(at, np.arange(len(packed) + 1)).tolist()
-        for i, x in enumerate(packed.view("<u8")):
-            hit = row_of[bit[starts[i] : starts[i + 1]]]
-            hit = hit[hit >= 0]
-            if len(hit):
-                x = x ^ np.bitwise_xor.reduce(basis[hit])
-            nz = x.nonzero()[0]
-            if not len(nz):
-                continue
-            w = int(nz[0] if lowest else nz[-1])
-            v = int(x[w])
-            c = 64 * w + ((v & -v) if lowest else v).bit_length() - 1
-            k = len(cols)
-            # the rows with bit c have pivots above c and x has no bit above
-            # c (below, if lowest), so only the words up to c's (from c's) change
-            words = slice(w, None) if lowest else slice(0, w + 1)
-            clear = ((basis[:k, w] >> (c & 63)) & 1).nonzero()[0]
-            basis[clear, words] ^= x[words]
-            if k == len(basis):
-                basis = np.concatenate([basis, np.zeros_like(basis)])
-            basis[k] = x
-            row_of[c] = k
-            cols.append(c)
-            taken.append(s + i)
-    return basis[: len(cols)], np.array(cols, np.intp), taken
+    its pivots, so the basis does not depend on how the rows were split
+    into batches."""
+
+    __slots__ = ("lowest", "cols", "_store", "_row_of")
+
+    def __init__(self, n_cols: int, lowest: bool = False):
+        self.lowest = lowest
+        self.cols: list[int] = []
+        # basis row k is _store[k + 1]: _store[0] stays zero, and the
+        # columns without a pivot map to it in _row_of; grown by doubling
+        self._store = np.zeros((8, (n_cols + 63) // 64), "<u8")
+        self._row_of = np.zeros(n_cols, np.intp)
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._store[1 : len(self.cols) + 1]
+
+    def copy(self) -> "ReducedEchelon":
+        other = ReducedEchelon.__new__(ReducedEchelon)
+        other.lowest, other.cols = self.lowest, list(self.cols)
+        other._store, other._row_of = self._store.copy(), self._row_of.copy()
+        return other
+
+    def add(self, rows: Iterable[int]) -> list[int]:
+        """Continue the elimination with ``rows``; returns the indices,
+        counted from the first of them, of the rows outside the span of
+        the basis and the rows before them.  The rows are drawn and
+        packed a slice at a time."""
+        lowest, row_of, cols, store = self.lowest, self._row_of, self.cols, self._store
+        width = store.shape[1]
+        taken: list[int] = []
+        step = _slice_rows(8 * width, 2**18)  # the index temporaries are several times this
+        rows, s = iter(rows), 0
+        while len(packed := _pack(list(itertools.islice(rows, step)), 8 * width)):
+            at, bit = _indices(packed)
+            starts = np.searchsorted(at, np.arange(len(packed) + 1)).tolist()
+            for i, x in enumerate(packed.view("<u8")):
+                x = x ^ np.bitwise_xor.reduce(store[row_of[bit[starts[i] : starts[i + 1]]]])
+                nz = x.nonzero()[0]
+                if not len(nz):
+                    continue
+                w = int(nz[0] if lowest else nz[-1])
+                v = int(x[w])
+                c = 64 * w + ((v & -v) if lowest else v).bit_length() - 1
+                k = len(cols) + 1
+                # the rows with bit c have pivots above c and x has no bit above
+                # c (below, if lowest), so only the words up to c's (from c's) change
+                words = slice(w, None) if lowest else slice(0, w + 1)
+                clear = (store[:k, w] & np.uint64(1 << (c & 63))).nonzero()[0]
+                store[clear, words] ^= x[words]
+                if k == len(store):  # np.zeros leaves the new rows unmapped until written
+                    self._store = np.zeros((2 * k, width), "<u8")
+                    self._store[:k] = store
+                    store = self._store
+                store[k] = x
+                row_of[c] = k
+                cols.append(c)
+                taken.append(s + i)
+            s += len(packed)
+        return taken
+
+
+def _rows_and_width(m: BitMatrix | Sequence[int]) -> tuple[Sequence[int], int]:
+    """The rows of m and its width: n_cols, or the longest row's bits."""
+    if isinstance(m, BitMatrix):
+        return m.rows, m.n_cols
+    rows = list(m)
+    return rows, max(map(int.bit_length, rows), default=0)
 
 
 def rank2(m: BitMatrix | Sequence[int]) -> int:
     """GF(2) rank; the input is not modified."""
-    return len(echelon(m)[0])
+    rows, n = _rows_and_width(m)
+    return len(ReducedEchelon(n).add(rows))
 
 
 def rref(m: BitMatrix | Sequence[int]) -> tuple[list[int], list[int]]:
     """Canonical RREF: (rows sorted by lowest-bit pivot, pivot columns)."""
-    basis, cols, _ = reduced_echelon(m, lowest=True)
-    order = np.argsort(cols)
-    return _unpack(basis[order]), cols[order].tolist()
+    rows, n = _rows_and_width(m)
+    e = ReducedEchelon(n, lowest=True)
+    e.add(rows)
+    return _unpack(e.basis[np.argsort(e.cols)]), sorted(e.cols)
 
 
 class Subspace:
@@ -314,11 +313,13 @@ def nullspace(m: BitMatrix) -> Subspace:
     basis is built a slice of free columns at a time, with bit f of each
     pivot row read from the packed reduced rows."""
     n = m.n_cols
-    reduced, pivot_cols, _ = reduced_echelon(m)
+    e = ReducedEchelon(n)
+    e.add(m.rows)
+    pivot_cols = np.array(e.cols, np.intp)
     is_free = np.ones(n, dtype=bool)
     is_free[pivot_cols] = False
     free = np.flatnonzero(is_free)
-    rows = reduced.view(np.uint8)  # bit j at byte j // 8
+    rows = e.basis.view(np.uint8)  # bit j at byte j // 8
     basis: list[int] = []
     step = _slice_rows(n)  # w below is step x n bytes
     for s in range(0, len(free), step):

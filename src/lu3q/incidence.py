@@ -18,11 +18,12 @@ The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
 the full code, reads off the restriction kernel, and checks the
 explicit coordinate map that carries the digitized system onto the
-restricted one.  The span checks share two eliminations over the
-points, ordered with p0's perp first and P1 after it: L1 then X0,
-whose rows with a pivot in P1 are Z and which ``verify_spanning``
-continues with Y and the remaining lines; and X0, Z, Y.  ``select_Z``
-runs both and leaves them on the selection.
+restricted one.  The span checks share two ``gf2.ReducedEchelon``
+eliminations over the points, ordered with p0's perp first and P1
+after it: L1 then X0, whose rows with a pivot in P1 are Z and a copy of
+which ``verify_spanning`` continues with Y, the remaining lines, and
+then the all-ones vector and ell0 to test their membership; and X0, Z,
+Y.  ``select_Z`` runs both and leaves them on the selection.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ import numpy as np
 from lu3q.fields import GF
 from lu3q.gf2 import (
     BitMatrix,
+    ReducedEchelon,
     bit_indices,
-    echelon,
-    in_echelon,
     ones_vector,
     pack_indices,
 )
@@ -81,11 +81,12 @@ class IncidenceMatrix:
 @dataclass(frozen=True)
 class Elimination:
     """A highest-bit elimination of line vectors in which point p is
-    bit col[p]: ``echelon``'s basis and taken rows for ``lines``."""
+    bit col[p]: the elimination of ``lines`` and the indices of the
+    lines it took, whose pivots are ``echelon.cols`` in the same order."""
 
     col: np.ndarray
     lines: tuple[int, ...]
-    pivots: dict[int, int]
+    echelon: ReducedEchelon
     taken: list[int]
 
 
@@ -192,7 +193,8 @@ def _line_rows(Q: Quadrangle, col: np.ndarray, lines: Sequence[int]) -> list[int
 
 
 def _eliminate(Q: Quadrangle, col: np.ndarray, lines: tuple[int, ...]) -> Elimination:
-    return Elimination(col, lines, *echelon(_line_rows(Q, col, lines)))
+    echelon = ReducedEchelon(Q.n_points)
+    return Elimination(col, lines, echelon, echelon.add(_line_rows(Q, col, lines)))
 
 
 def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
@@ -216,11 +218,10 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     l1_rows = (
         (c << split) | (1 << b) for c, b in zip(m_p1l1.bits.transpose().rows, perp_bit)
     )
-    head = Elimination(
-        col, rs.L1 + rs.X0, *echelon(itertools.chain(l1_rows, _line_rows(Q, col, rs.X0)))
-    )
-    # the basis lists its rows in the order they were taken
-    Z = tuple(head.lines[i] for i, c in zip(head.taken, head.pivots) if c >= split)
+    echelon = ReducedEchelon(Q.n_points)
+    taken = echelon.add(itertools.chain(l1_rows, _line_rows(Q, col, rs.X0)))
+    head = Elimination(col, rs.L1 + rs.X0, echelon, taken)
+    Z = tuple(head.lines[i] for i, c in zip(taken, echelon.cols) if c >= split)
     independent = _eliminate(Q, col, rs.X0 + Z + rs.Y)
     got = len(independent.taken)
     want = 2 * Q.q + len(Z)
@@ -264,10 +265,10 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     if independent is None or independent.lines != sel.X0 + sel.Z + sel.Y:
         independent = _eliminate(Q, col, sel.X0 + sel.Z + sel.Y)
 
-    pivots = dict(head.pivots)  # the selection's basis stays as it was
-    echelon(_line_rows(Q, col, sel.Y), pivots=pivots)
+    span = head.echelon.copy()  # the selection's elimination stays as it was
+    span.add(_line_rows(Q, col, sel.Y))
     rest = tuple(sorted(set(range(Q.n_lines)) - set(head.lines) - set(sel.Y)))
-    _, escaped = echelon(_line_rows(Q, col, rest), pivots=pivots)
+    escaped = span.add(_line_rows(Q, col, rest))
     if escaped:
         # the lines before the first one taken after the head lie in
         # span(head), so it has the lowest escaping index
@@ -275,12 +276,15 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
         raise SpanMismatchError(
             f"line {l} escapes the span of X0 u Y u L1", line=l
         )
-    # no line after the head was taken: pivots span exactly the head
-    dim_pl = len(pivots)
+    # no line after the head was taken: the basis spans exactly the head
+    dim_pl = len(span.cols)
+    # a vector lies in the span iff the elimination does not take it; once
+    # the all-ones vector is inside, taking ell0 means ell0 is outside
     ones = ones_vector(Q.n_points)
-    if not in_echelon(pivots, ones):
+    outside = span.add([ones, _line_rows(Q, col, (Q.ell0,))[0]])
+    if 0 in outside:
         raise SpanMismatchError("all-ones vector escapes span of X0 u Y u L1")
-    if not in_echelon(pivots, _line_rows(Q, col, (Q.ell0,))[0]):
+    if outside:
         raise SpanMismatchError("ell0 escapes span of X0 u Y u L1", line=Q.ell0)
 
     # constructive all-ones identity: sum a line of L1 with every line
@@ -301,11 +305,12 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
         )
 
     split = Q.n_points - len(rs.P1)
-    low = [row for c, row in pivots.items() if c < split]
+    low = span.basis[np.array(span.cols) < split].view(np.uint8)
+    bits = np.unpackbits(low, axis=1, count=split, bitorder="little")
     perp = np.flatnonzero(col < split)  # the point of each bit below P1
-    kernel = pack_indices(np.where(BitMatrix(low, split).to_numpy(), perp, -1), Q.n_points)
+    kernel = pack_indices(np.where(bits, perp, -1), Q.n_points)
     rank_l1 = bisect_left(head.taken, len(rs.L1))
-    dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.pivots)
+    dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.echelon.cols)
     return SpanningReport(Q.q, dim_pl, dim_p1l1, total == ones, kernel, dim_ker_pl1)
 
 

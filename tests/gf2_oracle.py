@@ -1,8 +1,9 @@
-"""References for the GF(2) eliminations.
+"""References for the GF(2) elimination.
 
-``reduced`` back-substitutes an ``echelon`` basis one pivot row at a
-time: ``lu3q.gf2.reduced_echelon`` must give the same rows, in the same
-order, from its packed incremental reduction.
+``echelon`` is the plain elimination on int rows, and ``reduced``
+back-substitutes its basis one pivot row at a time:
+``lu3q.gf2.ReducedEchelon`` must give the same rows, pivots and taken
+indices, in the same order, from its packed incremental reduction.
 
 ``lu3q.incidence.verify_spanning`` reads the restriction kernel (the
 vectors that vanish on P1) straight off its highest-bit elimination of
@@ -18,6 +19,25 @@ import numpy as np
 
 from lu3q.geometry import Quadrangle
 from lu3q.gf2 import BitMatrix, Subspace, nullspace, pack_indices, rank2
+
+
+def echelon(rows: Iterable[int], lowest: bool = False) -> tuple[dict[int, int], list[int]]:
+    """(echelon basis {pivot column: row}, indices of the rows outside
+    the span of the rows before them).  The pivot is the highest set
+    bit, or the lowest with lowest=True; the basis lists its rows in the
+    order they were taken."""
+    pivots: dict[int, int] = {}
+    taken: list[int] = []
+    for i, cur in enumerate(rows):
+        while cur:
+            c = (cur & -cur if lowest else cur).bit_length() - 1
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = cur
+                taken.append(i)
+                break
+            cur ^= p
+    return pivots, taken
 
 
 def reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:

@@ -10,6 +10,7 @@ import pytest
 import lu3q
 from lu3q.alist import read_alist
 from lu3q.cli import main
+from test_acceptance import ALL_Q
 from test_incidence import count_eliminations
 
 
@@ -187,6 +188,20 @@ def test_rank_kim_output_bytes(capsys, q, rank, k, w, w_t, seed):
     )
 
 
+VERIFY_PINS = Path(__file__).parent / "verify_pins"
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_verify_output_bytes(capsys, q):
+    # the whole table and its JSON, byte for byte; the poly rows read
+    # the restriction kernel through whichever basis the span checks give
+    for suffix, flags in ((".txt", []), (".json", ["--json"])):
+        code, out = run(capsys, "verify", "--q", str(q), "--checks", "all", *flags)
+        assert out == (VERIFY_PINS / f"q{q}{suffix}").read_text()
+        # the digit-span row fails by design at q = 4 and 8
+        assert code == (1 if q in (4, 8) else 0)
+
+
 def test_rank_kim_eliminates_H_once(capsys, monkeypatch):
     calls = count_eliminations(monkeypatch)
     code, _ = run(capsys, "rank", "--q", "4", "--system", "kim")
@@ -296,6 +311,17 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path, command, extra):
                       "--out", str(target), *extra)
     assert f"lu3q: error: cannot write {target}: No such file or directory" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_negative_t_max_is_a_usage_error(capsys, tmp_path, via_config):
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t_max": -2}))
+        err = usage_error(capsys, "--config", str(cfg), "formulas")
+    else:
+        err = usage_error(capsys, "formulas", "--t-max", "-2")
+    assert "lu3q: error: --t-max must be >= 0, got -2" in err
 
 
 def test_config_must_be_a_json_object(capsys, tmp_path):

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gf2_oracle import kernel_intersection_dim, reduced, restrict_rows, restrict_vector
+from gf2_oracle import (
+    echelon,
+    kernel_intersection_dim,
+    reduced,
+    restrict_rows,
+    restrict_vector,
+)
 from lu3q.gf2 import (
     BitMatrix,
+    ReducedEchelon,
     Subspace,
-    echelon,
-    in_echelon,
     nullspace,
     ones_vector,
     rank2,
-    reduced_echelon,
     rref,
     vec_from_bits,
     vec_to_bits,
@@ -177,26 +181,29 @@ def test_nullspace_equals_reference(m):
 
 @given(bit_matrices())
 def test_column_greedy_pivots_equal_rref_pivots(m):
-    _, taken = echelon(m.transpose().rows)
+    taken = ReducedEchelon(m.n_rows).add(m.transpose().rows)
     assert taken == rref(m)[1]
 
 
 @given(bit_matrices(), st.data())
-def test_in_echelon_is_span_membership(m, data):
+def test_a_continuation_tests_span_membership(m, data):
+    # v lies in the span iff the continued elimination does not take it
     v = data.draw(st.integers(0, (1 << m.n_cols) - 1))
-    pivots, taken = echelon(m.rows)
-    assert len(pivots) == len(taken) == rank2(m)
-    assert in_echelon(pivots, v) == Subspace.span(m.rows, m.n_cols).contains(v)
+    e = ReducedEchelon(m.n_cols)
+    taken = e.add(m.rows)
+    assert len(e.cols) == len(taken) == rank2(m)
+    assert (e.add([v]) == []) == Subspace.span(m.rows, m.n_cols).contains(v)
 
 
 def assert_reduced_echelon_equals_reference(m, lowest):
-    pivots, taken = echelon(m, lowest=lowest)
+    pivots, taken = echelon(m.rows, lowest=lowest)
     want = reduced(pivots, lowest)
-    basis, cols, got_taken = reduced_echelon(m, lowest=lowest)
-    assert basis.shape == (len(want), (m.n_cols + 63) // 64)
-    assert basis.dtype == np.uint64
-    assert [int.from_bytes(r.tobytes(), "little") for r in basis] == list(want.values())
-    assert cols.tolist() == list(want)
+    e = ReducedEchelon(m.n_cols, lowest)
+    got_taken = e.add(m.rows)
+    assert e.basis.shape == (len(want), (m.n_cols + 63) // 64)
+    assert e.basis.dtype == np.uint64
+    assert [int.from_bytes(r.tobytes(), "little") for r in e.basis] == list(want.values())
+    assert e.cols == list(want)
     assert got_taken == taken
 
 
@@ -215,6 +222,24 @@ def test_reduced_echelon_equals_the_back_substituted_echelon(m, lowest):
     assert_reduced_echelon_equals_reference(m, lowest)
 
 
+@given(word_matrices(), st.data(), st.booleans())
+def test_a_continued_elimination_equals_one_elimination(m, data, lowest):
+    # A, then a copy continued with B: the basis, pivots and taken rows
+    # (counted from B's first row) of one elimination of A + B
+    k = data.draw(st.integers(0, m.n_rows))
+    whole = ReducedEchelon(m.n_cols, lowest)
+    taken = whole.add(m.rows)
+    e = ReducedEchelon(m.n_cols, lowest)
+    head = e.add(m.rows[:k])
+    basis, cols = e.basis.copy(), list(e.cols)
+    cont = e.copy()
+    tail = cont.add(m.rows[k:])
+    assert head + [k + i for i in tail] == taken
+    assert np.array_equal(cont.basis, whole.basis) and cont.cols == whole.cols
+    # the copy leaves the original as it was
+    assert np.array_equal(e.basis, basis) and e.cols == cols
+
+
 @pytest.mark.parametrize("n_cols", [1, 63, 64, 65, 129])
 @pytest.mark.parametrize("lowest", [False, True])
 def test_reduced_echelon_edge_cases(n_cols, lowest):
@@ -229,8 +254,9 @@ def test_reduced_echelon_edge_cases(n_cols, lowest):
     full += full + [full[0] ^ full[-1]]
     for rows in ([], [0], [0] * 3, full[:n_cols], full):
         assert_reduced_echelon_equals_reference(BitMatrix(rows, n_cols), lowest)
-    _, cols, taken = reduced_echelon(BitMatrix(full, n_cols), lowest)
-    assert sorted(cols.tolist()) == list(range(n_cols))
+    e = ReducedEchelon(n_cols, lowest)
+    taken = e.add(full)
+    assert sorted(e.cols) == list(range(n_cols))
     assert taken == list(range(n_cols))
 
 

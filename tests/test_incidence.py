@@ -13,7 +13,7 @@ from gf2_oracle import (
     restrict_vector,
 )
 from lu3q.formulas import predict
-from lu3q.gf2 import BitMatrix, Subspace, echelon, rank2
+from lu3q.gf2 import BitMatrix, ReducedEchelon, Subspace, rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     SpanMismatchError,
@@ -149,7 +149,7 @@ def test_shared_elimination_selects_the_restricted_pivots(quad, matrix, q):
     Q = quad(q)
     m = matrix(q, "p1l1")
     L1 = Q.restricted_sets.L1
-    _, pivot_cols = echelon(m.bits.transpose().rows)
+    pivot_cols = ReducedEchelon(m.n_rows).add(m.bits.transpose().rows)
     assert select_Z(m, Q).Z == tuple(L1[j] for j in pivot_cols)
 
 
@@ -168,27 +168,18 @@ def test_select_z_follows_the_matrix_passed_in(quad, matrix):
 
 
 def count_eliminations(monkeypatch):
-    """Record (rows, continued) for every elimination made in lu3q: each
-    ``echelon`` call, and each ``reduced_echelon`` call (rref, nullspace),
-    which never continues one."""
-    import sys
-
-    import lu3q.gf2
-
+    """Record (rows, continued) for every batch of rows eliminated in
+    lu3q, each ``ReducedEchelon.add`` call: continued when the basis
+    already has rows (a continuation, or a copy of one)."""
     calls = []
-    for name in ("echelon", "reduced_echelon"):
-        original = getattr(lu3q.gf2, name)
+    original = ReducedEchelon.add
 
-        def counting(m, *args, original=original, **kwargs):
-            rows = list(m.rows if isinstance(m, BitMatrix) else m)
-            calls.append((len(rows), kwargs.get("pivots") is not None))
-            if isinstance(m, BitMatrix):
-                rows = BitMatrix(rows, m.n_cols)
-            return original(rows, *args, **kwargs)
+    def counting(self, rows):
+        rows = list(rows)
+        calls.append((len(rows), bool(self.cols)))
+        return original(self, rows)
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("lu3q") and getattr(mod, name, None) is original:
-                monkeypatch.setattr(mod, name, counting)
+    monkeypatch.setattr(ReducedEchelon, "add", counting)
     return calls
 
 
@@ -207,8 +198,37 @@ def test_selection_without_matching_eliminations_is_eliminated_afresh(
     rep = verify_spanning(Q, sel)
     assert (rep.dim_pl, rep.dim_p1l1, rep.ok) == (50, 42, True)
     assert [n for n, continued in calls if not continued] == fresh
-    # Y, then every line outside X0, L1 and Y, continue the head
-    assert [n for n, continued in calls if continued] == [4, 85 - 8 - 64]
+    # Y, then every line outside X0, L1 and Y, continue the head, and
+    # the all-ones vector and ell0 test membership
+    assert [n for n, continued in calls if continued] == [4, 85 - 8 - 64, 2]
+
+
+@pytest.mark.parametrize("ones_out, ell0_out, message", [
+    (True, True, "all-ones vector escapes"),
+    (True, False, "all-ones vector escapes"),
+    (False, True, "ell0 escapes"),
+])
+def test_membership_failure_names_the_first_vector_outside(
+    quad, matrix, monkeypatch, ones_out, ell0_out, message
+):
+    # single points stand in for the all-ones vector and ell0: no word
+    # of C(P,L) has weight 1, so each is outside the span
+    import lu3q.incidence
+
+    Q = quad(4)
+    sel = select_Z(matrix(4, "p1l1"), Q)
+    if ones_out:
+        monkeypatch.setattr(lu3q.incidence, "ones_vector", lambda n: 0b01)
+    if ell0_out:
+        line_rows = lu3q.incidence._line_rows
+
+        def rows(Q, col, lines):
+            return [0b10] if lines == (Q.ell0,) else line_rows(Q, col, lines)
+
+        monkeypatch.setattr(lu3q.incidence, "_line_rows", rows)
+    with pytest.raises(SpanMismatchError, match=message) as exc:
+        verify_spanning(Q, sel)
+    assert exc.value.line == (None if ones_out else Q.ell0)
 
 
 @pytest.mark.parametrize("q, dim_pl, dim_p1l1", [(2, 10, 6), (4, 50, 42)])
@@ -360,13 +380,15 @@ def test_verify_ranks_come_from_one_elimination(monkeypatch):
     outcomes = run_checks(8, {"spans", "iso", "rank"})
     assert [o.status for o in outcomes] == ["PASS"] * 6
     assert calls == []
-    assert eliminations == [(8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True)]
+    assert eliminations == [
+        (8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True), (2, True)
+    ]
 
 
 def test_kernel_group_adds_no_elimination(monkeypatch):
     # the kernel comes from the spans group's elimination: with the
-    # kernel group the run makes the same four echelon calls, and no
-    # rref or nullspace one either
+    # kernel group the run eliminates the same batches of rows, and
+    # runs no rref or nullspace either
     from lu3q.verify import run_checks
 
     calls = count_eliminations(monkeypatch)
@@ -374,7 +396,9 @@ def test_kernel_group_adds_no_elimination(monkeypatch):
     spans_only = list(calls)
     outcomes = run_checks(8, {"spans", "kernel"})
     assert [o.status for o in outcomes] == ["PASS"] * 3
-    assert spans_only == [(8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True)]
+    assert spans_only == [
+        (8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True), (2, True)
+    ]
     assert calls[len(spans_only):] == spans_only
 
 
