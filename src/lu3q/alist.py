@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, bit_indices
+from lu3q.gf2 import BitMatrix, bit_indices, pack_pairs
 
 
 def write_alist(m: BitMatrix, path: str | Path) -> None:
@@ -89,20 +89,20 @@ def from_alist_text(text: str) -> BitMatrix:
             raise ValueError(f"impossible dimensions {n_rows}x{n_cols}")
         col_wts = [next(tokens) for _ in range(n_cols)]
         row_wts = [next(tokens) for _ in range(n_rows)]
-        rows = [0] * n_rows
-        for j in range(n_cols):
-            for v in index_list(max_col, n_rows):
-                rows[v - 1] |= 1 << j
+        col_lists = [index_list(max_col, n_rows) for _ in range(n_cols)]
+        r = [v - 1 for listed in col_lists for v in listed]
+        c = [j for j, listed in enumerate(col_lists) for _ in listed]
+        m = BitMatrix(pack_pairs(r, c, n_rows, n_cols), n_cols)
         # row sections are redundant given the column sections; consume
         # and cross-check them
-        for i in range(n_rows):
-            if sum(1 << (v - 1) for v in index_list(max_row, n_cols)) != rows[i]:
+        rows, cols = bit_indices(m)
+        for i, want in enumerate(_split((cols + 1).tolist(), rows, n_rows)):
+            if index_list(max_row, n_cols) != want:
                 raise ValueError(f"row section disagrees with column section at row {i}")
     except StopIteration:
         raise ValueError("truncated alist data") from None
     if next(tokens, None) is not None:
         raise ValueError("data after the row section")
-    m = BitMatrix(rows, n_cols)
     if m.row_weights() != row_wts or m.col_weights() != col_wts:
         raise ValueError("declared weights disagree with matrix content")
     if max_col != max((w for w in col_wts), default=0) or max_row != max(

@@ -19,11 +19,13 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from lu3q.alist import read_alist, to_alist_text, write_alist
 from lu3q.fields import factor_prime_power, field_for_order
 from lu3q.formulas import predict, predict_even, predict_odd
 from lu3q.geometry import enumerate_quadrangle
-from lu3q.gf2 import rank2
+from lu3q.gf2 import BitMatrix, rank2
 from lu3q.incidence import build_incidence, build_kim_matrix
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.verify import CHECK_GROUPS, run_checks
@@ -49,6 +51,15 @@ def _build_matrix(args):
     return build_incidence(enumerate_quadrangle(F), args.system)
 
 
+def _write(text: str, out: str | None) -> None:
+    """text to the file ``out``, or to stdout without one."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_construct(args, parser) -> int:
     if args.list_what:
         Q = enumerate_quadrangle(field_for_order(args.q, _parse_irr(args.irr)))
@@ -63,7 +74,7 @@ def cmd_construct(args, parser) -> int:
                 r1 = ",".join(map(str, u))
                 r2 = ",".join(map(str, w))
                 out.write(f"{l} {r1} {r2} {len(pts)}\n")
-        sys.stdout.write(out.getvalue())
+        _write(out.getvalue(), args.out)
         return 0
     if args.out is None:
         parser.error("construct needs --list or --system with --out")
@@ -188,11 +199,7 @@ def cmd_simulate(args, parser) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SIM_CSV_HEADER)
     writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args.out)
     return 0
 
 
@@ -206,11 +213,14 @@ def cmd_export(args, parser) -> int:
         if to_alist_text(back) != to_alist_text(m.bits):
             print("round-trip mismatch", file=sys.stderr)
             return 1
-    else:
-        with open(args.out, "w") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            for row in m.bits.to_dense():
-                writer.writerow(row)
+    else:  # "0,1,...,1\n" per row, 64 rows at a time
+        with open(args.out, "wb") as fh:
+            for s in range(0, m.n_rows, 64):
+                bits = BitMatrix(m.bits.words[s : s + 64], m.n_cols).to_numpy()
+                text = np.full((len(bits), 2 * m.n_cols), ord(","), np.uint8)
+                text[:, ::2] = bits + ord("0")
+                text[:, -1] = ord("\n")
+                fh.write(text.tobytes())
     log.info("exported %s q=%d as %s to %s", args.system, args.q, args.format, args.out)
     return 0
 

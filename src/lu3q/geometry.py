@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from lu3q.fields import GF
-from lu3q.gf2 import pack_indices
+from lu3q.gf2 import BitMatrix, pack_indices
 
 Vec = tuple[int, int, int, int]
 
@@ -178,7 +178,8 @@ class Quadrangle:
 
     def chi_lines(self, lines: Sequence[int]) -> list[int]:
         """Characteristic bit vectors of lines over the point set."""
-        return pack_indices(self.line_pts[np.asarray(lines, dtype=np.intp)], self.n_points)
+        words = pack_indices(self.line_pts[np.asarray(lines, dtype=np.intp)], self.n_points)
+        return BitMatrix(words, self.n_points).rows
 
     def chi_line(self, l: int) -> int:
         return self.chi_lines([l])[0]

@@ -1,102 +1,97 @@
 """Exact GF(2) linear algebra on bit-packed matrices.
 
-A row is a Python int used as a bitset: bit j of the row is the entry
-in column j.  Machine words inside the int give word-packed XOR row
-operations for free.  One elimination serves every rank, span test and
-kernel: ``ReducedEchelon`` keeps a reduced basis of packed uint64 rows,
-in which every basis row holds no pivot bit but its own, so an incoming
-row is reduced by one XOR of the basis rows at its pivot bits.  It can
-be copied and continued, and the indices of the rows it takes give
-prefix ranks, pivot columns and span membership (a vector lies in the
-span iff a continuation does not take it).  It pivots on the highest
-set bit by default, which keeps fill-in low on the incidence matrices
-here.  ``rref`` pivots on the lowest set bit: it gives the canonical
-form in which ``Subspace`` keeps a span, so two spans are equal iff
-their bases are.  ``nullspace`` returns that form too: with M reduced
-on highest-bit pivots, free column f gives w_f = e_f + e_p for each
-pivot row r_p with bit f.  Each such p exceeds f, so w_f has lowest bit
-f and no other free bit, and the w_f in ascending f are the canonical
-basis.
+A bit matrix is an n_rows x ceil(n_cols/64) array of little-endian
+uint64 words: bit j of a row is bit j % 64 of word j // 64, and the
+bits past n_cols are zero.  ``pack_indices`` and ``pack_pairs`` pack
+column indices straight into words; ``bit_indices`` and
+``BitMatrix.to_numpy`` read them out.  Only a single vector or a
+``Subspace`` basis is a Python int used as a bitset (bit j is column
+j); ``BitMatrix.rows`` and ``BitMatrix(rows, n_cols)`` convert.
+
+One elimination serves every rank, span test and kernel:
+``ReducedEchelon`` keeps a reduced basis of words, in which every basis
+row holds no pivot bit but its own, so an incoming row is reduced by
+one XOR of the basis rows at its pivot bits.  It can be copied and
+continued, and the indices of the rows it takes give prefix ranks,
+pivot columns and span membership (a vector lies in the span iff a
+continuation does not take it).  It pivots on the highest set bit by
+default, which keeps fill-in low on the incidence matrices here.
+``rref`` pivots on the lowest set bit: it gives the canonical form in
+which ``Subspace`` keeps a span, so two spans are equal iff their bases
+are.  ``nullspace`` returns that form too: with M reduced on
+highest-bit pivots, free column f gives w_f = e_f + e_p for each pivot
+row r_p with bit f.  Each such p exceeds f, so w_f has lowest bit f and
+no other free bit, and the w_f in ascending f are the canonical basis.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
 
 
 class BitMatrix:
-    """Dense bit matrix with int-bitset rows."""
+    """Dense bit matrix; ``words`` holds its packed rows."""
 
-    __slots__ = ("rows", "n_cols")
+    __slots__ = ("words", "n_cols")
 
-    def __init__(self, rows: list[int], n_cols: int):
-        self.rows = rows
+    def __init__(self, rows: np.ndarray | Sequence[int], n_cols: int):
+        """``rows`` is the words array, or the rows as int bitsets."""
+        self.words = rows if isinstance(rows, np.ndarray) else _words(rows, n_cols)
         self.n_cols = n_cols
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.words)
+
+    @property
+    def rows(self) -> list[int]:
+        """The rows as int bitsets, unpacked on each access."""
+        return _ints(self.words)
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        return cls([0] * n_rows, n_cols)
+        return cls(np.zeros((n_rows, _width(n_cols)), "<u8"), n_cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
+        return cls(pack_indices(np.arange(n)[:, None], n), n)
 
     @classmethod
     def from_dense(cls, dense: Iterable[Iterable[int]], n_cols: int | None = None) -> "BitMatrix":
-        rows = []
-        width = n_cols
-        for dr in dense:
-            r = 0
-            cells = list(dr)
-            for j, v in enumerate(cells):
-                if v & 1:
-                    r |= 1 << j
-            if width is None:
-                width = len(cells)
-            rows.append(r)
-        return cls(rows, width or 0)
+        cells = [list(r) for r in dense]
+        width = len(cells[0]) if cells else 0
+        i, j = np.nonzero(np.array(cells, np.int64).reshape(len(cells), width) & 1)
+        n_cols = width if n_cols is None else n_cols
+        return cls(pack_pairs(i, j, len(cells), n_cols), n_cols)
 
     def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
+        return (int(self.words[i, j >> 6]) >> (j & 63)) & 1
 
     def row_weights(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return np.bitwise_count(self.words).sum(axis=1, dtype=np.intp).tolist()
 
     def col_weights(self) -> list[int]:
         return np.bincount(bit_indices(self)[1], minlength=self.n_cols).tolist()
 
     def transpose(self) -> "BitMatrix":
         r, c = bit_indices(self)
-        order = np.argsort(c, kind="stable")  # ascending rows within a column
-        return BitMatrix(_pack_pairs(c[order], r[order], self.n_cols, self.n_rows), self.n_rows)
+        return BitMatrix(pack_pairs(c, r, self.n_cols, self.n_rows), self.n_rows)
 
     def mul_vec(self, v: int) -> int:
         """Matrix-vector product over GF(2); v and result are bitsets."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            if (r & v).bit_count() & 1:
-                out |= 1 << i
-        return out
+        parity = np.bitwise_count(self.words & _words([v], self.n_cols)).sum(axis=1) & 1
+        return vec_from_bits(parity.tolist())
 
     def to_numpy(self) -> np.ndarray:
-        packed = _pack(self.rows, (self.n_cols + 7) // 8)
-        return np.unpackbits(packed, axis=1, count=self.n_cols, bitorder="little")
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
+        return np.unpackbits(_bytes(self.words), axis=1, count=self.n_cols, bitorder="little")
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.n_cols == other.n_cols
-            and self.rows == other.rows
+            and np.array_equal(self.words, other.words)
         )
 
     def __repr__(self) -> str:
@@ -106,12 +101,11 @@ class BitMatrix:
 class ReducedEchelon:
     """A reduced echelon basis, continued a batch of rows at a time.
 
-    ``basis`` is a rank x ceil(n/64) uint64 array, bit j of a row at bit
-    j % 64 of word j // 64, with its rows in the order taken and their
-    pivot columns in ``cols``.  For each prefix of the rows the pivots
-    are the leading bits of its span, and a reduced basis is unique for
-    its pivots, so the basis does not depend on how the rows were split
-    into batches."""
+    ``basis`` holds the basis rows in the order taken, in the words
+    layout, and ``cols`` their pivot columns in the same order.  For
+    each prefix of the rows the pivots are the leading bits of its span,
+    and a reduced basis is unique for its pivots, so the basis does not
+    depend on how the rows were split into batches."""
 
     __slots__ = ("lowest", "cols", "_store", "_row_of")
 
@@ -120,7 +114,7 @@ class ReducedEchelon:
         self.cols: list[int] = []
         # basis row k is _store[k + 1]: _store[0] stays zero, and the
         # columns without a pivot map to it in _row_of; grown by doubling
-        self._store = np.zeros((8, (n_cols + 63) // 64), "<u8")
+        self._store = np.zeros((8, _width(n_cols)), "<u8")
         self._row_of = np.zeros(n_cols, np.intp)
 
     @property
@@ -133,20 +127,20 @@ class ReducedEchelon:
         other._store, other._row_of = self._store.copy(), self._row_of.copy()
         return other
 
-    def add(self, rows: Iterable[int]) -> list[int]:
-        """Continue the elimination with ``rows``; returns the indices,
-        counted from the first of them, of the rows outside the span of
-        the basis and the rows before them.  The rows are drawn and
-        packed a slice at a time."""
+    def add(self, words: np.ndarray) -> list[int]:
+        """Continue the elimination with the rows of ``words``; returns
+        the indices, counted from its first row, of the rows outside the
+        span of the basis and the rows before them.  The rows' bits are
+        indexed a slice at a time."""
         lowest, row_of, cols, store = self.lowest, self._row_of, self.cols, self._store
         width = store.shape[1]
         taken: list[int] = []
         step = _slice_rows(8 * width, 2**18)  # the index temporaries are several times this
-        rows, s = iter(rows), 0
-        while len(packed := _pack(list(itertools.islice(rows, step)), 8 * width)):
-            at, bit = _indices(packed)
-            starts = np.searchsorted(at, np.arange(len(packed) + 1)).tolist()
-            for i, x in enumerate(packed.view("<u8")):
+        for s in range(0, len(words), step):
+            block = words[s : s + step]
+            at, bit = _indices(block)
+            starts = np.searchsorted(at, np.arange(len(block) + 1)).tolist()
+            for i, x in enumerate(block):
                 x = x ^ np.bitwise_xor.reduce(store[row_of[bit[starts[i] : starts[i + 1]]]])
                 nz = x.nonzero()[0]
                 if not len(nz):
@@ -157,9 +151,9 @@ class ReducedEchelon:
                 k = len(cols) + 1
                 # the rows with bit c have pivots above c and x has no bit above
                 # c (below, if lowest), so only the words up to c's (from c's) change
-                words = slice(w, None) if lowest else slice(0, w + 1)
+                part = slice(w, None) if lowest else slice(0, w + 1)
                 clear = (store[:k, w] & np.uint64(1 << (c & 63))).nonzero()[0]
-                store[clear, words] ^= x[words]
+                store[clear, part] ^= x[part]
                 if k == len(store):  # np.zeros leaves the new rows unmapped until written
                     self._store = np.zeros((2 * k, width), "<u8")
                     self._store[:k] = store
@@ -168,30 +162,29 @@ class ReducedEchelon:
                 row_of[c] = k
                 cols.append(c)
                 taken.append(s + i)
-            s += len(packed)
         return taken
 
 
-def _rows_and_width(m: BitMatrix | Sequence[int]) -> tuple[Sequence[int], int]:
-    """The rows of m and its width: n_cols, or the longest row's bits."""
+def _matrix(m: BitMatrix | Sequence[int]) -> BitMatrix:
+    """m, or int rows as a matrix as wide as the longest row."""
     if isinstance(m, BitMatrix):
-        return m.rows, m.n_cols
+        return m
     rows = list(m)
-    return rows, max(map(int.bit_length, rows), default=0)
+    return BitMatrix(rows, max(map(int.bit_length, rows), default=0))
 
 
 def rank2(m: BitMatrix | Sequence[int]) -> int:
     """GF(2) rank; the input is not modified."""
-    rows, n = _rows_and_width(m)
-    return len(ReducedEchelon(n).add(rows))
+    m = _matrix(m)
+    return len(ReducedEchelon(m.n_cols).add(m.words))
 
 
 def rref(m: BitMatrix | Sequence[int]) -> tuple[list[int], list[int]]:
     """Canonical RREF: (rows sorted by lowest-bit pivot, pivot columns)."""
-    rows, n = _rows_and_width(m)
-    e = ReducedEchelon(n, lowest=True)
-    e.add(rows)
-    return _unpack(e.basis[np.argsort(e.cols)]), sorted(e.cols)
+    m = _matrix(m)
+    e = ReducedEchelon(m.n_cols, lowest=True)
+    e.add(m.words)
+    return _ints(e.basis[np.argsort(e.cols)]), sorted(e.cols)
 
 
 class Subspace:
@@ -233,16 +226,26 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.n_cols})"
 
 
-def _pack(rows: Sequence[int], width: int) -> np.ndarray:
-    """Bitset rows as a len(rows) x width uint8 array, bit j of a row at
-    bit j % 8 of byte j // 8."""
-    packed = b"".join(r.to_bytes(width, "little") for r in rows)
-    return np.frombuffer(packed, np.uint8).reshape(len(rows), width)
+def _width(n_cols: int) -> int:
+    """Words per row."""
+    return (n_cols + 63) // 64
 
 
-def _unpack(packed: np.ndarray) -> list[int]:
-    """The rows of a uint8 array as bitsets; inverse of ``_pack``."""
-    return [int.from_bytes(r.tobytes(), "little") for r in packed]
+def _words(rows: Sequence[int], n_cols: int) -> np.ndarray:
+    """Int bitset rows in the words layout."""
+    size = 8 * _width(n_cols)
+    packed = bytearray(b"".join(r.to_bytes(size, "little") for r in rows))
+    return np.frombuffer(packed, "<u8").reshape(len(rows), size // 8)
+
+
+def _ints(rows: np.ndarray) -> list[int]:
+    """The rows of a words (or bytes) array as int bitsets."""
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+
+
+def _bytes(words: np.ndarray) -> np.ndarray:
+    """A words array as bytes, bit j of a row at bit j % 8 of byte j // 8."""
+    return np.ascontiguousarray(words).view(np.uint8)
 
 
 def _slice_rows(row_bytes: int, block: int = 2**20) -> int:
@@ -250,61 +253,48 @@ def _slice_rows(row_bytes: int, block: int = 2**20) -> int:
     return max(8, block // max(row_bytes, 1))
 
 
-def _pack_pairs(r: np.ndarray, c: np.ndarray, n_rows: int, n_cols: int) -> list[int]:
-    """n_rows bitset rows, row r[k] with bit c[k] set, for r ascending.
-    Packed a slice of rows at a time."""
-    width = (n_cols + 7) // 8
-    step = _slice_rows(width)
-    out: list[int] = []
-    for s in range(0, n_rows, step):
-        lo, hi = np.searchsorted(r, (s, s + step))
-        i, j = r[lo:hi] - s, c[lo:hi]
-        packed = np.zeros((min(step, n_rows - s), width), dtype=np.uint8)
-        np.bitwise_or.at(packed, (i, j >> 3), np.left_shift(1, j & 7).astype(np.uint8))
-        out += _unpack(packed)
-    return out
+def pack_pairs(r: Sequence[int], c: Sequence[int], n_rows: int, n_cols: int) -> np.ndarray:
+    """The words of the n_rows x n_cols matrix with a 1 at each
+    (r[k], c[k]); a pair may repeat.  The pairs are set 2^14 at a time,
+    which keeps the temporaries small."""
+    words = np.zeros((n_rows, _width(n_cols)), "<u8")
+    for s in range(0, len(r), 2**14):
+        rs, cs = np.asarray(r[s : s + 2**14], np.intp), np.asarray(c[s : s + 2**14], np.intp)
+        bits = np.left_shift(np.uint64(1), (cs & 63).astype(np.uint64))
+        np.bitwise_or.at(words, (rs, cs >> 6), bits)  # a column past the words raises
+    return words
 
 
-def pack_indices(cols: np.ndarray, n_cols: int) -> list[int]:
-    """Bitset rows from rows of column indices: row i has bit c set for
-    each entry c of cols[i].  Negative entries set no bit, so rows may
-    have different weights.  Packed a slice of rows at a time."""
+def pack_indices(cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Words of rows of column indices: row i has bit c set for each
+    entry c of cols[i].  Negative entries set no bit, so rows may have
+    different weights."""
     cols = np.asarray(cols)
-    out: list[int] = []
-    step = _slice_rows((n_cols + 7) // 8, 2**18)  # the index temporaries are several times this
-    for s in range(0, len(cols), step):
-        block = cols[s : s + step]
-        i, k = np.nonzero(block >= 0)
-        out += _pack_pairs(i, block[i, k], len(block), n_cols)
-    return out
+    i, k = np.nonzero(cols >= 0)
+    return pack_pairs(i, cols[i, k], len(cols), n_cols)
 
 
-def _indices(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the 1s of a uint8 array of packed rows,
-    in row-major order: its nonzero bytes, unpacked."""
+def _indices(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the 1s of a words array, in row-major
+    order: its nonzero bytes, unpacked."""
+    packed = _bytes(words)
     width = packed.shape[1]
     flat = packed.ravel()
-    at = np.flatnonzero(flat)
-    k, b = np.nonzero(np.unpackbits(flat[at, None], axis=1, bitorder="little"))
+    at = np.flatnonzero(flat != 0)  # nonzero is several times faster on bools
+    k, b = np.nonzero(np.unpackbits(flat[at, None], axis=1, bitorder="little").view(bool))
     return at[k] // width, at[k] % width * 8 + b
 
 
 def bit_indices(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the 1s of m, in row-major order, a slice
-    of packed rows at a time."""
-    width = (m.n_cols + 7) // 8
-    step = _slice_rows(width, 2**18)
+    of rows at a time."""
+    step = _slice_rows(8 * m.words.shape[1], 2**18)
     rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     for s in range(0, m.n_rows, step):
-        r, c = _indices(_pack(m.rows[s : s + step], width))
+        r, c = _indices(m.words[s : s + step])
         rows.append(s + r)
         cols.append(c)
     return np.concatenate(rows), np.concatenate(cols)
-
-
-def _columns(packed: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Bits ``cols`` of each packed row, as a rows x len(cols) 0/1 array."""
-    return (packed[:, cols >> 3] >> (cols & 7).astype(np.uint8)) & 1
 
 
 def nullspace(m: BitMatrix) -> Subspace:
@@ -314,34 +304,26 @@ def nullspace(m: BitMatrix) -> Subspace:
     pivot row read from the packed reduced rows."""
     n = m.n_cols
     e = ReducedEchelon(n)
-    e.add(m.rows)
+    e.add(m.words)
     pivot_cols = np.array(e.cols, np.intp)
     is_free = np.ones(n, dtype=bool)
     is_free[pivot_cols] = False
     free = np.flatnonzero(is_free)
-    rows = e.basis.view(np.uint8)  # bit j at byte j // 8
+    rows = _bytes(e.basis)
     basis: list[int] = []
     step = _slice_rows(n)  # w below is step x n bytes
     for s in range(0, len(free), step):
         f = free[s : s + step]
         w = np.zeros((len(f), n), dtype=np.uint8)  # row k is w_{f[k]}
-        w[:, pivot_cols] = _columns(rows, f).T
+        w[:, pivot_cols] = ((rows[:, f >> 3] >> (f & 7).astype(np.uint8)) & 1).T  # bits f
         w[np.arange(len(f)), f] = 1
-        basis += _unpack(np.packbits(w, axis=1, bitorder="little"))
+        basis += _ints(np.packbits(w, axis=1, bitorder="little"))
     return Subspace(basis, free.tolist(), n)
 
 
 def vec_from_bits(bits: Iterable[int]) -> int:
-    v = 0
-    for j, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << j
-    return v
+    return sum(1 << j for j, b in enumerate(bits) if b & 1)
 
 
 def vec_to_bits(v: int, n: int) -> np.ndarray:
-    return np.unpackbits(_pack([v], (n + 7) // 8)[0], count=n, bitorder="little")
-
-
-def ones_vector(n: int) -> int:
-    return (1 << n) - 1
+    return BitMatrix([v], n).to_numpy()[0]

@@ -12,7 +12,7 @@ Three square bit matrices are built here:
 
 The incidence comes from the quadrangle's index arrays (and kim's
 from the field's lookup tables) as rows of column indices, which
-``gf2.pack_indices`` packs into bit rows.
+``gf2.pack_indices`` packs straight into the words of a bit matrix.
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
@@ -28,9 +28,7 @@ Y.  ``select_Z`` runs both and leaves them on the selection.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -42,8 +40,8 @@ from lu3q.gf2 import (
     BitMatrix,
     ReducedEchelon,
     bit_indices,
-    ones_vector,
     pack_indices,
+    pack_pairs,
 )
 from lu3q.geometry import Quadrangle
 
@@ -139,20 +137,17 @@ class EquivalenceReport:
 def build_kim_matrix(F: GF) -> IncidenceMatrix:
     """The q^3 x q^3 system: (a,b,c) ~ [x,y,z] iff y = ax+b, z = ay+c.
 
-    Row (a,b,c) sets column (x*q + y)*q + z for each x.  The columns come
-    from the field tables one slab of fixed a at a time, so each index
-    array has q^2 rows."""
+    Row (a,b,c) sets column (x*q + y)*q + z for each x, the columns
+    coming from the field tables."""
     q = F.q
     T = F.tables
-    b, c = np.indices((q, q)).reshape(2, -1, 1)
+    a, b, c = np.indices((q, q, q), np.int32).reshape(3, -1, 1)
     x = np.arange(q, dtype=np.int32)
-    rows: list[int] = []
-    for a in range(q):
-        y = T.add[T.mul[a, x], b]
-        z = T.add[T.mul[a, y], c]
-        rows += pack_indices((x * q + y) * q + z, q**3)
+    y = T.add[T.mul[a, x], b]
+    z = T.add[T.mul[a, y], c]
     labels = list(itertools.product(range(q), repeat=3))
-    return IncidenceMatrix(BitMatrix(rows, q**3), labels, list(labels), "kim")
+    bits = BitMatrix(pack_indices((x * q + y) * q + z, q**3), q**3)
+    return IncidenceMatrix(bits, labels, list(labels), "kim")
 
 
 def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
@@ -187,8 +182,9 @@ def _point_columns(Q: Quadrangle, P1: tuple[int, ...]) -> np.ndarray:
     return col
 
 
-def _line_rows(Q: Quadrangle, col: np.ndarray, lines: Sequence[int]) -> list[int]:
-    """The characteristic vector of each line, point p at bit col[p]."""
+def _line_rows(Q: Quadrangle, col: np.ndarray, lines: Sequence[int]) -> np.ndarray:
+    """The words of the characteristic vector of each line, point p at
+    bit col[p]."""
     return pack_indices(col[Q.line_pts[np.asarray(lines, dtype=np.intp)]], Q.n_points)
 
 
@@ -213,13 +209,17 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     rs = Q.restricted_sets
     col = _point_columns(Q, rs.P1)
     split = Q.n_points - len(rs.P1)
-    # the perp point has the lowest bit of each L1 line
-    perp_bit = col[Q.line_pts[list(rs.L1)]].min(axis=1).tolist()
-    l1_rows = (
-        (c << split) | (1 << b) for c, b in zip(m_p1l1.bits.transpose().rows, perp_bit)
-    )
+    # L1 line j has the 1s of column j of m_p1l1 above P1's split, and
+    # its perp point at the lowest bit; the X0 rows follow
+    n = len(rs.L1)
+    p1, l1 = bit_indices(m_p1l1.bits)
+    perp_bit = col[Q.line_pts[list(rs.L1)]].min(axis=1)
+    r, c = np.concatenate([l1, np.arange(n)]), np.concatenate([split + p1, perp_bit])
+    rows = pack_pairs(r, c, n + len(rs.X0), Q.n_points)
+    del p1, l1, r, c  # the index arrays are not held through the eliminations
+    rows[n:] = _line_rows(Q, col, rs.X0)
     echelon = ReducedEchelon(Q.n_points)
-    taken = echelon.add(itertools.chain(l1_rows, _line_rows(Q, col, rs.X0)))
+    taken = echelon.add(rows)
     head = Elimination(col, rs.L1 + rs.X0, echelon, taken)
     Z = tuple(head.lines[i] for i, c in zip(taken, echelon.cols) if c >= split)
     independent = _eliminate(Q, col, rs.X0 + Z + rs.Y)
@@ -280,8 +280,8 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     dim_pl = len(span.cols)
     # a vector lies in the span iff the elimination does not take it; once
     # the all-ones vector is inside, taking ell0 means ell0 is outside
-    ones = ones_vector(Q.n_points)
-    outside = span.add([ones, _line_rows(Q, col, (Q.ell0,))[0]])
+    ones = pack_indices(np.arange(Q.n_points)[None], Q.n_points)
+    outside = span.add(np.concatenate([ones, _line_rows(Q, col, (Q.ell0,))]))
     if 0 in outside:
         raise SpanMismatchError("all-ones vector escapes span of X0 u Y u L1")
     if outside:
@@ -290,7 +290,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     # constructive all-ones identity: sum a line of L1 with every line
     # meeting it
     meeting = sorted(set(Q.point_lines[Q.line_pts[rs.L1[0]]].ravel().tolist()))
-    total = functools.reduce(operator.xor, Q.chi_lines(meeting))
+    total = np.bitwise_xor.reduce(_line_rows(Q, col, meeting))
 
     rank_z_x0 = bisect_left(independent.taken, len(sel.X0) + len(sel.Z))
     if rank_z_x0 != len(head.taken):
@@ -308,10 +308,11 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     low = span.basis[np.array(span.cols) < split].view(np.uint8)
     bits = np.unpackbits(low, axis=1, count=split, bitorder="little")
     perp = np.flatnonzero(col < split)  # the point of each bit below P1
-    kernel = pack_indices(np.where(bits, perp, -1), Q.n_points)
+    kernel = BitMatrix(pack_indices(np.where(bits, perp, -1), Q.n_points), Q.n_points).rows
     rank_l1 = bisect_left(head.taken, len(rs.L1))
     dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.echelon.cols)
-    return SpanningReport(Q.q, dim_pl, dim_p1l1, total == ones, kernel, dim_ker_pl1)
+    ones_sum = np.array_equal(total, ones[0])
+    return SpanningReport(Q.q, dim_pl, dim_p1l1, ones_sum, kernel, dim_ker_pl1)
 
 
 # -- permutation equivalence of the digitized and geometric systems --------
@@ -363,9 +364,9 @@ def check_kim_equivalence(
     # slice of rows at a time; the lowest key in only one names the row
     for s in range(0, n, 1024):
         rows = slice(s, s + 1024)
-        i, j = bit_indices(BitMatrix(kim.bits.rows[rows], n))
+        i, j = bit_indices(BitMatrix(kim.bits.words[rows], n))
         got = np.sort(i * n + col_perm[j])
-        r, c = bit_indices(BitMatrix([p1l1.bits.rows[k] for k in row_perm[rows]], n))
+        r, c = bit_indices(BitMatrix(p1l1.bits.words[row_perm[rows]], n))
         if not np.array_equal(got, r * n + c):
             i = s + int(np.setxor1d(got, r * n + c)[0] // n)
             raise EquivalenceMismatchError(

@@ -1,11 +1,12 @@
 """LDPC codes on top of the constructed parity-check matrices.
 
-A code keeps one edge layout, built from the packed rows on first use:
-``checks`` lists the variables of each check and ``var_edges`` the edge
-slots of each variable in ascending check order.  Syndromes, the
-encoder's codeword check and both decoders run on it; no dense copy of
-H is kept.  ``girth_check`` takes a bare matrix and unpacks its ones
-itself.
+A code holds H as packed words (see ``lu3q.gf2``) and one edge layout
+read from them on first use: ``checks`` lists the variables of each
+check and ``var_edges`` the edge slots of each variable in ascending
+check order.  Syndromes, the encoder's codeword check and both decoders
+run on it; no dense copy of H is kept.  ``girth_check`` reads the 1s of
+a bare matrix's words itself, and the H^T code eliminates the words of
+the rows of H^T at H's pivot columns.
 
 Simulation transmits the zero codeword (valid on a symmetric channel for
 a linear code) and draws each trial's noise from its own generator,
@@ -26,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, _pack, bit_indices, nullspace, vec_to_bits
+from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace, vec_to_bits
 
 # Bytes of float64 check-to-variable messages per simulation block.
 _BLOCK_BYTES = 1 << 20
@@ -127,11 +128,13 @@ class LdpcCode:
         rows P of H^T and are independent, and ``nullspace`` returns a
         canonical basis, so the result equals nullspace(H^T) bit for bit.
         """
-        Ht = self.H.transpose()
-        code = LdpcCode(Ht, provenance)
         in_P = np.ones(self.n, dtype=bool)
         in_P[self.generator.pivot_cols] = False
-        code.generator = nullspace(BitMatrix([Ht.rows[p] for p in np.flatnonzero(in_P)], self.m))
+        # the rows P come from a transpose of their own, so that their
+        # copy and the code's H^T are not held at once
+        generator = nullspace(BitMatrix(self.H.transpose().words[in_P], self.m))
+        code = LdpcCode(self.H.transpose(), provenance)
+        code.generator = generator
         return code
 
     @cached_property
@@ -196,7 +199,7 @@ class LdpcCode:
         words = np.zeros((samples, width), dtype=np.uint64)
         table = np.zeros((256, width), dtype=np.uint64)
         for j in range(selects.shape[1]):
-            rows = _pack(basis[8 * j : 8 * j + 8], 8 * width).view(np.uint64)
+            rows = BitMatrix(basis[8 * j : 8 * j + 8], self.n).words
             for b, row in enumerate(rows):
                 np.bitwise_xor(table[: 1 << b], row, out=table[1 << b : 2 << b])
             words ^= table[selects[:, j]]

@@ -73,7 +73,8 @@ def restrict_rows(rows: Iterable[int], cols: Sequence[int]) -> list[int]:
         return [0] * len(rows)
     bits = max(max((r.bit_length() for r in rows), default=0), int(cols.max()) + 1)
     picked = BitMatrix(rows, bits).to_numpy()[:, cols]
-    return pack_indices(np.where(picked, np.arange(len(cols)), -1), len(cols))
+    words = pack_indices(np.where(picked, np.arange(len(cols)), -1), len(cols))
+    return BitMatrix(words, len(cols)).rows
 
 
 def kernel_intersection_dim(space: Subspace, kept_cols: Sequence[int]) -> int:

@@ -10,6 +10,8 @@ import pytest
 import lu3q
 from lu3q.alist import read_alist
 from lu3q.cli import main
+from lu3q.fields import field_for_order
+from lu3q.incidence import build_kim_matrix
 from test_acceptance import ALL_Q
 from test_incidence import count_eliminations
 
@@ -111,6 +113,20 @@ def test_export_csv(capsys, tmp_path):
     assert all(len(r.split(",")) == 8 for r in rows)
 
 
+def test_export_csv_kim_q4_equals_the_bits_of_its_rows(capsys, tmp_path):
+    # the CSV, written from the unpacked words a slice of rows at a time,
+    # against a text built bit by bit from the int rows
+    out_file = tmp_path / "kim4.csv"
+    code, _ = run(capsys, "export", "--q", "4", "--system", "kim",
+                  "--format", "csv", "--out", str(out_file))
+    assert code == 0
+    m = build_kim_matrix(field_for_order(4)).bits
+    want = "".join(
+        ",".join(str(r >> j & 1) for j in range(m.n_cols)) + "\n" for r in m.rows
+    )
+    assert m.n_rows == 64 and out_file.read_bytes() == want.encode()
+
+
 def test_export_deterministic_bytes(capsys, tmp_path):
     a, b = tmp_path / "a.alist", tmp_path / "b.alist"
     run(capsys, "export", "--q", "2", "--system", "kim", "--out", str(a))
@@ -131,6 +147,16 @@ def test_construct_list_lines(capsys):
     code, out = run(capsys, "construct", "--q", "2", "--list", "lines")
     assert code == 0
     assert len(out.strip().splitlines()) == 16
+
+
+@pytest.mark.parametrize("what", ["points", "lines"])
+def test_construct_list_writes_out(capsys, tmp_path, what):
+    _, listing = run(capsys, "construct", "--q", "3", "--list", what)
+    out_file = tmp_path / f"{what}.txt"
+    code, out = run(capsys, "construct", "--q", "3", "--list", what, "--out", str(out_file))
+    assert code == 0
+    assert out == ""
+    assert out_file.read_bytes() == listing.encode()
 
 
 def test_construct_writes_alist(capsys, tmp_path):

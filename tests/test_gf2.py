@@ -1,5 +1,7 @@
+import ast
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,13 @@ from gf2_oracle import (
     restrict_rows,
     restrict_vector,
 )
+from lu3q.alist import from_alist_text, to_alist_text
 from lu3q.gf2 import (
     BitMatrix,
     ReducedEchelon,
     Subspace,
     nullspace,
-    ones_vector,
+    pack_indices,
     rank2,
     rref,
     vec_from_bits,
@@ -168,7 +171,7 @@ def reference_nullspace(m):
 
 @given(bit_matrices())
 def test_rank_equals_naive_rank(m):
-    assert rank2(m) == naive_rank(m.to_dense())
+    assert rank2(m) == naive_rank(m.to_numpy().tolist())
 
 
 @given(bit_matrices())
@@ -181,7 +184,7 @@ def test_nullspace_equals_reference(m):
 
 @given(bit_matrices())
 def test_column_greedy_pivots_equal_rref_pivots(m):
-    taken = ReducedEchelon(m.n_rows).add(m.transpose().rows)
+    taken = ReducedEchelon(m.n_rows).add(m.transpose().words)
     assert taken == rref(m)[1]
 
 
@@ -190,16 +193,16 @@ def test_a_continuation_tests_span_membership(m, data):
     # v lies in the span iff the continued elimination does not take it
     v = data.draw(st.integers(0, (1 << m.n_cols) - 1))
     e = ReducedEchelon(m.n_cols)
-    taken = e.add(m.rows)
+    taken = e.add(m.words)
     assert len(e.cols) == len(taken) == rank2(m)
-    assert (e.add([v]) == []) == Subspace.span(m.rows, m.n_cols).contains(v)
+    assert (e.add(BitMatrix([v], m.n_cols).words) == []) == Subspace.span(m.rows, m.n_cols).contains(v)
 
 
 def assert_reduced_echelon_equals_reference(m, lowest):
     pivots, taken = echelon(m.rows, lowest=lowest)
     want = reduced(pivots, lowest)
     e = ReducedEchelon(m.n_cols, lowest)
-    got_taken = e.add(m.rows)
+    got_taken = e.add(m.words)
     assert e.basis.shape == (len(want), (m.n_cols + 63) // 64)
     assert e.basis.dtype == np.uint64
     assert [int.from_bytes(r.tobytes(), "little") for r in e.basis] == list(want.values())
@@ -228,12 +231,12 @@ def test_a_continued_elimination_equals_one_elimination(m, data, lowest):
     # (counted from B's first row) of one elimination of A + B
     k = data.draw(st.integers(0, m.n_rows))
     whole = ReducedEchelon(m.n_cols, lowest)
-    taken = whole.add(m.rows)
+    taken = whole.add(m.words)
     e = ReducedEchelon(m.n_cols, lowest)
-    head = e.add(m.rows[:k])
+    head = e.add(m.words[:k])
     basis, cols = e.basis.copy(), list(e.cols)
     cont = e.copy()
-    tail = cont.add(m.rows[k:])
+    tail = cont.add(m.words[k:])
     assert head + [k + i for i in tail] == taken
     assert np.array_equal(cont.basis, whole.basis) and cont.cols == whole.cols
     # the copy leaves the original as it was
@@ -255,7 +258,7 @@ def test_reduced_echelon_edge_cases(n_cols, lowest):
     for rows in ([], [0], [0] * 3, full[:n_cols], full):
         assert_reduced_echelon_equals_reference(BitMatrix(rows, n_cols), lowest)
     e = ReducedEchelon(n_cols, lowest)
-    taken = e.add(full)
+    taken = e.add(BitMatrix(full, n_cols).words)
     assert sorted(e.cols) == list(range(n_cols))
     assert taken == list(range(n_cols))
 
@@ -282,7 +285,7 @@ def test_restrict_vector_basics():
     v = vec_from_bits([1, 0, 1, 1, 0])
     assert restrict_vector(v, [0, 1, 2]) == 0b101
     assert restrict_vector(v, [2, 3]) == 0b11
-    assert restrict_vector(ones_vector(5), [1, 3]) == 0b11
+    assert restrict_vector(0b11111, [1, 3]) == 0b11
     assert restrict_vector(v, []) == 0
 
 
@@ -349,7 +352,52 @@ def test_transpose_and_weights():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
     t = m.transpose()
     assert t.n_rows == 3 and t.n_cols == 2
-    assert t.to_dense() == [[1, 0], [1, 1], [0, 1]]
+    assert t.to_numpy().tolist() == [[1, 0], [1, 1], [0, 1]]
     assert m.row_weights() == [2, 2]
     assert m.col_weights() == [1, 2, 1]
     assert (m.to_numpy() == [[1, 1, 0], [0, 1, 1]]).all()
+
+
+@st.composite
+def boundary_rows(draw):
+    """Int rows at and across the word boundaries, with zero rows and
+    repeated rows."""
+    n_cols = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    row = st.integers(0, (1 << n_cols) - 1)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    rows = draw(st.lists(st.one_of(row, st.just(0), st.sampled_from(pool)), max_size=12))
+    return rows, n_cols
+
+
+@given(boundary_rows(), st.randoms(use_true_random=False))
+def test_every_builder_packs_the_words_of_the_int_rows(case, rng):
+    rows, n_cols = case
+    m = BitMatrix(rows, n_cols)
+    # bit j of row i at bit j % 64 of word j // 64
+    width = (n_cols + 63) // 64
+    assert m.words.shape == (len(rows), width) and m.words.dtype == np.dtype("<u8")
+    assert m.words.tolist() == [[r >> 64 * k & (2**64 - 1) for k in range(width)] for r in rows]
+    assert m.rows == rows
+    # rows of column indices, in any order, padded with -1 anywhere
+    cols = np.full((len(rows), n_cols + 2), -1)
+    for i, r in enumerate(rows):
+        at = rng.sample(range(n_cols + 2), r.bit_count())
+        cols[i, at] = [j for j in range(n_cols) if r >> j & 1]
+    assert np.array_equal(pack_indices(cols, n_cols), m.words)
+    transposed = [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(n_cols)]
+    assert np.array_equal(m.transpose().words, BitMatrix(transposed, len(rows)).words)
+    assert np.array_equal(from_alist_text(to_alist_text(m)).words, m.words)
+
+
+def test_no_other_module_imports_a_private_gf2_name():
+    # the words layout stays inside gf2.py: the other modules use its
+    # public builders and readers
+    src = Path(__file__).resolve().parents[1] / "src" / "lu3q"
+    private = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in ("lu3q.gf2", "gf2"):
+                private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert private == []

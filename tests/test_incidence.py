@@ -149,7 +149,7 @@ def test_shared_elimination_selects_the_restricted_pivots(quad, matrix, q):
     Q = quad(q)
     m = matrix(q, "p1l1")
     L1 = Q.restricted_sets.L1
-    pivot_cols = ReducedEchelon(m.n_rows).add(m.bits.transpose().rows)
+    pivot_cols = ReducedEchelon(m.n_rows).add(m.bits.transpose().words)
     assert select_Z(m, Q).Z == tuple(L1[j] for j in pivot_cols)
 
 
@@ -174,10 +174,9 @@ def count_eliminations(monkeypatch):
     calls = []
     original = ReducedEchelon.add
 
-    def counting(self, rows):
-        rows = list(rows)
-        calls.append((len(rows), bool(self.cols)))
-        return original(self, rows)
+    def counting(self, words):
+        calls.append((len(words), bool(self.cols)))
+        return original(self, words)
 
     monkeypatch.setattr(ReducedEchelon, "add", counting)
     return calls
@@ -211,21 +210,23 @@ def test_selection_without_matching_eliminations_is_eliminated_afresh(
 def test_membership_failure_names_the_first_vector_outside(
     quad, matrix, monkeypatch, ones_out, ell0_out, message
 ):
-    # single points stand in for the all-ones vector and ell0: no word
-    # of C(P,L) has weight 1, so each is outside the span
-    import lu3q.incidence
-
+    # single points stand in for the all-ones vector and ell0, the two
+    # rows of the membership continuation: no word of C(P,L) has weight
+    # 1, so each is outside the span
     Q = quad(4)
     sel = select_Z(matrix(4, "p1l1"), Q)
-    if ones_out:
-        monkeypatch.setattr(lu3q.incidence, "ones_vector", lambda n: 0b01)
-    if ell0_out:
-        line_rows = lu3q.incidence._line_rows
+    add = ReducedEchelon.add
 
-        def rows(Q, col, lines):
-            return [0b10] if lines == (Q.ell0,) else line_rows(Q, col, lines)
+    def standing_in(self, words):
+        if len(words) == 2:
+            words = words.copy()
+            if ones_out:
+                words[0] = BitMatrix([0b01], Q.n_points).words[0]
+            if ell0_out:
+                words[1] = BitMatrix([0b10], Q.n_points).words[0]
+        return add(self, words)
 
-        monkeypatch.setattr(lu3q.incidence, "_line_rows", rows)
+    monkeypatch.setattr(ReducedEchelon, "add", standing_in)
     with pytest.raises(SpanMismatchError, match=message) as exc:
         verify_spanning(Q, sel)
     assert exc.value.line == (None if ones_out else Q.ell0)
@@ -303,7 +304,7 @@ def test_spanning_rejects_z_outside_l1(quad, matrix):
         verify_spanning(Q, bad)
 
 
-@pytest.mark.slow  # about 60 s
+@pytest.mark.slow  # about 23 s
 def test_kim_rank_q32(field):
     assert rank2(build_kim_matrix(field(32)).bits) == predict(32).rank_p1l1 == 12186
 
