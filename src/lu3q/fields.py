@@ -175,14 +175,19 @@ class GF:
         pb = _int_to_poly(b, self.p)
         return _poly_to_int(_poly_mod(_poly_mul(pa, pb, self.p), self.irreducible, self.p), self.p)
 
+    def _powers(self, g: int) -> list[int]:
+        """1, g, g^2, ... up to the first repeat."""
+        val, powers = 1, {}  # a dict keeps order and tests membership in O(1)
+        while val not in powers:
+            powers[val] = None
+            val = self._mul_poly(val, g)
+        return list(powers)
+
     def _build_log_tables(self) -> None:
         q = self.q
         for g in range(2, q):
-            val, powers = 1, []
-            for _ in range(q - 1):
-                powers.append(val)
-                val = self._mul_poly(val, g)
-            if len(set(powers)) == q - 1:
+            powers = self._powers(g)
+            if len(powers) == q - 1:
                 self._exp = powers + powers  # doubled to skip a mod in mul
                 log = [0] * q
                 for i, v in enumerate(powers):
@@ -269,6 +274,11 @@ class GF:
             base = self.mul(base, base)
             n >>= 1
         return result
+
+    @functools.cached_property
+    def primitive(self) -> int:
+        """The least element whose powers run through every nonzero element."""
+        return next(g for g in range(1, self.q) if len(self._powers(g)) == self.q - 1)
 
     @functools.cached_property
     def tables(self) -> FieldTables:

@@ -156,6 +156,31 @@ class Quadrangle:
             raise ValueError("some point pair is not two distinct collinear points")
         return both[..., 1:][same].reshape(np.shape(p1))
 
+    def map_lines(self, scale: Vec, order: Vec = (0, 1, 2, 3)) -> np.ndarray:
+        """The line permutation of the monomial map x -> (scale[i] *
+        x[order[i]])_i: each line goes to the line through the images of
+        two of its points.  Raises ValueError on a map that is singular or
+        sends some line off the quadrangle, i.e. is no similitude of the form."""
+        if not all(0 < s < self.q for s in scale) or sorted(order) != [0, 1, 2, 3]:
+            raise ValueError(f"scale {tuple(scale)} and order {tuple(order)} are no invertible map")
+        two = self.points[self.line_pts[:, :2]]
+        images = self.point_of(self.F.tables.mul[scale, two[..., order]])
+        return self.line_through(images[:, 0], images[:, 1])
+
+    def line_orbits(self, maps: Sequence[tuple[Vec, Vec]]) -> tuple[np.ndarray, np.ndarray]:
+        """The least line and the size of every orbit of the group that the
+        monomial maps (scale, order) of ``map_lines`` generate, by min-label
+        propagation with pointer jumping."""
+        perms = [self.map_lines(scale, order) for scale, order in maps]
+        label = np.arange(self.n_lines)
+        while True:
+            new = functools.reduce(np.minimum, (label[p] for p in perms), label)
+            while not np.array_equal(new[new], new):
+                new = new[new]
+            if np.array_equal(new, label):
+                return np.unique(label, return_counts=True)
+            label = new
+
     def connectors(self, p: int, l: int) -> list[int]:
         """The lines through p that meet l."""
         target = self.line_points(l)
@@ -276,6 +301,14 @@ class Quadrangle:
         if functools.reduce(operator.xor, self.chi_lines(delta + lam + (l, lp))):
             return None
         return GridPair(delta, lam, p, l, lp, z)
+
+
+def torus_and_swap(F: GF) -> list[tuple[Vec, Vec]]:
+    """Monomial maps, as ``map_lines`` takes them, generating a group of
+    similitudes of the form: the torus diag(1, g, 1, g) and diag(1, 1, g, g)
+    for the primitive element g, and the swap (x0 x1)(x2 x3)."""
+    g, keep = F.primitive, (0, 1, 2, 3)
+    return [((1, g, 1, g), keep), ((1, 1, g, g), keep), ((1, 1, 1, 1), (1, 0, 3, 2))]
 
 
 def _code(v: np.ndarray, q: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from lu3q.fields import GF, factor_prime_power, field_for_order
 from lu3q.formulas import predict
-from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle
+from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle, torus_and_swap
 from lu3q.gf2 import rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
@@ -325,6 +325,17 @@ def line_span_residuals(Q: Quadrangle) -> tuple[np.ndarray, np.ndarray]:
     return vecs, reduce_against_beta(vecs, Q.F)
 
 
+def line_orbit_escapes(Q: Quadrangle) -> int:
+    """The number of lines whose indicator escapes the digit span, from one
+    line per orbit of ``torus_and_swap``.  Each map is a similitude of the
+    form, so it permutes the lines; substituting it scales or permutes the
+    ten digit choices, so it maps the digit span onto itself, and a line
+    escapes iff every line of its orbit does."""
+    reps, sizes = Q.line_orbits(torus_and_swap(Q.F))
+    escaped = reduce_against_beta(code_coefficients(Q, Q.chi_lines(reps)), Q.F).any(axis=1)
+    return int(sizes[escaped].sum())
+
+
 class KernelForms(NamedTuple):
     size: int  # vectors in the kernel basis
     nf_violations: int  # basis vectors without the x3-free normal form
@@ -498,8 +509,7 @@ def _check_poly(ctx: _Context) -> list[CheckOutcome]:
                 f"{Q.n_lines} lines checked exhaustively",
             )
         )
-    _, residual = line_span_residuals(Q)
-    escapes = int(residual.any(axis=1).sum())
+    escapes = line_orbit_escapes(Q)
     rows.append(
         CheckOutcome(
             "poly", "every line class lies in the digit-tuple span",

@@ -122,6 +122,19 @@ def test_fermat_and_group_order(q):
             assert F.pow(a, q - 1) == 1
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 32])
+def test_primitive_element_generates_every_nonzero_element(q):
+    F = field_for_order(q)
+    g, val, powers = F.primitive, 1, set()
+    for _ in range(q - 1):
+        powers.add(val)
+        val = naive_mul(val, g, F)
+    assert val == 1
+    assert powers == set(range(1, q))
+    # and the least such element
+    assert all(len({F.pow(h, k) for k in range(q - 1)}) < q - 1 for h in range(1, g))
+
+
 @pytest.mark.parametrize("q, irr", [
     (2, None), (3, None), (4, None), (8, None), (8, (1, 0, 1, 1)),
     (9, None), (9, (2, 2, 1)), (16, None), (25, None), (27, None), (32, None),

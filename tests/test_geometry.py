@@ -10,6 +10,7 @@ from lu3q.geometry import (
     PointOnLineError,
     SymplecticSpace,
     enumerate_quadrangle,
+    torus_and_swap,
 )
 from lu3q.incidence import build_incidence
 from test_acceptance import ALL_Q
@@ -366,3 +367,56 @@ def test_line_points_lie_in_row_space(quad):
             vec = tuple(F.add(u[i], F.mul(lam, w[i])) for i in range(4))
             span.add(index[canonical(F, vec)])
         assert span == set(pts)
+
+
+def reference_orbits(perms, n):
+    """The orbits of the group the line permutations generate, by a
+    breadth-first closure from each line not yet reached."""
+    orbit_of = [None] * n
+    orbits = []
+    for start in range(n):
+        if orbit_of[start] is None:
+            orbit_of[start], todo, orbit = len(orbits), [start], [start]
+            while todo:
+                l = todo.pop()
+                for p in perms:
+                    m = int(p[l])
+                    if orbit_of[m] is None:
+                        orbit_of[m] = len(orbits)
+                        todo.append(m)
+                        orbit.append(m)
+            orbits.append(orbit)
+    return orbits
+
+
+@pytest.mark.parametrize("q, n_orbits", [(2, 11), (4, 13), (8, 17), (16, 25)])
+def test_torus_and_swap_line_orbits(quad, q, n_orbits):
+    Q = quad(q)
+    perms = []
+    for scale, order in torus_and_swap(Q.F):
+        perm = Q.map_lines(scale, order)
+        # every point of every line, not only the two map_lines uses
+        images = Q.point_of(Q.F.tables.mul[scale, Q.points[Q.line_pts][..., order]])
+        assert np.array_equal(np.sort(images, axis=1), Q.line_pts[perm])
+        assert np.array_equal(np.sort(perm), np.arange(Q.n_lines))
+        perms.append(perm)
+    reps, sizes = Q.line_orbits(torus_and_swap(Q.F))
+    orbits = reference_orbits(perms, Q.n_lines)
+    assert len(reps) == n_orbits == q + 9
+    assert reps.tolist() == [min(o) for o in orbits]
+    assert sizes.tolist() == [len(o) for o in orbits]
+    assert sizes.sum() == Q.n_lines
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_a_map_that_is_no_similitude_is_refused(quad, q):
+    # diag(1, g, 1, 1) scales x1*x2 by g and x0*x3 by 1, so it sends some
+    # line to a 2-space on which the form does not vanish
+    Q = quad(q)
+    g = Q.F.primitive
+    with pytest.raises(ValueError, match="collinear"):
+        Q.map_lines((1, g, 1, 1))
+    for scale, order in [((0, 1, 1, 1), (0, 1, 2, 3)), ((1, 1, 1, q), (0, 1, 2, 3)),
+                         ((1, 1, 1, 1), (0, 0, 2, 3))]:
+        with pytest.raises(ValueError, match="no invertible map"):
+            Q.map_lines(scale, order)

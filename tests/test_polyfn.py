@@ -31,7 +31,8 @@ from lu3q.polyfn import (
     reduce_mod_I,
     vec_to_poly,
 )
-from lu3q.verify import kernel_forms
+from lu3q.geometry import torus_and_swap
+from lu3q.verify import kernel_forms, line_orbit_escapes, line_span_residuals, run_checks
 from test_acceptance import LINE_ESCAPES
 
 ONE = {(0, 0, 0, 0): 1}
@@ -437,3 +438,43 @@ def test_kernel_forms_interpolate_each_vector_once(quad, monkeypatch):
     k = kernel_forms(Q, kernel_intersection_basis(line_code(Q), Q.restricted_sets.P1))
     assert k == (5, 0, 0)
     assert len(interpolated) == k.size
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_digit_span_escape_is_constant_on_line_orbits(quad, q):
+    # the full per-line scan against one line per orbit of the torus and
+    # the swap: a generator never moves a line across the verdict
+    Q = quad(q)
+    _, residual = line_span_residuals(Q)
+    escaped = residual.any(axis=1)
+    for scale, order in torus_and_swap(Q.F):
+        assert np.array_equal(escaped[Q.map_lines(scale, order)], escaped)
+    assert line_orbit_escapes(Q) == escaped.sum() == LINE_ESCAPES[q]
+
+
+def test_line_orbit_escapes_q16(quad):
+    # the full scan of all 4369 lines is the slow gate
+    # test_criterion_7_line_escapes_q16
+    assert line_orbit_escapes(quad(16)) == LINE_ESCAPES[16]
+
+
+def test_poly_group_interpolates_one_line_per_orbit(quad, monkeypatch):
+    interpolated = []
+
+    def counting(Q, vectors, original=code_coefficients):
+        interpolated.extend(vectors)
+        return original(Q, vectors)
+
+    monkeypatch.setattr(lu3q.verify, "code_coefficients", counting)
+    rows = run_checks(8, ["poly"])
+    assert "490 of 585 line classes escape" in rows[1].detail
+    assert rows[2].detail == "9 kernel basis vectors"
+    assert len(interpolated) == 17 + 9
+
+
+def test_a_group_that_is_no_similitude_gives_no_escape_count(quad, monkeypatch):
+    Q = quad(8)
+    g = Q.F.primitive
+    monkeypatch.setattr(lu3q.verify, "torus_and_swap", lambda F: [((1, g, 1, 1), (0, 1, 2, 3))])
+    with pytest.raises(ValueError, match="collinear"):
+        line_orbit_escapes(Q)
