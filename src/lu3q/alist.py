@@ -62,9 +62,10 @@ def read_alist(path: str | Path) -> BitMatrix:
 def from_alist_text(text: str) -> BitMatrix:
     """Parse alist text; malformed input raises ValueError.
 
-    Text that parses is the writer's output up to whitespace: numbers
-    are canonical, and each column or row list ascends strictly before
-    its 0 padding.
+    Text that parses is the writer's output up to the spacing within
+    lines: numbers are canonical, each column or row list ascends
+    strictly before its 0 padding, and each line holds exactly one
+    section or list.
     """
     words = text.split()
     numbers = [int(w) for w in words]
@@ -109,4 +110,7 @@ def from_alist_text(text: str) -> BitMatrix:
         (w for w in row_wts), default=0
     ):
         raise ValueError("declared maximum weights disagree with weight lists")
+    layout = [2, 2, n_cols, n_rows] + [max_col] * n_cols + [max_row] * n_rows
+    if [len(line.split()) for line in text.splitlines()] != layout:
+        raise ValueError("line breaks do not separate the alist sections")
     return m

@@ -22,7 +22,6 @@ with the signs immaterial in characteristic 2.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -201,13 +200,10 @@ class Quadrangle:
             )  # pragma: no cover
         return hits[0]
 
-    def chi_lines(self, lines: Sequence[int]) -> list[int]:
-        """Characteristic bit vectors of lines over the point set."""
-        words = pack_indices(self.line_pts[np.asarray(lines, dtype=np.intp)], self.n_points)
-        return BitMatrix(words, self.n_points).rows
-
-    def chi_line(self, l: int) -> int:
-        return self.chi_lines([l])[0]
+    def chi_lines(self, lines: Sequence[int]) -> BitMatrix:
+        """Characteristic bit vectors of lines over the point set, one row each."""
+        pts = self.line_pts[np.asarray(lines, dtype=np.intp)]
+        return BitMatrix(pack_indices(pts, self.n_points), self.n_points)
 
     # -- the distinguished subsets ----------------------------------------
 
@@ -298,7 +294,7 @@ class Quadrangle:
             if any(len(d & m) != 1 for m in lam_pts):
                 return None
         # the 2q lines must sum to chi_l + chi_lp
-        if functools.reduce(operator.xor, self.chi_lines(delta + lam + (l, lp))):
+        if np.bitwise_xor.reduce(self.chi_lines(delta + lam + (l, lp)).words).any():
             return None
         return GridPair(delta, lam, p, l, lp, z)
 

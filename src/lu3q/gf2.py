@@ -4,9 +4,11 @@ A bit matrix is an n_rows x ceil(n_cols/64) array of little-endian
 uint64 words: bit j of a row is bit j % 64 of word j // 64, and the
 bits past n_cols are zero.  ``pack_indices`` and ``pack_pairs`` pack
 column indices straight into words; ``bit_indices`` and
-``BitMatrix.to_numpy`` read them out.  Only a single vector or a
-``Subspace`` basis is a Python int used as a bitset (bit j is column
-j); ``BitMatrix.rows`` and ``BitMatrix(rows, n_cols)`` convert.
+``BitMatrix.to_numpy`` read them out.  A vector is one row of words,
+and a ``Subspace`` basis is a ``BitMatrix``.  Python ints used as
+bitsets (bit j is column j) appear only at the boundary:
+``BitMatrix(int_rows, n_cols)`` packs them and ``BitMatrix.rows``
+unpacks them, for tests and benchmarks.
 
 One elimination serves every rank, span test and kernel:
 ``ReducedEchelon`` keeps a reduced basis of words, in which every basis
@@ -37,7 +39,8 @@ class BitMatrix:
     __slots__ = ("words", "n_cols")
 
     def __init__(self, rows: np.ndarray | Sequence[int], n_cols: int):
-        """``rows`` is the words array, or the rows as int bitsets."""
+        """``rows`` is the words array, or the rows as int bitsets; an int
+        that is negative or has a bit at n_cols or above raises ValueError."""
         self.words = rows if isinstance(rows, np.ndarray) else _words(rows, n_cols)
         self.n_cols = n_cols
 
@@ -48,7 +51,7 @@ class BitMatrix:
     @property
     def rows(self) -> list[int]:
         """The rows as int bitsets, unpacked on each access."""
-        return _ints(self.words)
+        return [int.from_bytes(r.tobytes(), "little") for r in self.words]
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
@@ -78,11 +81,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         r, c = bit_indices(self)
         return BitMatrix(pack_pairs(c, r, self.n_cols, self.n_rows), self.n_rows)
-
-    def mul_vec(self, v: int) -> int:
-        """Matrix-vector product over GF(2); v and result are bitsets."""
-        parity = np.bitwise_count(self.words & _words([v], self.n_cols)).sum(axis=1) & 1
-        return vec_from_bits(parity.tolist())
 
     def to_numpy(self) -> np.ndarray:
         return np.unpackbits(_bytes(self.words), axis=1, count=self.n_cols, bitorder="little")
@@ -165,62 +163,51 @@ class ReducedEchelon:
         return taken
 
 
-def _matrix(m: BitMatrix | Sequence[int]) -> BitMatrix:
-    """m, or int rows as a matrix as wide as the longest row."""
-    if isinstance(m, BitMatrix):
-        return m
-    rows = list(m)
-    return BitMatrix(rows, max(map(int.bit_length, rows), default=0))
-
-
-def rank2(m: BitMatrix | Sequence[int]) -> int:
+def rank2(m: BitMatrix) -> int:
     """GF(2) rank; the input is not modified."""
-    m = _matrix(m)
     return len(ReducedEchelon(m.n_cols).add(m.words))
 
 
-def rref(m: BitMatrix | Sequence[int]) -> tuple[list[int], list[int]]:
+def rref(m: BitMatrix) -> tuple[BitMatrix, list[int]]:
     """Canonical RREF: (rows sorted by lowest-bit pivot, pivot columns)."""
-    m = _matrix(m)
     e = ReducedEchelon(m.n_cols, lowest=True)
     e.add(m.words)
-    return _ints(e.basis[np.argsort(e.cols)]), sorted(e.cols)
+    return BitMatrix(e.basis[np.argsort(e.cols)], m.n_cols), sorted(e.cols)
 
 
 class Subspace:
-    """A subspace of GF(2)^n stored as an RREF basis."""
+    """A subspace of GF(2)^n stored as a canonical basis: each basis row
+    has its own pivot bit and no other row's."""
 
-    __slots__ = ("basis", "pivot_cols", "n_cols")
+    __slots__ = ("basis", "pivot_cols")
 
-    def __init__(self, basis: list[int], pivot_cols: list[int], n_cols: int):
+    def __init__(self, basis: BitMatrix, pivot_cols: list[int]):
         self.basis = basis
         self.pivot_cols = pivot_cols
-        self.n_cols = n_cols
 
     @classmethod
-    def span(cls, rows: Iterable[int], n_cols: int) -> "Subspace":
-        basis, cols = rref(list(rows))
-        return cls(basis, cols, n_cols)
+    def span(cls, rows: BitMatrix) -> "Subspace":
+        return cls(*rref(rows))
+
+    @property
+    def n_cols(self) -> int:
+        return self.basis.n_cols
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.basis.n_rows
 
-    def reduce(self, v: int) -> int:
-        for c, row in zip(self.pivot_cols, self.basis):
-            if (v >> c) & 1:
-                v ^= row
-        return v
+    def reduce(self, v: np.ndarray) -> np.ndarray:
+        """v, a row of words, less the basis rows at its pivot bits."""
+        cols = np.array(self.pivot_cols, np.intp)
+        hit = (v[cols >> 6] >> (cols & 63).astype(np.uint64)) & np.uint64(1)
+        return v ^ np.bitwise_xor.reduce(self.basis.words[hit != 0])
 
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
+    def contains(self, v: np.ndarray) -> bool:
+        return not self.reduce(v).any()
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.n_cols == other.n_cols
-            and self.basis == other.basis
-        )
+        return isinstance(other, Subspace) and self.basis == other.basis
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.n_cols})"
@@ -233,14 +220,11 @@ def _width(n_cols: int) -> int:
 
 def _words(rows: Sequence[int], n_cols: int) -> np.ndarray:
     """Int bitset rows in the words layout."""
+    if len(rows) and (min(rows) < 0 or max(rows).bit_length() > n_cols):
+        raise ValueError(f"a row is negative or has a bit past column {n_cols - 1}")
     size = 8 * _width(n_cols)
     packed = bytearray(b"".join(r.to_bytes(size, "little") for r in rows))
     return np.frombuffer(packed, "<u8").reshape(len(rows), size // 8)
-
-
-def _ints(rows: np.ndarray) -> list[int]:
-    """The rows of a words (or bytes) array as int bitsets."""
-    return [int.from_bytes(r.tobytes(), "little") for r in rows]
 
 
 def _bytes(words: np.ndarray) -> np.ndarray:
@@ -256,12 +240,15 @@ def _slice_rows(row_bytes: int, block: int = 2**20) -> int:
 def pack_pairs(r: Sequence[int], c: Sequence[int], n_rows: int, n_cols: int) -> np.ndarray:
     """The words of the n_rows x n_cols matrix with a 1 at each
     (r[k], c[k]); a pair may repeat.  The pairs are set 2^14 at a time,
-    which keeps the temporaries small."""
+    which keeps the temporaries small.  Raises ValueError on a pair
+    outside the matrix."""
     words = np.zeros((n_rows, _width(n_cols)), "<u8")
     for s in range(0, len(r), 2**14):
         rs, cs = np.asarray(r[s : s + 2**14], np.intp), np.asarray(c[s : s + 2**14], np.intp)
+        if min(rs.min(), cs.min()) < 0 or rs.max() >= n_rows or cs.max() >= n_cols:
+            raise ValueError(f"an entry lies outside the {n_rows} x {n_cols} matrix")
         bits = np.left_shift(np.uint64(1), (cs & 63).astype(np.uint64))
-        np.bitwise_or.at(words, (rs, cs >> 6), bits)  # a column past the words raises
+        np.bitwise_or.at(words, (rs, cs >> 6), bits)
     return words
 
 
@@ -310,20 +297,12 @@ def nullspace(m: BitMatrix) -> Subspace:
     is_free[pivot_cols] = False
     free = np.flatnonzero(is_free)
     rows = _bytes(e.basis)
-    basis: list[int] = []
-    step = _slice_rows(n)  # w below is step x n bytes
+    basis = np.zeros((len(free), _width(n)), "<u8")
+    step = _slice_rows(n)  # w below is about step x n bytes
     for s in range(0, len(free), step):
         f = free[s : s + step]
-        w = np.zeros((len(f), n), dtype=np.uint8)  # row k is w_{f[k]}
+        w = np.zeros((len(f), 64 * basis.shape[1]), dtype=np.uint8)  # row k is w_{f[k]}
         w[:, pivot_cols] = ((rows[:, f >> 3] >> (f & 7).astype(np.uint8)) & 1).T  # bits f
         w[np.arange(len(f)), f] = 1
-        basis += _ints(np.packbits(w, axis=1, bitorder="little"))
-    return Subspace(basis, free.tolist(), n)
-
-
-def vec_from_bits(bits: Iterable[int]) -> int:
-    return sum(1 << j for j, b in enumerate(bits) if b & 1)
-
-
-def vec_to_bits(v: int, n: int) -> np.ndarray:
-    return BitMatrix([v], n).to_numpy()[0]
+        basis[s : s + step] = np.packbits(w, axis=1, bitorder="little").view("<u8")
+    return Subspace(BitMatrix(basis, n), free.tolist())

@@ -105,19 +105,19 @@ class LineSetSelection:
 @dataclass
 class SpanningReport:
     """The span dimensions, and the restriction kernel: the vectors that
-    vanish on P1, inside C(P,L) (``kernel`` is a basis, point p at bit
-    p) and inside C(P,L1)."""
+    vanish on P1, inside C(P,L) (``kernel`` is a basis, one row each,
+    point p at bit p) and inside C(P,L1)."""
 
     q: int
     dim_pl: int
     dim_p1l1: int
     ones_sum_identity: bool
-    kernel: list[int]
+    kernel: BitMatrix
     dim_ker_pl1: int
 
     @property
     def dim_ker_pl(self) -> int:
-        return len(self.kernel)
+        return self.kernel.n_rows
 
     @property
     def ok(self) -> bool:
@@ -156,16 +156,16 @@ def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
         return build_kim_matrix(Q.F)
     if system == "pl":
         points, lines = range(Q.n_points), range(Q.n_lines)
-        rows = pack_indices(Q.point_lines, Q.n_lines)
+        cols = Q.point_lines
     elif system == "p1l1":
         points, lines = Q.restricted_sets.P1, Q.restricted_sets.L1
         col_of = np.full(Q.n_lines, -1)  # -1 marks the lines outside L1
         col_of[list(lines)] = np.arange(len(lines))
-        rows = pack_indices(col_of[Q.point_lines[list(points)]], len(lines))
+        cols = col_of[Q.point_lines[list(points)]]
     else:
         raise ValueError(f"unknown system {system!r}")
     return IncidenceMatrix(
-        BitMatrix(rows, len(lines)),
+        BitMatrix(pack_indices(cols, len(lines)), len(lines)),
         [tuple(v) for v in Q.points[list(points)].tolist()],
         [(tuple(u), tuple(w)) for u, w in Q.bases[list(lines)].tolist()],
         system,
@@ -308,7 +308,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     low = span.basis[np.array(span.cols) < split].view(np.uint8)
     bits = np.unpackbits(low, axis=1, count=split, bitorder="little")
     perp = np.flatnonzero(col < split)  # the point of each bit below P1
-    kernel = BitMatrix(pack_indices(np.where(bits, perp, -1), Q.n_points), Q.n_points).rows
+    kernel = BitMatrix(pack_indices(np.where(bits, perp, -1), Q.n_points), Q.n_points)
     rank_l1 = bisect_left(head.taken, len(rs.L1))
     dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.echelon.cols)
     ones_sum = np.array_equal(total, ones[0])

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace, vec_to_bits
+from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace
 
 # Bytes of float64 check-to-variable messages per simulation block.
 _BLOCK_BYTES = 1 << 20
@@ -162,10 +162,8 @@ class LdpcCode:
             raise ValueError(
                 f"message length {message.shape} does not match k={self.k}"
             )
-        word = 0
-        for i in np.nonzero(message)[0]:
-            word ^= self.generator.basis[int(i)]
-        out = vec_to_bits(word, self.n)
+        word = np.bitwise_xor.reduce(self.generator.basis.words[message != 0], keepdims=True)
+        out = BitMatrix(word, self.n).to_numpy()[0]
         if self.syndrome(out).any():
             raise RuntimeError("generator basis produced a non-codeword")
         return out
@@ -188,23 +186,22 @@ class LdpcCode:
         those rows indexed by each message's byte for them.
         """
         basis = self.generator.basis
-        if not basis:
+        if not basis.n_rows:
             return 0
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD15))))
         msgs = np.empty((samples, self.k), dtype=np.uint8)
         for msg in msgs:
             msg[:] = rng.integers(0, 2, size=self.k, dtype=np.uint8)
         selects = np.packbits(msgs, axis=1, bitorder="little")  # byte j: rows 8j..8j+7
-        width = -(-self.n // 64)
+        width = basis.words.shape[1]
         words = np.zeros((samples, width), dtype=np.uint64)
         table = np.zeros((256, width), dtype=np.uint64)
         for j in range(selects.shape[1]):
-            rows = BitMatrix(basis[8 * j : 8 * j + 8], self.n).words
-            for b, row in enumerate(rows):
+            for b, row in enumerate(basis.words[8 * j : 8 * j + 8]):
                 np.bitwise_xor(table[: 1 << b], row, out=table[1 << b : 2 << b])
             words ^= table[selects[:, j]]
         weights = np.bitwise_count(words).sum(axis=1)  # 0 only for an all-zero message
-        return int(np.min(weights[weights > 0], initial=min(r.bit_count() for r in basis)))
+        return int(np.min(weights[weights > 0], initial=min(basis.row_weights())))
 
     def __repr__(self) -> str:
         return f"LdpcCode(n={self.n}, k={self.k}, checks={self.m}, {self.provenance})"

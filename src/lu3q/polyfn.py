@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from lu3q.fields import GF
 from lu3q.geometry import Quadrangle
-from lu3q.gf2 import BitMatrix, nullspace, vec_to_bits
+from lu3q.gf2 import BitMatrix, nullspace, pack_pairs
 
 Mono = tuple[int, int, int, int]
 PolyFn = dict[Mono, int]
@@ -226,11 +226,12 @@ def _digit_checks() -> list[np.ndarray]:
     """Parity checks of W, the span of the ten digit choices, with digit n
     indexed 8*n0 + 4*n1 + 2*n2 + n3: the five digits of degree >= 3, and
     x0*x3 + x1*x2.  The choices are 0/1, so checks over GF(2) hold over GF(q)."""
-    rows = [
-        sum(1 << (8 * m[0] + 4 * m[1] + 2 * m[2] + m[3]) for m in choice)
-        for choice in _BETA_DIGIT_CHOICES
-    ]
-    return [np.flatnonzero(vec_to_bits(h, 16)) for h in nullspace(BitMatrix(rows, 16)).basis]
+    r, c = zip(
+        *((i, 8 * m[0] + 4 * m[1] + 2 * m[2] + m[3])
+          for i, choice in enumerate(_BETA_DIGIT_CHOICES) for m in choice)
+    )
+    choices = BitMatrix(pack_pairs(r, c, len(_BETA_DIGIT_CHOICES), 16), 16)
+    return [np.flatnonzero(h) for h in nullspace(choices).basis.to_numpy()]
 
 
 def reduce_against_beta(vecs: np.ndarray, F: GF) -> np.ndarray:
@@ -306,19 +307,18 @@ def interpolate_tables(tables: np.ndarray, F: GF) -> np.ndarray:
     return out
 
 
-def code_coefficients(Q: Quadrangle, vectors: Sequence[int]) -> np.ndarray:
+def code_coefficients(Q: Quadrangle, vectors: BitMatrix) -> np.ndarray:
     """Coefficient vectors of the polynomials interpolating GF(2) vectors on
-    the points, one row each: the sum of the point indicators over the
-    support, which is c[p] at each nonzero multiple of point p and the
-    parity of the weight at 0.  A line's vector gives ``delta_line``."""
+    the points, one per row of ``vectors``: the sum of the point indicators
+    over the support, which is c[p] at each nonzero multiple of point p and
+    the parity of the weight at 0.  A line's vector gives ``delta_line``."""
     mul, _ = _field_tables(Q.F)
     q, n = Q.q, Q.n_points
     multiples = mul[np.arange(1, q)[:, None, None], Q.points]
     point_of = np.full(q**4, n)
     point_of[multiples.astype(np.intp) @ q ** np.arange(3, -1, -1)] = np.arange(n)
-    bits = np.zeros((len(vectors), n + 1), dtype=np.uint8)
-    for row, c in zip(bits, vectors):
-        row[:n] = vec_to_bits(c, n)
+    bits = np.zeros((vectors.n_rows, n + 1), dtype=np.uint8)
+    bits[:, :n] = vectors.to_numpy()
     bits[:, n] = bits.sum(axis=1) & 1
     return interpolate_tables(bits[:, point_of], Q.F)
 
@@ -327,13 +327,14 @@ def code_coefficients(Q: Quadrangle, vectors: Sequence[int]) -> np.ndarray:
 
 
 def kernel_normal_form(
-    c_bits: int, r_star: PolyFn, Q: Quadrangle, p1: tuple[int, ...] | None = None
+    c: np.ndarray, r_star: PolyFn, Q: Quadrangle, p1: tuple[int, ...] | None = None
 ) -> PolyFn:
     """Factor a kernel code vector as (1 + x3^(q-1)) * h, x3-free h.
 
-    The vector's interpolation ``r_star`` (from ``code_coefficients``) is
-    split by its x3-exponent and checked against the digit-degree and
-    variable constraints a kernel element of the line code must satisfy.
+    ``c`` is the vector as a 0/1 array over the points.  Its interpolation
+    ``r_star`` (from ``code_coefficients``) is split by its x3-exponent and
+    checked against the digit-degree and variable constraints a kernel
+    element of the line code must satisfy.
     Raises NotInKernelError if the vector does not vanish off the perp of
     p0, NormalFormViolationError if the structural claims fail.
     """
@@ -341,10 +342,7 @@ def kernel_normal_form(
     q = F.q
     if p1 is None:
         p1 = Q.restricted_sets.P1
-    p1_mask = 0
-    for p in p1:
-        p1_mask |= 1 << p
-    if c_bits & p1_mask:
+    if c[np.asarray(p1, np.intp)].any():
         raise NotInKernelError("vector has support outside the perp of p0")
 
     h0: PolyFn = {}

@@ -25,7 +25,7 @@ import numpy as np
 from lu3q.fields import GF, factor_prime_power, field_for_order
 from lu3q.formulas import predict
 from lu3q.geometry import NoGridFoundError, Quadrangle, enumerate_quadrangle, torus_and_swap
-from lu3q.gf2 import rank2
+from lu3q.gf2 import BitMatrix, rank2
 from lu3q.incidence import (
     EquivalenceMismatchError,
     EquivalenceReport,
@@ -342,19 +342,19 @@ class KernelForms(NamedTuple):
     outside_span: int  # basis vectors whose interpolation escapes the digit span
 
 
-def kernel_forms(Q: Quadrangle, kernel: list[int]) -> KernelForms:
+def kernel_forms(Q: Quadrangle, kernel: BitMatrix) -> KernelForms:
     """Normal form and digit-span membership on a basis of the
     restriction kernel inside C(P,L), ``SpanningReport.kernel``."""
     P1 = Q.restricted_sets.P1
     vecs = code_coefficients(Q, kernel)
     violations = 0
-    for c, v in zip(kernel, vecs):
+    for c, v in zip(kernel.to_numpy(), vecs):
         try:
             kernel_normal_form(c, vec_to_poly(v, Q.q), Q, P1)
         except (NormalFormViolationError, NotInKernelError):
             violations += 1
     outside = int(reduce_against_beta(vecs, Q.F).any(axis=1).sum())
-    return KernelForms(len(kernel), violations, outside)
+    return KernelForms(kernel.n_rows, violations, outside)
 
 
 def girth_reports(

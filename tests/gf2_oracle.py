@@ -1,9 +1,12 @@
-"""References for the GF(2) elimination.
+"""References for the GF(2) elimination, on Python int bitsets.
 
 ``echelon`` is the plain elimination on int rows, and ``reduced``
 back-substitutes its basis one pivot row at a time:
 ``lu3q.gf2.ReducedEchelon`` must give the same rows, pivots and taken
 indices, in the same order, from its packed incremental reduction.
+``rref_ints``, ``reduce_int``, ``nullspace_ints`` and ``mul_vec`` are the
+int references for ``rref``, ``Subspace.reduce``, ``nullspace`` and a
+matrix-vector product, which ``lu3q.gf2`` does on packed words.
 
 ``lu3q.incidence.verify_spanning`` reads the restriction kernel (the
 vectors that vanish on P1) straight off its highest-bit elimination of
@@ -55,9 +58,40 @@ def reduced(pivots: dict[int, int], lowest: bool) -> dict[int, int]:
     return pivots
 
 
+def rref_ints(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Canonical RREF: (rows in ascending lowest-bit pivot, pivots)."""
+    pivots = reduced(echelon(rows, lowest=True)[0], lowest=True)
+    cols = sorted(pivots)
+    return [pivots[c] for c in cols], cols
+
+
+def reduce_int(basis: Sequence[int], cols: Sequence[int], v: int) -> int:
+    """v less each basis row whose pivot bit v has, one row at a time."""
+    for c, row in zip(cols, basis):
+        if (v >> c) & 1:
+            v ^= row
+    return v
+
+
+def nullspace_ints(rows: Iterable[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """Canonical basis of the kernel and its pivots, as ``rref_ints``
+    gives them: with R the RREF, free column f gives e_f plus e_p for
+    each pivot row R_p with bit f, and those vectors are reduced."""
+    basis, cols = rref_ints(rows)
+    free = [f for f in range(n_cols) if f not in cols]
+    return rref_ints(
+        (1 << f) | sum(1 << p for p, row in zip(cols, basis) if (row >> f) & 1) for f in free
+    )
+
+
+def mul_vec(m: BitMatrix, v: int) -> int:
+    """M v over GF(2): bit i is the parity of row i and v."""
+    return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(m.rows))
+
+
 def line_code(Q: Quadrangle) -> Subspace:
     """C(P,L): the span of the characteristic vectors of all lines."""
-    return Subspace.span(Q.chi_lines(range(Q.n_lines)), Q.n_points)
+    return Subspace.span(Q.chi_lines(range(Q.n_lines)))
 
 
 def restrict_vector(v: int, cols: Sequence[int]) -> int:
@@ -79,24 +113,26 @@ def restrict_rows(rows: Iterable[int], cols: Sequence[int]) -> list[int]:
 
 def kernel_intersection_dim(space: Subspace, kept_cols: Sequence[int]) -> int:
     """dim {c in space : c restricted to kept_cols is zero}."""
-    return space.dim - rank2(restrict_rows(space.basis, kept_cols))
+    restricted = restrict_rows(space.basis.rows, kept_cols)
+    return space.dim - rank2(BitMatrix(restricted, len(kept_cols)))
 
 
-def kernel_intersection_basis(space: Subspace, kept_cols: Sequence[int]) -> list[int]:
+def kernel_intersection_basis(space: Subspace, kept_cols: Sequence[int]) -> BitMatrix:
     """Basis of {c in space : c restricted to kept_cols is zero}.
 
     Coefficient vectors come from the nullspace of the restricted basis
     viewed column-wise, then get recombined into ambient vectors.
     """
-    restricted = restrict_rows(space.basis, kept_cols)
+    basis = space.basis.rows
+    restricted = restrict_rows(basis, kept_cols)
     coeffs = nullspace(BitMatrix(restricted, len(kept_cols)).transpose())
     out = []
-    for alpha in coeffs.basis:
+    for alpha in coeffs.basis.rows:
         v = 0
         a = alpha
         while a:
             low = a & -a
-            v ^= space.basis[low.bit_length() - 1]
+            v ^= basis[low.bit_length() - 1]
             a ^= low
         out.append(v)
-    return out
+    return BitMatrix(out, space.n_cols)

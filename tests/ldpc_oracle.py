@@ -12,7 +12,8 @@ import numpy as np
 
 def min_weight_estimate(code, seed: int = 0, samples: int = 200) -> int:
     """Least weight of a basis row or of a sampled nonzero codeword."""
-    best = min((r.bit_count() for r in code.generator.basis), default=0)
+    basis = code.generator.basis.rows
+    best = min((r.bit_count() for r in basis), default=0)
     if code.k == 0:
         return 0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xD15))))
@@ -22,7 +23,7 @@ def min_weight_estimate(code, seed: int = 0, samples: int = 200) -> int:
             continue
         word = 0
         for i in np.nonzero(msg)[0]:
-            word ^= code.generator.basis[int(i)]
+            word ^= basis[int(i)]
         w = word.bit_count()
         if 0 < w < best:
             best = w

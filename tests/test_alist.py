@@ -110,6 +110,14 @@ def test_reader_rejects_non_canonical_numbers(edit):
         from_alist_text(_edit_line(m, 4, edit))
 
 
+def test_reader_rejects_sections_on_the_wrong_lines():
+    # the tokens of a 2x0 matrix, laid out on the lines of a 0x2 one
+    assert to_alist_text(BitMatrix([], 2)) == "2 0\n0 0\n0 0\n\n\n\n"
+    with pytest.raises(ValueError, match="line breaks"):
+        from_alist_text("0 2\n0 0\n0 0\n\n\n\n")
+    assert to_alist_text(from_alist_text("0 2\n0 0\n\n0 0\n\n\n")).startswith("0 2\n")
+
+
 def test_reader_rejects_trailing_data():
     text = to_alist_text(BitMatrix.identity(2))
     with pytest.raises(ValueError, match="after the row section"):

@@ -284,8 +284,8 @@ def test_grid_sum_identity_q2_all_pairs(quad):
         g = Q.grid_decompose(l, lp, p)
         total = 0
         for m in g.delta + g.lam:
-            total ^= Q.chi_line(m)
-        assert total == Q.chi_line(l) ^ Q.chi_line(lp)
+            total ^= Q.chi_lines([m]).rows[0]
+        assert total == Q.chi_lines([l]).rows[0] ^ Q.chi_lines([lp]).rows[0]
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -301,8 +301,8 @@ def test_grid_identity_on_seeded_pairs(quad, q):
         assert len(g.delta) == q and len(g.lam) == q
         total = 0
         for m in g.delta + g.lam:
-            total ^= Q.chi_line(m)
-        assert total == Q.chi_line(l) ^ Q.chi_line(lp)
+            total ^= Q.chi_lines([m]).rows[0]
+        assert total == Q.chi_lines([l]).rows[0] ^ Q.chi_lines([lp]).rows[0]
         # both lines meet ell0 only at p, so the grid sits inside L1
         assert set(g.delta) <= L1 and set(g.lam) <= L1
 

@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 from gf2_oracle import (
     echelon,
     kernel_intersection_dim,
+    mul_vec,
+    nullspace_ints,
+    reduce_int,
     reduced,
     restrict_rows,
     restrict_vector,
+    rref_ints,
 )
 from lu3q.alist import from_alist_text, to_alist_text
 from lu3q.gf2 import (
@@ -22,10 +26,9 @@ from lu3q.gf2 import (
     Subspace,
     nullspace,
     pack_indices,
+    pack_pairs,
     rank2,
     rref,
-    vec_from_bits,
-    vec_to_bits,
 )
 
 
@@ -125,7 +128,8 @@ def test_rref_is_reduced():
     rng = random.Random(3)
     for _ in range(30):
         m, _ = random_bitmatrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-        rows, cols = rref(m)
+        basis, cols = rref(m)
+        rows = basis.rows
         assert len(rows) == rank2(m)
         assert cols == sorted(cols)
         for i, c in enumerate(cols):
@@ -140,8 +144,8 @@ def test_nullspace_definition():
         m, _ = random_bitmatrix(rng, rng.randint(1, 10), rng.randint(1, 10))
         ns = nullspace(m)
         assert ns.dim == m.n_cols - rank2(m)
-        for v in ns.basis:
-            assert m.mul_vec(v) == 0
+        for v in ns.basis.rows:
+            assert mul_vec(m, v) == 0
 
 
 @st.composite
@@ -154,21 +158,6 @@ def bit_matrices(draw, max_side=12):
     return BitMatrix(rows, n_cols)
 
 
-def reference_nullspace(m):
-    """The earlier kernel: free columns of the lowest-bit RREF, one
-    vector each, re-reduced by Subspace.span."""
-    basis_rows, pivot_cols = rref(m)
-    free_cols = [c for c in range(m.n_cols) if c not in pivot_cols]
-    vectors = []
-    for f in free_cols:
-        v = 1 << f
-        for p, row in zip(pivot_cols, basis_rows):
-            if (row >> f) & 1:
-                v |= 1 << p
-        vectors.append(v)
-    return Subspace.span(vectors, m.n_cols)
-
-
 @given(bit_matrices())
 def test_rank_equals_naive_rank(m):
     assert rank2(m) == naive_rank(m.to_numpy().tolist())
@@ -176,10 +165,9 @@ def test_rank_equals_naive_rank(m):
 
 @given(bit_matrices())
 def test_nullspace_equals_reference(m):
-    got, want = nullspace(m), reference_nullspace(m)
-    assert got.basis == want.basis
-    assert got.pivot_cols == want.pivot_cols
-    assert got.n_cols == want.n_cols == m.n_cols
+    got = nullspace(m)
+    assert (got.basis.rows, got.pivot_cols) == nullspace_ints(m.rows, m.n_cols)
+    assert got.n_cols == m.n_cols
 
 
 @given(bit_matrices())
@@ -195,7 +183,8 @@ def test_a_continuation_tests_span_membership(m, data):
     e = ReducedEchelon(m.n_cols)
     taken = e.add(m.words)
     assert len(e.cols) == len(taken) == rank2(m)
-    assert (e.add(BitMatrix([v], m.n_cols).words) == []) == Subspace.span(m.rows, m.n_cols).contains(v)
+    v = BitMatrix([v], m.n_cols).words
+    assert (e.add(v) == []) == Subspace.span(m).contains(v[0])
 
 
 def assert_reduced_echelon_equals_reference(m, lowest):
@@ -263,26 +252,31 @@ def test_reduced_echelon_edge_cases(n_cols, lowest):
     assert taken == list(range(n_cols))
 
 
+def vec(v, n_cols):
+    """The int bitset v as one row of words."""
+    return BitMatrix([v], n_cols).words[0]
+
+
 def test_subspace_contains_and_equality():
     rows = [0b0111, 0b1100, 0b1011]
-    s = Subspace.span(rows, 4)
+    s = Subspace.span(BitMatrix(rows, 4))
     for r in rows:
-        assert s.contains(r)
-    assert s.contains(0)
-    assert s.contains(rows[0] ^ rows[1])
+        assert s.contains(vec(r, 4))
+    assert s.contains(vec(0, 4))
+    assert s.contains(vec(rows[0] ^ rows[1], 4))
     # same span from a different generating set gives an identical basis
-    s2 = Subspace.span([rows[0] ^ rows[1], rows[1], rows[2] ^ rows[0]], 4)
+    s2 = Subspace.span(BitMatrix([rows[0] ^ rows[1], rows[1], rows[2] ^ rows[0]], 4))
     assert s == s2
 
 
 def test_in_span_rejects_outside_vector():
-    s = Subspace.span([0b011, 0b110], 3)
+    s = Subspace.span(BitMatrix([0b011, 0b110], 3))
     assert s.dim == 2
-    assert not s.contains(0b001)
+    assert not s.contains(vec(0b001, 3))
 
 
 def test_restrict_vector_basics():
-    v = vec_from_bits([1, 0, 1, 1, 0])
+    v = 0b01101
     assert restrict_vector(v, [0, 1, 2]) == 0b101
     assert restrict_vector(v, [2, 3]) == 0b11
     assert restrict_vector(0b11111, [1, 3]) == 0b11
@@ -292,7 +286,7 @@ def test_restrict_vector_basics():
 def test_kernel_intersection_dim_small():
     # subspace of GF(2)^4 spanned by e0+e1 and e2: restricting to {0,1}
     # kills exactly the e2 direction
-    s = Subspace.span([0b0011, 0b0100], 4)
+    s = Subspace.span(BitMatrix([0b0011, 0b0100], 4))
     assert kernel_intersection_dim(s, [0, 1]) == 1
     assert kernel_intersection_dim(s, [0, 1, 2]) == 0
     assert kernel_intersection_dim(s, []) == 2
@@ -302,7 +296,7 @@ def test_restrict_rows_and_roundtrip_vecs():
     rows = [0b1010, 0b0110]
     assert restrict_rows(rows, [1, 3]) == [0b11, 0b01]
     v = 0b1011
-    assert vec_from_bits(vec_to_bits(v, 4)) == v
+    assert BitMatrix.from_dense(BitMatrix([v], 4).to_numpy()).rows == [v]
 
 
 def reference_restrict_vector(v, cols):
@@ -401,3 +395,90 @@ def test_no_other_module_imports_a_private_gf2_name():
             if isinstance(node, ast.ImportFrom) and node.module in ("lu3q.gf2", "gf2"):
                 private += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
     assert private == []
+
+
+@given(boundary_rows(), st.data())
+def test_words_subspace_equals_the_int_references(case, data):
+    rows, n_cols = case
+    m = BitMatrix(rows, n_cols)
+    basis, cols = rref(m)
+    assert (basis.rows, cols) == rref_ints(rows)
+    assert basis.n_cols == n_cols
+    ns = nullspace(m)
+    assert (ns.basis.rows, ns.pivot_cols) == nullspace_ints(rows, n_cols)
+    assert ns.n_cols == n_cols
+    # a vector drawn at random, and one inside the span
+    picks = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    inside = 0
+    for r, pick in zip(rows, picks):
+        inside ^= r if pick else 0
+    s = Subspace.span(m)
+    for v in (data.draw(st.integers(0, (1 << n_cols) - 1)), inside):
+        want = reduce_int(*rref_ints(rows), v)
+        assert BitMatrix(s.reduce(vec(v, n_cols))[None], n_cols).rows == [want]
+        assert s.contains(vec(v, n_cols)) == (want == 0)
+    assert s.contains(vec(inside, n_cols))
+    v = data.draw(st.integers(0, (1 << n_cols) - 1))
+    want = reduce_int(*nullspace_ints(rows, n_cols), v)
+    assert BitMatrix(ns.reduce(vec(v, n_cols))[None], n_cols).rows == [want]
+    assert ns.contains(vec(v, n_cols)) == (want == 0) == (mul_vec(m, v) == 0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BitMatrix([1 << 100, 3], 85),  # a bit past the last column
+        lambda: BitMatrix([1 << 85], 85),
+        lambda: BitMatrix([-1], 85),
+        lambda: pack_pairs([0], [85], 1, 85),  # column n_cols
+        lambda: pack_pairs([0], [-1], 1, 85),
+        lambda: pack_pairs([-1], [3], 1, 85),
+        lambda: pack_pairs([1], [3], 1, 85),  # row n_rows
+    ],
+    ids=["int-past-width", "int-at-width", "negative-int", "column-n_cols",
+         "negative-column", "negative-row", "row-n_rows"],
+)
+def test_an_entry_outside_the_matrix_is_refused(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def _mentions_words(node: ast.AST) -> bool:
+    """The expression reads a ``.words`` array or calls a pack_* builder."""
+    return any(
+        isinstance(n, ast.Attribute) and n.attr == "words"
+        or isinstance(n, ast.Name) and n.id in ("pack_pairs", "pack_indices")
+        for n in ast.walk(node)
+    )
+
+
+def test_only_gf2_converts_int_bitsets():
+    # Python ints are bitsets only at BitMatrix's boundary: no other module
+    # reads BitMatrix.rows, and each builds a BitMatrix from words, passed
+    # directly or through a name assigned only words in the same function
+    src = Path(__file__).resolve().parents[1] / "src" / "lu3q"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "gf2.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.Module)):
+                continue
+            assigned: dict[str, list[ast.AST]] = {}
+            for n in ast.walk(func):
+                if isinstance(n, ast.Assign):
+                    for t in n.targets:
+                        if isinstance(t, ast.Name):
+                            assigned.setdefault(t.id, []).append(n.value)
+            for n in ast.walk(func):
+                if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "BitMatrix":
+                    arg = n.args[0]
+                    values = assigned.get(arg.id, []) if isinstance(arg, ast.Name) else [arg]
+                    if not values or not all(map(_mentions_words, values)):
+                        found.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+        for n in ast.walk(tree):
+            # GirthReport.rows is a pair of row indices, not a BitMatrix
+            if isinstance(n, ast.Attribute) and n.attr == "rows" and ast.unparse(n) != "rep.rows":
+                found.append(f"{path.name}:{n.lineno}: {ast.unparse(n)}")
+    assert sorted(set(found)) == []

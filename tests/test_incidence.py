@@ -132,7 +132,7 @@ def test_select_z_q2(quad, matrix):
 def test_lemma_independence_rank(quad, matrix, q):
     Q = quad(q)
     sel = select_Z(matrix(q, "p1l1"), Q)
-    stacked = [Q.chi_line(l) for l in sel.X0 + sel.Y + sel.Z]
+    stacked = Q.chi_lines(sel.X0 + sel.Y + sel.Z)
     assert rank2(stacked) == 2 * q + len(sel.Z)
 
 
@@ -252,13 +252,13 @@ def test_spanning_kernel_equals_the_restriction_reference(quad, matrix, q):
     rs = Q.restricted_sets
     rep = verify_spanning(Q, select_Z(matrix(q, "p1l1"), Q))
     code = line_code(Q)
-    code_l1 = Subspace.span(Q.chi_lines(rs.L1), Q.n_points)
+    code_l1 = Subspace.span(Q.chi_lines(rs.L1))
     assert (rep.dim_ker_pl, rep.dim_ker_pl1) == (
         kernel_intersection_dim(code, rs.P1),
         kernel_intersection_dim(code_l1, rs.P1),
     ) == (q + 1, q - 1)
     reference = kernel_intersection_basis(code, rs.P1)
-    assert Subspace.span(rep.kernel, Q.n_points) == Subspace.span(reference, Q.n_points)
+    assert Subspace.span(rep.kernel) == Subspace.span(reference)
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -279,8 +279,8 @@ def test_spanning_without_y_reports_first_escaping_line(quad, matrix):
     Q = quad(4)
     sel = dataclasses.replace(select_Z(matrix(4, "p1l1"), Q), Y=())
     rs = Q.restricted_sets
-    span = Subspace.span([Q.chi_line(l) for l in sel.X0 + rs.L1], Q.n_points)
-    first = next(l for l in range(Q.n_lines) if not span.contains(Q.chi_line(l)))
+    span = Subspace.span(Q.chi_lines(sel.X0 + rs.L1))
+    first = next(l for l in range(Q.n_lines) if not span.contains(Q.chi_lines([l]).words[0]))
     with pytest.raises(SpanMismatchError, match=f"line {first} escapes") as exc:
         verify_spanning(Q, sel)
     assert exc.value.line == first
@@ -488,7 +488,7 @@ def test_ell0_restricts_to_zero(quad):
     for q in (2, 4):
         Q = quad(q)
         rs = Q.restricted_sets
-        assert restrict_vector(Q.chi_line(Q.ell0), rs.P1) == 0
+        assert restrict_vector(Q.chi_lines([Q.ell0]).rows[0], rs.P1) == 0
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -500,14 +500,14 @@ def test_difference_vectors_span_restricted_kernel(quad, q):
     Q = quad(q)
     rs = Q.restricted_sets
     n = Q.n_points
-    code_pl1 = Subspace.span([Q.chi_line(l) for l in rs.L1], n)
+    code_pl1 = Subspace.span(Q.chi_lines(rs.L1))
     through = [l for l in Q.point_lines[Q.p0].tolist() if l != Q.ell0]
-    fixed = through[0]
-    vecs = [Q.chi_line(fixed) ^ Q.chi_line(other) for other in through[1:]]
+    fixed, *others = Q.chi_lines(through).rows
+    vecs = [fixed ^ other for other in others]
     assert len(vecs) == q - 1
-    assert rank2(vecs) == q - 1
+    assert rank2(BitMatrix(vecs, n)) == q - 1
     for v in vecs:
-        assert code_pl1.contains(v)
+        assert code_pl1.contains(BitMatrix([v], n).words[0])
         assert restrict_vector(v, rs.P1) == 0
     assert kernel_intersection_dim(code_pl1, rs.P1) == q - 1
 

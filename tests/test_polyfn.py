@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import lu3q.verify
 from gf2_oracle import kernel_intersection_basis, line_code, restrict_vector
 from gfq_oracle import GFqLinAlg, beta_reference
+from lu3q.gf2 import BitMatrix
 from lu3q.polyfn import (
     NormalFormViolationError,
     NotInKernelError,
@@ -56,11 +57,16 @@ def delta_point(p, Q):
 
 
 def lines_of(Q, lines):
-    return code_coefficients(Q, [Q.chi_line(l) for l in lines])
+    return code_coefficients(Q, Q.chi_lines(lines))
 
 
 def interpolate_code_vector(c, Q):
-    return vec_to_poly(code_coefficients(Q, [c])[0], Q.q)
+    return vec_to_poly(code_coefficients(Q, BitMatrix([c], Q.n_points))[0], Q.q)
+
+
+def point_bits(c, Q):
+    """The int bitset c as a 0/1 array over the points."""
+    return BitMatrix([c], Q.n_points).to_numpy()[0]
 
 
 def random_poly(rng, q, n_terms=6):
@@ -169,7 +175,7 @@ def test_delta_term_degrees(quad, q):
     for l in range(Q.n_lines):
         d = delta_line(l, Q)
         assert {sum(e) for e in d} <= allowed_line
-    for v in code_coefficients(Q, [1 << p for p in range(Q.n_points)]):
+    for v in code_coefficients(Q, BitMatrix.identity(Q.n_points)):
         d = vec_to_poly(v, q)
         if q > 2:
             assert all(sum(e) % (q - 1) == 0 for e in d)
@@ -282,7 +288,7 @@ def test_kernel_elements_in_beta_span(quad, q):
     Q = quad(q)
     code = line_code(Q)
     p1 = Q.restricted_sets.P1
-    for c in kernel_intersection_basis(code, p1):
+    for c in kernel_intersection_basis(code, p1).rows:
         r_star = interpolate_code_vector(c, Q)
         assert in_span_beta(r_star, Q.F)
 
@@ -319,14 +325,14 @@ def test_interpolation_matches_line_delta(quad):
     for q in (2, 4):
         Q = quad(q)
         for l in (Q.ell0, Q.n_lines // 2):
-            assert interpolate_code_vector(Q.chi_line(l), Q) == delta_line(l, Q)
+            assert interpolate_code_vector(Q.chi_lines([l]).rows[0], Q) == delta_line(l, Q)
 
 
 def test_kernel_normal_form_of_ell0(quad):
     for q in (2, 4):
         Q = quad(q)
-        c = Q.chi_line(Q.ell0)
-        h = kernel_normal_form(c, interpolate_code_vector(c, Q), Q)
+        c = Q.chi_lines([Q.ell0]).rows[0]
+        h = kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
         assert h == {(0, 0, 0, 0): 1, (0, 0, q - 1, 0): 1}
 
 
@@ -335,13 +341,13 @@ def test_kernel_basis_all_pass_and_h_space_small(quad, q):
     Q = quad(q)
     code = line_code(Q)
     p1 = Q.restricted_sets.P1
-    kernel = kernel_intersection_basis(code, p1)
+    kernel = kernel_intersection_basis(code, p1).rows
     assert len(kernel) == q + 1
     ops = GFqLinAlg(Q.F)
     h_vecs = []
     for c in kernel:
         assert restrict_vector(c, p1) == 0
-        h = kernel_normal_form(c, interpolate_code_vector(c, Q), Q, p1)
+        h = kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q, p1)
         h_vecs.append(poly_to_vec(h, q))
     assert ops.rank(np.array(h_vecs)) <= q + 1
 
@@ -350,7 +356,8 @@ def test_kernel_rejects_vector_with_p1_support(quad):
     Q = quad(2)
     p1 = Q.restricted_sets.P1
     with pytest.raises(NotInKernelError):
-        kernel_normal_form(1 << p1[0], interpolate_code_vector(1 << p1[0], Q), Q)
+        c = 1 << p1[0]
+        kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
 
 
 def test_normal_form_violation_for_noncode_vector(quad):
@@ -358,7 +365,8 @@ def test_normal_form_violation_for_noncode_vector(quad):
     # code; its digit structure breaks the degree-1 constraint
     Q = quad(4)
     with pytest.raises(NormalFormViolationError):
-        kernel_normal_form(1 << Q.p0, interpolate_code_vector(1 << Q.p0, Q), Q)
+        c = 1 << Q.p0
+        kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
 
 
 # -- the interpolation transform and the tensor-product span test -------------
@@ -431,7 +439,7 @@ def test_kernel_forms_interpolate_each_vector_once(quad, monkeypatch):
     interpolated = []
 
     def counting(Q, vectors, original=code_coefficients):
-        interpolated.extend(vectors)
+        interpolated.extend(vectors.rows)
         return original(Q, vectors)
 
     monkeypatch.setattr(lu3q.verify, "code_coefficients", counting)
@@ -462,7 +470,7 @@ def test_poly_group_interpolates_one_line_per_orbit(quad, monkeypatch):
     interpolated = []
 
     def counting(Q, vectors, original=code_coefficients):
-        interpolated.extend(vectors)
+        interpolated.extend(vectors.rows)
         return original(Q, vectors)
 
     monkeypatch.setattr(lu3q.verify, "code_coefficients", counting)
