@@ -18,19 +18,20 @@ The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
 the full code, reads off the restriction kernel, and checks the
 explicit coordinate map that carries the digitized system onto the
-restricted one.  The span checks share two ``gf2.ReducedEchelon``
-eliminations over the points, ordered with p0's perp first and P1
-after it: L1 then X0, whose rows with a pivot in P1 are Z and a copy of
-which ``verify_spanning`` continues with Y, the remaining lines, and
-then the all-ones vector and ell0 to test their membership; and X0, Z,
-Y.  ``select_Z`` runs both and leaves them on the selection.
+restricted one.  The span checks share one ``gf2.ReducedEchelon``
+elimination over the points, ordered with p0's perp first and P1
+after it: L1, X0 and Y, whose L1 rows with a pivot in P1 are Z, and a
+copy of which ``verify_spanning`` continues with the remaining lines,
+then the all-ones vector and ell0 to test their membership.  The ranks
+of X0 u Z and X0 u Z u Y are read off it and a q-row elimination of X0
+(``selection_ranks``).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -80,26 +81,30 @@ class IncidenceMatrix:
 class Elimination:
     """A highest-bit elimination of line vectors in which point p is
     bit col[p]: the elimination of ``lines`` and the indices of the
-    lines it took, whose pivots are ``echelon.cols`` in the same order."""
+    lines it took, whose pivots are ``echelon.cols`` in the same order.
+    ``own_rows`` is False when some rows were built from a matrix that
+    is not the lines' incidence (``select_Z`` builds the L1 rows from
+    the matrix passed in)."""
 
     col: np.ndarray
     lines: tuple[int, ...]
     echelon: ReducedEchelon
     taken: list[int]
+    own_rows: bool = True
 
 
 @dataclass(frozen=True)
 class LineSetSelection:
-    """X0, Y and the selected Z, with the eliminations ``select_Z`` ran
-    (L1 then X0; X0, Z, Y) for ``verify_spanning`` to reuse.  A
-    selection built by hand has none and is eliminated afresh."""
+    """X0, Y and the selected Z, with the elimination ``select_Z`` ran
+    (L1, X0, Y) for ``selection_ranks`` and ``verify_spanning`` to
+    reuse.  A selection built by hand has none and is eliminated
+    afresh."""
 
     X: tuple[int, ...]
     X0: tuple[int, ...]
     Y: tuple[int, ...]
     Z: tuple[int, ...]
     head: Elimination | None = field(default=None, compare=False, repr=False)
-    independent: Elimination | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -193,43 +198,95 @@ def _eliminate(Q: Quadrangle, col: np.ndarray, lines: tuple[int, ...]) -> Elimin
     return Elimination(col, lines, echelon, echelon.add(_line_rows(Q, col, lines)))
 
 
+def _restricted_pivots(head: Elimination, n_l1: int, split: int) -> tuple[int, ...]:
+    """The lines among the first n_l1 of ``head`` whose rows took a
+    pivot at bit ``split`` or above, in P1."""
+    return tuple(
+        head.lines[i] for i, c in zip(head.taken, head.echelon.cols) if i < n_l1 and c >= split
+    )
+
+
 def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     """Z = lines of L1 whose restricted columns are elimination pivots.
 
     These are the columns of the restricted matrix outside the span of
     the columns before them.  One highest-bit elimination of L1, then
-    X0, finds them: with p0's perp at the low bits, each L1 line has its
-    q points of P1 in the high bits and one point of the perp, so an L1
-    row's P1 part reduces exactly as its restricted column would and
-    takes a pivot iff that column is outside the span.  X0 has no P1
-    part, so no X0 row takes a pivot there.  The P1 parts are the
-    columns of ``m_p1l1``, so |Z| is its rank.  X0, Z and Y must then be
-    linearly independent.
+    X0 and Y, finds them: with p0's perp at the low bits, each L1 line
+    has its q points of P1 in the high bits and one point of the perp,
+    so an L1 row's P1 part reduces exactly as its restricted column
+    would and takes a pivot iff that column is outside the span.  The
+    P1 parts are the columns of ``m_p1l1``, so |Z| is its rank.  X0, Z
+    and Y must then be linearly independent, which ``selection_ranks``
+    reads off the same elimination when its L1 rows are the lines' own
+    rows, as they are when ``m_p1l1`` is the restricted matrix of Q.
     """
     rs = Q.restricted_sets
     col = _point_columns(Q, rs.P1)
     split = Q.n_points - len(rs.P1)
     # L1 line j has the 1s of column j of m_p1l1 above P1's split, and
-    # its perp point at the lowest bit; the X0 rows follow
+    # its perp point at the lowest bit; the X0 and Y rows follow
     n = len(rs.L1)
     p1, l1 = bit_indices(m_p1l1.bits)
-    perp_bit = col[Q.line_pts[list(rs.L1)]].min(axis=1)
-    r, c = np.concatenate([l1, np.arange(n)]), np.concatenate([split + p1, perp_bit])
-    rows = pack_pairs(r, c, n + len(rs.X0), Q.n_points)
-    del p1, l1, r, c  # the index arrays are not held through the eliminations
-    rows[n:] = _line_rows(Q, col, rs.X0)
+    own = col[Q.line_pts[list(rs.L1)]]  # the bits of each L1 line
+    r, c = np.concatenate([l1, np.arange(n)]), np.concatenate([split + p1, own.min(axis=1)])
+    # the L1 rows are the lines' own rows iff they hold the same bits
+    own_rows = np.array_equal(
+        np.sort(r * Q.n_points + c), np.sort((np.arange(n)[:, None] * Q.n_points + own).ravel())
+    )
+    rows = pack_pairs(r, c, n + len(rs.X0) + len(rs.Y), Q.n_points)
+    del p1, l1, own, r, c  # the index arrays are not held through the elimination
+    rows[n:] = _line_rows(Q, col, rs.X0 + rs.Y)
     echelon = ReducedEchelon(Q.n_points)
-    taken = echelon.add(rows)
-    head = Elimination(col, rs.L1 + rs.X0, echelon, taken)
-    Z = tuple(head.lines[i] for i, c in zip(taken, echelon.cols) if c >= split)
-    independent = _eliminate(Q, col, rs.X0 + Z + rs.Y)
-    got = len(independent.taken)
+    head = Elimination(col, rs.L1 + rs.X0 + rs.Y, echelon, echelon.add(rows), own_rows)
+    Z = _restricted_pivots(head, n, split)
+    sel = LineSetSelection(rs.X, rs.X0, rs.Y, Z, head)
+    got = selection_ranks(Q, sel)[1]
     want = 2 * Q.q + len(Z)
     if got != want:
         raise SpanMismatchError(
             f"X0 u Y u Z has rank {got}, expected {want}"
         )
-    return LineSetSelection(rs.X, rs.X0, rs.Y, Z, head, independent)
+    return sel
+
+
+def selection_ranks(Q: Quadrangle, sel: LineSetSelection) -> tuple[int, int]:
+    """rank(X0 u Z) and rank(X0 u Z u Y), read off the selection's
+    elimination of L1, X0, Y and an elimination of X0 alone.
+
+    Every point of a line through p0 lies in p0's perp, so the X0 rows
+    vanish on P1, the high bits.  Each row of Z took a pivot in P1, so
+    the P1 parts of Z are independent.  The only vectors of
+    span(X0 u Z) that vanish on P1 are then those of span(X0), and
+    rank(X0 u Z) = rank(X0) + |Z|.  Z lies in L1, so span(X0 u Z) lies
+    in span(L1 u X0), and the two are equal iff rank(X0) + |Z| is the
+    prefix rank of L1 and X0.  Then rank(X0 u Z u Y) = rank(L1 u X0 u Y),
+    the rank of the whole elimination.
+
+    When a premise fails (no elimination of these L1, X0, Y from the
+    lines' own rows; an X0 point in P1; Z not distinct lines whose rows
+    took a pivot in P1; or the spans not equal) both ranks come from an
+    elimination of X0, Z, Y.
+    """
+    rs = Q.restricted_sets
+    n, split = len(rs.L1), Q.n_points - len(rs.P1)
+    head = sel.head
+    if head is None or head.lines != rs.L1 + sel.X0 + sel.Y:
+        col = _point_columns(Q, rs.P1)
+    else:
+        col = head.col
+        z = set(sel.Z)
+        if (
+            head.own_rows
+            and len(z) == len(sel.Z)
+            and z <= set(_restricted_pivots(head, n, split))
+            and (col[Q.line_pts[list(sel.X0)]] < split).all()
+        ):
+            x0 = _line_rows(Q, col, sel.X0)
+            rank_z_x0 = len(ReducedEchelon(Q.n_points).add(x0)) + len(z)
+            if rank_z_x0 == bisect_left(head.taken, n + len(sel.X0)):
+                return rank_z_x0, len(head.taken)
+    exact = _eliminate(Q, col, sel.X0 + sel.Z + sel.Y)
+    return bisect_left(exact.taken, len(sel.X0) + len(sel.Z)), len(exact.taken)
 
 
 def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
@@ -237,11 +294,11 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
 
     X0, Y, Z and L1 are sets of lines and Z lies in L1, so each identity
     is a containment, which holds iff two ranks are equal.  The ranks
-    are prefix ranks of the two eliminations ``select_Z`` ran: L1, X0,
-    continued here with Y and then every other line; and X0, Z, Y.
-    Ranks do not depend on the column order.  The selection's
-    eliminations are reused when they were run on its X0 (and Z, Y),
-    and run afresh otherwise.
+    are prefix ranks of the elimination ``select_Z`` ran, L1, X0, Y,
+    continued here with every other line, and the ranks of X0 u Z and
+    X0 u Z u Y from ``selection_ranks``.  Ranks do not depend on the
+    column order.  The selection's elimination is reused when it was run
+    on its X0 and Y, and run afresh otherwise.
 
     The restriction kernel comes from the same elimination.  A vector's
     highest bit is the highest pivot of the basis rows it is made of,
@@ -258,16 +315,12 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     if not set(sel.Z) <= set(rs.L1):
         raise SpanMismatchError("Z is not a subset of L1")
     head = sel.head
-    if head is None or head.lines != rs.L1 + sel.X0:
-        head = _eliminate(Q, _point_columns(Q, rs.P1), rs.L1 + sel.X0)
+    if head is None or head.lines != rs.L1 + sel.X0 + sel.Y:
+        head = _eliminate(Q, _point_columns(Q, rs.P1), rs.L1 + sel.X0 + sel.Y)
     col = head.col
-    independent = sel.independent
-    if independent is None or independent.lines != sel.X0 + sel.Z + sel.Y:
-        independent = _eliminate(Q, col, sel.X0 + sel.Z + sel.Y)
 
     span = head.echelon.copy()  # the selection's elimination stays as it was
-    span.add(_line_rows(Q, col, sel.Y))
-    rest = tuple(sorted(set(range(Q.n_lines)) - set(head.lines) - set(sel.Y)))
+    rest = tuple(sorted(set(range(Q.n_lines)) - set(head.lines)))
     escaped = span.add(_line_rows(Q, col, rest))
     if escaped:
         # the lines before the first one taken after the head lie in
@@ -292,10 +345,10 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     meeting = sorted(set(Q.point_lines[Q.line_pts[rs.L1[0]]].ravel().tolist()))
     total = np.bitwise_xor.reduce(_line_rows(Q, col, meeting))
 
-    rank_z_x0 = bisect_left(independent.taken, len(sel.X0) + len(sel.Z))
-    if rank_z_x0 != len(head.taken):
+    rank_z_x0, rank_all = selection_ranks(Q, replace(sel, head=head))
+    if rank_z_x0 != bisect_left(head.taken, len(rs.L1) + len(sel.X0)):
         raise SpanMismatchError("span(Z u X0) differs from span(L1 u X0)")
-    if len(independent.taken) != dim_pl:
+    if rank_all != dim_pl:
         raise SpanMismatchError("Z u X0 u Y fails to span the full code")
 
     dim_p1l1 = len(sel.Z)
@@ -310,7 +363,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     perp = np.flatnonzero(col < split)  # the point of each bit below P1
     kernel = BitMatrix(pack_indices(np.where(bits, perp, -1), Q.n_points), Q.n_points)
     rank_l1 = bisect_left(head.taken, len(rs.L1))
-    dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.echelon.cols)
+    dim_ker_pl1 = rank_l1 - sum(c >= split for c in head.echelon.cols[:rank_l1])
     ones_sum = np.array_equal(total, ones[0])
     return SpanningReport(Q.q, dim_pl, dim_p1l1, ones_sum, kernel, dim_ker_pl1)
 

@@ -120,8 +120,8 @@ class _Context:
         sel = self.selection
         if isinstance(sel, Exception):
             return sel
-        # verify_spanning spends the selection's eliminations: keep Z only
-        self.selection = replace(sel, head=None, independent=None)
+        # verify_spanning spends the selection's elimination: keep Z only
+        self.selection = replace(sel, head=None)
         return _attempt(verify_spanning, self.quad, sel)
 
     @cached_property
@@ -225,18 +225,17 @@ def gq_axioms(Q: Quadrangle, seed: int = 0) -> GqAxioms:
     q = Q.q
     if q <= 5:
         scope = "exhaustive"
-        line_pairs = itertools.combinations(range(Q.n_lines), 2)
+        line_pairs = np.transpose(np.triu_indices(Q.n_lines, 1))
         probe = range(Q.n_points)
     else:
         scope = "sampled"
         rng = random.Random(seed)
-        line_pairs = [rng.sample(range(Q.n_lines), 2) for _ in range(2000)]
+        line_pairs = np.array([rng.sample(range(Q.n_lines), 2) for _ in range(2000)])
         probe = random.Random(seed).sample(range(Q.n_points), 25)
-    pairs = violations = 0
-    for l1, l2 in line_pairs:
-        pairs += 1
-        if len(Q.line_points(l1) & Q.line_points(l2)) > 1:
-            violations += 1
+    # the points two lines share: each point of one against each of the other
+    a, b = Q.line_pts[line_pairs[:, 0]], Q.line_pts[line_pairs[:, 1]]
+    shared = (a[:, :, None] == b[:, None, :]).sum(axis=(1, 2))
+    pairs, violations = len(line_pairs), int((shared > 1).sum())
     perp_ok = True
     for p in probe:
         perp = Q.perp(p)

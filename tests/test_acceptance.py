@@ -19,9 +19,9 @@ import pytest
 
 from gf2_oracle import mul_vec
 from lu3q.formulas import lucas17
-from lu3q.geometry import NoGridFoundError
+from lu3q.geometry import NoGridFoundError, enumerate_quadrangle
 from lu3q.gf2 import nullspace, rank2
-from lu3q.incidence import check_kim_equivalence, select_Z, verify_spanning
+from lu3q.incidence import build_incidence, check_kim_equivalence, select_Z, verify_spanning
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.polyfn import (
     build_beta,
@@ -109,6 +109,17 @@ def test_criterion_4_odd_rank_formulas(matrix):
         assert pl == (q**3 + 2 * q**2 + q + 2) // 2 == RANK_PL_ODD[q]
         assert p1l1 == (q**3 + 2 * q**2 - 3 * q + 2) // 2 == RANK_P1L1_ODD[q]
     report(4, f"odd-order ranks = {RANK_PL_ODD} / {RANK_P1L1_ODD}")
+
+
+@pytest.mark.parametrize("q", [17, 19])
+def test_odd_rank_formulas_past_criterion_4(field, q):
+    # criterion 4's closed forms at the two odd q past its table, by
+    # dense elimination (about 0.7 s and 1.5 s, the quadrangle included)
+    Q = enumerate_quadrangle(field(q))
+    pl = rank2(build_incidence(Q, "pl").bits)
+    p1l1 = rank2(build_incidence(Q, "p1l1").bits)
+    assert pl == (q**3 + 2 * q**2 + q + 2) // 2
+    assert p1l1 == (q**3 + 2 * q**2 - 3 * q + 2) // 2
 
 
 def test_criterion_5_gap_identity(matrix):

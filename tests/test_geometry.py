@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -13,6 +14,7 @@ from lu3q.geometry import (
     torus_and_swap,
 )
 from lu3q.incidence import build_incidence
+from lu3q.verify import GqAxioms, gq_axioms
 from test_acceptance import ALL_Q
 
 E0, E1, E2, E3 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
@@ -166,6 +168,40 @@ def test_no_two_lines_share_two_points(quad, q):
     Q = quad(q)
     for l1, l2 in itertools.combinations(range(Q.n_lines), 2):
         assert len(Q.line_points(l1) & Q.line_points(l2)) <= 1
+
+
+def reference_line_pairs(Q, seed):
+    """(scope, pairs, violations) of ``gq_axioms`` by intersecting the
+    point sets of each line pair, drawn as ``gq_axioms`` draws them."""
+    if Q.q <= 5:
+        scope, line_pairs = "exhaustive", itertools.combinations(range(Q.n_lines), 2)
+    else:
+        rng = random.Random(seed)
+        scope = "sampled"
+        line_pairs = [rng.sample(range(Q.n_lines), 2) for _ in range(2000)]
+    pairs = violations = 0
+    for l1, l2 in line_pairs:
+        pairs += 1
+        violations += len(Q.line_points(l1) & Q.line_points(l2)) > 1
+    return scope, pairs, violations
+
+
+@pytest.mark.parametrize("q", [8, 16])
+@pytest.mark.parametrize("seed", [0, 1000])
+def test_gq_axioms_equal_the_set_reference(quad, q, seed):
+    Q = quad(q)
+    assert gq_axioms(Q, seed) == GqAxioms(*reference_line_pairs(Q, seed), True, True)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_gq_axioms_count_lines_sharing_two_points(quad, q):
+    # every line given the points of line l % 10: the pairs of lines
+    # equal mod 10 share q+1 points, and both counts must find them
+    Q = copy.copy(quad(q))
+    Q.line_pts = Q.line_pts[np.arange(Q.n_lines) % 10]
+    scope, pairs, violations = reference_line_pairs(Q, 0)
+    assert violations > 0
+    assert gq_axioms(Q, 0)[:3] == (scope, pairs, violations)
 
 
 def test_e2e3_is_a_line_disjoint_from_ell0_q2(quad):

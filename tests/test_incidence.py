@@ -21,6 +21,7 @@ from lu3q.incidence import (
     build_kim_matrix,
     check_kim_equivalence,
     select_Z,
+    selection_ranks,
     verify_spanning,
 )
 from test_acceptance import ALL_Q
@@ -136,6 +137,48 @@ def test_lemma_independence_rank(quad, matrix, q):
     assert rank2(stacked) == 2 * q + len(sel.Z)
 
 
+@pytest.mark.parametrize("q", [q for q in ALL_Q if q % 2 == 0])
+def test_selection_ranks_equal_the_ranks_of_the_lines(quad, matrix, monkeypatch, q):
+    # rank(X0 u Z) and rank(X0 u Z u Y) from the head and X0 alone,
+    # against an elimination of the lines themselves
+    Q = quad(q)
+    sel = select_Z(matrix(q, "p1l1"), Q)
+    calls = count_eliminations(monkeypatch)
+    ranks = selection_ranks(Q, sel)
+    assert calls == [(q, False)]
+    assert ranks == (
+        rank2(Q.chi_lines(sel.X0 + sel.Z)), rank2(Q.chi_lines(sel.X0 + sel.Z + sel.Y))
+    )
+
+
+@pytest.mark.parametrize("change, message", [
+    # the last Z line swapped for the first L1 line outside Z, whose
+    # restricted column lies in the span of the Z columns before it
+    (lambda sel, out: dict(Z=sel.Z[:-1] + out[:1]), "span(Z u X0) differs from span(L1 u X0)"),
+    # ... or for the last, which keeps the restricted columns a basis
+    (lambda sel, out: dict(Z=sel.Z[:-1] + out[-1:]), None),
+    (lambda sel, out: dict(Z=sel.Z[:-1] + sel.Z[:1]), "span(Z u X0) differs from span(L1 u X0)"),
+    # X0's lines have points in P1
+    (lambda sel, out: dict(X0=sel.Y, Y=sel.X0), "span(Z u X0) differs from span(L1 u X0)"),
+])
+def test_a_failed_premise_takes_the_exact_ranks(quad, matrix, monkeypatch, change, message):
+    # the ranks then come from an elimination of X0, Z, Y, and the
+    # outcome is what that elimination always gave
+    Q = quad(4)
+    sel = select_Z(matrix(4, "p1l1"), Q)
+    out = tuple(l for l in Q.restricted_sets.L1 if l not in sel.Z)
+    bad = dataclasses.replace(sel, **change(sel, out))
+    calls = count_eliminations(monkeypatch)
+    if message is None:
+        rep = verify_spanning(Q, bad)
+        assert (rep.dim_pl, rep.dim_p1l1, rep.ok) == (50, 42, True)
+    else:
+        with pytest.raises(SpanMismatchError) as exc:
+            verify_spanning(Q, bad)
+        assert (str(exc.value), exc.value.line) == (message, None)
+    assert (8 + 42, False) in calls
+
+
 def test_select_z_is_deterministic(quad, matrix):
     Q = quad(2)
     m = matrix(2, "p1l1")
@@ -144,7 +187,7 @@ def test_select_z_is_deterministic(quad, matrix):
 
 @pytest.mark.parametrize("q", ALL_Q)
 def test_shared_elimination_selects_the_restricted_pivots(quad, matrix, q):
-    # Z from the elimination of X0 then L1 is the set of pivot columns
+    # Z from the elimination of L1, X0 and Y is the set of pivot columns
     # of the restricted matrix eliminated on its own
     Q = quad(q)
     m = matrix(q, "p1l1")
@@ -167,6 +210,20 @@ def test_select_z_follows_the_matrix_passed_in(quad, matrix):
         select_Z(bad, Q)
 
 
+def test_rows_from_another_matrix_take_the_exact_ranks(quad, matrix, monkeypatch):
+    # with columns 0 and 1 swapped the L1 rows are not the lines' own,
+    # so the independence rank comes from an elimination of X0, Z, Y
+    Q = quad(4)
+    p1l1 = matrix(4, "p1l1")
+    dense = p1l1.bits.to_numpy()[:, [1, 0, *range(2, 64)]]
+    swapped = dataclasses.replace(p1l1, bits=BitMatrix.from_dense(dense.tolist()))
+    calls = count_eliminations(monkeypatch)
+    sel = select_Z(swapped, Q)
+    assert not sel.head.own_rows
+    assert sel.Z == select_Z(p1l1, Q).Z
+    assert (8 + 42, False) in calls
+
+
 def count_eliminations(monkeypatch):
     """Record (rows, continued) for every batch of rows eliminated in
     lu3q, each ``ReducedEchelon.add`` call: continued when the basis
@@ -183,23 +240,25 @@ def count_eliminations(monkeypatch):
 
 
 @pytest.mark.parametrize("rebuild, fresh", [
-    (lambda sel: sel, []),
-    (lambda sel: type(sel)(sel.X, sel.X0, sel.Y, sel.Z), [4 + 64, 8 + 42]),
-    (lambda sel: dataclasses.replace(sel, Y=sel.Y[::-1]), [8 + 42]),
-    (lambda sel: dataclasses.replace(sel, X0=sel.X0[::-1]), [4 + 64, 8 + 42]),
+    (lambda sel: sel, [4]),
+    (lambda sel: type(sel)(sel.X, sel.X0, sel.Y, sel.Z), [64 + 8, 4]),
+    (lambda sel: dataclasses.replace(sel, Y=sel.Y[::-1]), [64 + 8, 4]),
+    (lambda sel: dataclasses.replace(sel, X0=sel.X0[::-1]), [64 + 8, 4]),
 ])
 def test_selection_without_matching_eliminations_is_eliminated_afresh(
     quad, matrix, monkeypatch, rebuild, fresh
 ):
+    # the head is L1, X0, Y; the 4 rows are X0 alone, for rank(X0 u Z)
     Q = quad(4)
     sel = rebuild(select_Z(matrix(4, "p1l1"), Q))
     calls = count_eliminations(monkeypatch)
     rep = verify_spanning(Q, sel)
     assert (rep.dim_pl, rep.dim_p1l1, rep.ok) == (50, 42, True)
     assert [n for n, continued in calls if not continued] == fresh
-    # Y, then every line outside X0, L1 and Y, continue the head, and
-    # the all-ones vector and ell0 test membership
-    assert [n for n, continued in calls if continued] == [4, 85 - 8 - 64, 2]
+    assert 8 + 42 not in fresh  # no elimination of X0, Z, Y
+    # every line outside L1, X0 and Y continues the head, and the
+    # all-ones vector and ell0 test membership
+    assert [n for n, continued in calls if continued] == [85 - 8 - 64, 2]
 
 
 @pytest.mark.parametrize("ones_out, ell0_out, message", [
@@ -360,8 +419,8 @@ def test_kim_coordinate_map_rejects_a_flipped_bit_in_kim(quad, matrix, q, row, c
 def test_verify_ranks_come_from_one_elimination(monkeypatch):
     # rank(p1l1) = |Z|, rank(kim) by the verified map, rank(pl) from
     # verify_spanning: no rank2 call is left, and the spans group runs
-    # two eliminations, X0 then L1 (continued with Y and the rest) and
-    # X0, Z, Y, so the L1 rows are eliminated once
+    # one large elimination, L1, X0, Y (continued with the rest), and X0
+    # alone in select_Z and in verify_spanning; no elimination of X0, Z, Y
     import sys
 
     import lu3q.gf2
@@ -382,8 +441,9 @@ def test_verify_ranks_come_from_one_elimination(monkeypatch):
     assert [o.status for o in outcomes] == ["PASS"] * 6
     assert calls == []
     assert eliminations == [
-        (8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True), (2, True)
+        (512 + 16, False), (8, False), (585 - 16 - 512, True), (2, True), (8, False)
     ]
+    assert (16 + 282, False) not in eliminations
 
 
 def test_kernel_group_adds_no_elimination(monkeypatch):
@@ -398,7 +458,7 @@ def test_kernel_group_adds_no_elimination(monkeypatch):
     outcomes = run_checks(8, {"spans", "kernel"})
     assert [o.status for o in outcomes] == ["PASS"] * 3
     assert spans_only == [
-        (8 + 512, False), (16 + 282, False), (8, True), (585 - 16 - 512, True), (2, True)
+        (512 + 16, False), (8, False), (585 - 16 - 512, True), (2, True), (8, False)
     ]
     assert calls[len(spans_only):] == spans_only
 
