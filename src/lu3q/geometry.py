@@ -131,18 +131,19 @@ class Quadrangle:
     def line_points(self, l: int) -> frozenset[int]:
         return frozenset(self.line_pts[l].tolist())
 
-    def perp(self, p: int) -> frozenset[int]:
-        """All x with (p, x) = 0, by evaluating the form on every point
-        at once through the field's lookup tables."""
+    def perps(self, p) -> np.ndarray:
+        """Which points x have (p, x) = 0, elementwise for an array of
+        points: the form of each p against every point, through the
+        field's lookup tables, as a mask with a trailing n_points axis."""
         T = self.F.tables
-        u, v = self.points[p], self.points.T
-        pos = T.add[T.mul[u[0], v[3]], T.mul[u[1], v[2]]]
-        neg = T.add[T.mul[u[2], v[1]], T.mul[u[3], v[0]]]
-        return frozenset(np.flatnonzero(T.add[pos, T.neg[neg]] == 0).tolist())
+        u, v = self.points[np.asarray(p)][..., None, :], self.points
+        pos = T.add[T.mul[u[..., 0], v[:, 3]], T.mul[u[..., 1], v[:, 2]]]
+        neg = T.add[T.mul[u[..., 2], v[:, 1]], T.mul[u[..., 3], v[:, 0]]]
+        return T.add[pos, T.neg[neg]] == 0
 
-    def collinear(self, p: int) -> frozenset[int]:
-        """Union of the lines through p (equals perp(p) in the quadrangle)."""
-        return frozenset(self.line_pts[self.point_lines[p]].ravel().tolist())
+    def perp(self, p: int) -> frozenset[int]:
+        """All x with (p, x) = 0: the set view of ``perps``."""
+        return frozenset(np.flatnonzero(self.perps(p)).tolist())
 
     def line_through(self, p1, p2) -> np.ndarray:
         """The line joining two distinct collinear points, elementwise for
@@ -180,25 +181,32 @@ class Quadrangle:
                 return np.unique(label, return_counts=True)
             label = new
 
-    def connectors(self, p: int, l: int) -> list[int]:
-        """The lines through p that meet l."""
-        target = self.line_points(l)
-        through = self.point_lines[p].tolist()
-        return [
-            m for m, pts in zip(through, self.line_pts[through].tolist())
-            if not target.isdisjoint(pts)
-        ]
+    def connectors(self, p, l) -> np.ndarray:
+        """Which lines through p meet l, elementwise for arrays of points
+        and lines: entry [..., i] says whether line point_lines[p][..., i]
+        meets l, from the points of those lines against the points of l
+        in one broadcast."""
+        p, l = np.broadcast_arrays(p, l)
+        through = self.line_pts[self.point_lines[p]]  # (..., q+1 lines, q+1 points)
+        target = self.line_pts[l][..., None, None, :]
+        return (through[..., None] == target).any(axis=(-2, -1))
 
-    def unique_connector(self, p: int, l: int) -> int:
-        """The one line through p that meets l, for p not on l."""
-        if p in self.line_points(l):
-            raise PointOnLineError(f"point {p} lies on line {l}")
-        hits = self.connectors(p, l)
-        if len(hits) != 1:
+    def unique_connector(self, p, l) -> np.ndarray:
+        """The one line through p that meets l, elementwise for arrays of
+        points p not on lines l.  Raises PointOnLineError if some p lies
+        on its l, and RuntimeError if some p has no or several connectors."""
+        p, l = np.broadcast_arrays(p, l)
+        on = (self.line_pts[l] == p[..., None]).any(axis=-1)
+        if on.any():
+            i = np.argwhere(on)[0]
+            raise PointOnLineError(f"point {p[tuple(i)]} lies on line {l[tuple(i)]}")
+        hit = self.connectors(p, l)
+        count = hit.sum(axis=-1)
+        if (count != 1).any():
             raise RuntimeError(
-                f"expected exactly one connector, found {len(hits)}"
+                f"expected exactly one connector, found {count[count != 1].flat[0]}"
             )  # pragma: no cover
-        return hits[0]
+        return self.point_lines[p][hit].reshape(p.shape)
 
     def chi_lines(self, lines: Sequence[int]) -> BitMatrix:
         """Characteristic bit vectors of lines over the point set, one row each."""
@@ -242,12 +250,16 @@ class Quadrangle:
         """
         if l == lp:
             raise ValueError("the two lines must be distinct")
-        lpts, lppts = self.line_points(l), self.line_points(lp)
+        lpts, lppts = self.line_pts[l], self.line_pts[lp]
         if p not in lpts or p not in lppts:
             raise ValueError("anchor point must lie on both lines")
-        u1 = min(lpts - {p})
-        w1 = min(lppts - {p})
-        for z in sorted((self.collinear(u1) & self.collinear(w1)) - {p}):
+        u1, w1 = int(lpts[lpts != p].min()), int(lppts[lppts != p].min())
+        # the points collinear with both, ascending (np.intersect1d would
+        # import numpy.ma on first use, 9 ms of a fresh process's start)
+        seen = np.zeros((2, self.n_points), dtype=bool)
+        seen[[[0], [1]], self.line_pts[self.point_lines[[u1, w1]]].reshape(2, -1)] = True
+        seen[:, p] = False
+        for z in np.flatnonzero(seen.all(axis=0)).tolist():
             pair = self._try_grid(l, lp, p, u1, w1, z)
             if pair is not None:
                 return pair
@@ -261,42 +273,46 @@ class Quadrangle:
     def _try_grid(
         self, l: int, lp: int, p: int, u1: int, w1: int, z: int
     ) -> GridPair | None:
-        try:
-            lam1 = int(self.line_through(w1, z))
-            del1 = int(self.line_through(u1, z))
-            delta = tuple(
-                sorted(self.unique_connector(u, lam1) for u in self.line_points(l) - {p})
-            )
-            lam = tuple(
-                sorted(self.unique_connector(w, del1) for w in self.line_points(lp) - {p})
-            )
-        except (PointOnLineError, ValueError):
-            return None
+        """The grid through z, or None if it breaks the contract.
+
+        delta are the connectors from the points of l other than p to the
+        line lam1 = w1 z, and lam those from lp's other points to
+        del1 = u1 z, each side from one ``unique_connector`` call.  The 2q
+        lines must be distinct and other than l and lp; each delta line
+        meets l, and each lam line lp, in one point, q distinct points
+        other than p; each delta line meets each lam line in one point;
+        and the 2q lines sum to chi_l + chi_lp.  Every count is a
+        broadcast comparison of ``line_pts`` rows.
+        """
         q = self.q
-        if len(set(delta)) != q or len(set(lam)) != q:
+        ends = self.line_pts[[l, lp]]
+        try:
+            lam1, del1 = self.line_through([w1, u1], [z, z])
+            delta = np.sort(self.unique_connector(ends[0][ends[0] != p], lam1))
+            lam = np.sort(self.unique_connector(ends[1][ends[1] != p], del1))
+        except ValueError:  # PointOnLineError is one
             return None
-        if set(delta) & set(lam):
+        grid = np.concatenate([delta, lam])
+        if len(grid) != 2 * q:
             return None
-        if l in delta or lp in delta or l in lam or lp in lam:
+        ordered = np.sort(grid)
+        if (ordered[1:] == ordered[:-1]).any() or ((grid == l) | (grid == lp)).any():
             return None
-        delta_pts = [self.line_points(d) for d in delta]
-        lam_pts = [self.line_points(m) for m in lam]
-        # each delta line meets l \ {p} in its own point; same for lam with lp
-        hits_l = [d & self.line_points(l) for d in delta_pts]
-        hits_lp = [m & self.line_points(lp) for m in lam_pts]
-        if any(len(h) != 1 for h in hits_l + hits_lp):
+        # each delta line meets l, and each lam line lp, in one point,
+        # and together they meet every point of it but p once
+        pts = self.line_pts[grid].reshape(2, q, q + 1)
+        meet = pts[..., None] == ends[:, None, None, :]  # side, line, its point, end point
+        if (meet.sum(axis=(2, 3)) != 1).any():
             return None
-        pts_l = set().union(*hits_l)
-        pts_lp = set().union(*hits_lp)
-        if len(pts_l) != q or p in pts_l or len(pts_lp) != q or p in pts_lp:
+        if (meet.any(axis=2).sum(axis=1) != (ends != p)).any():
             return None
-        for d in delta_pts:
-            if any(len(d & m) != 1 for m in lam_pts):
-                return None
-        # the 2q lines must sum to chi_l + chi_lp
-        if np.bitwise_xor.reduce(self.chi_lines(delta + lam + (l, lp)).words).any():
+        # each delta line meets each lam line in one point
+        if ((pts[0][:, None, :, None] == pts[1][None, :, None, :]).sum(axis=(2, 3)) != 1).any():
             return None
-        return GridPair(delta, lam, p, l, lp, z)
+        # the 2q lines must sum to chi_l + chi_lp: every point an even number of times
+        if (np.bincount(self.line_pts[np.append(grid, [l, lp])].ravel()) & 1).any():
+            return None
+        return GridPair(tuple(delta.tolist()), tuple(lam.tolist()), p, l, lp, z)
 
 
 def torus_and_swap(F: GF) -> list[tuple[Vec, Vec]]:

@@ -298,7 +298,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     continued here with every other line, and the ranks of X0 u Z and
     X0 u Z u Y from ``selection_ranks``.  Ranks do not depend on the
     column order.  The selection's elimination is reused when it was run
-    on its X0 and Y, and run afresh otherwise.
+    on its X0 and Y from the lines' own rows, and run afresh otherwise.
 
     The restriction kernel comes from the same elimination.  A vector's
     highest bit is the highest pivot of the basis rows it is made of,
@@ -315,7 +315,7 @@ def verify_spanning(Q: Quadrangle, sel: LineSetSelection) -> SpanningReport:
     if not set(sel.Z) <= set(rs.L1):
         raise SpanMismatchError("Z is not a subset of L1")
     head = sel.head
-    if head is None or head.lines != rs.L1 + sel.X0 + sel.Y:
+    if head is None or head.lines != rs.L1 + sel.X0 + sel.Y or not head.own_rows:
         head = _eliminate(Q, _point_columns(Q, rs.P1), rs.L1 + sel.X0 + sel.Y)
     col = head.col
 

@@ -139,26 +139,43 @@ def delta_line(l: int, Q: Quadrangle) -> PolyFn:
 # -- 2-adic digits -----------------------------------------------------------
 
 
-def digitize_monomial(m: Mono, F: GF) -> list[Mono]:
-    """Square-free digit monomials from the binary exponent expansions."""
+def digitize_exponents(exps, F: GF) -> np.ndarray:
+    """Square-free digits from the binary exponent expansions, for an
+    array of exponent rows: shape (..., 4) gives (..., t, 4), whose entry
+    [..., j, i] is bit j of exponent i, in the exponents' dtype."""
     if F.p != 2:
         raise ValueError("digitization needs q = 2^t")
-    q, t = F.q, F.t
-    if any(e > q - 1 or e < 0 for e in m):
-        raise ValueError(f"exponent out of range in {m}: each must be <= {q - 1}")
-    return [
-        tuple((e >> j) & 1 for e in m)  # type: ignore[misc]
-        for j in range(t)
-    ]
+    exps = np.asarray(exps)
+    rows = exps.reshape(-1, 4)
+    bad = ((rows > F.q - 1) | (rows < 0)).any(axis=1)
+    if bad.any():
+        row = rows[bad][0]
+        raise ValueError(
+            f"exponent out of range in {tuple(row.tolist())}: each must be <= {F.q - 1}"
+        )
+    return exps[..., None, :] >> np.arange(F.t, dtype=exps.dtype)[:, None] & 1
+
+
+def compose_exponents(digits) -> np.ndarray:
+    """Inverse of ``digitize_exponents``: digits of shape (..., t, 4) give
+    the exponents of f_0 * f_1^2 * ... * f_{t-1}^(2^(t-1)), shape (..., 4),
+    in the digits' dtype."""
+    digits = np.asarray(digits)
+    shifts = np.arange(digits.shape[-2], dtype=digits.dtype)[:, None]
+    return (digits << shifts).sum(axis=-2, dtype=digits.dtype)
+
+
+def digitize_monomial(m: Mono, F: GF) -> list[Mono]:
+    """One monomial's digits as tuples: the scalar view of
+    ``digitize_exponents``."""
+    return [tuple(d) for d in digitize_exponents(m, F).tolist()]
 
 
 def compose_digits(digits: list[Mono]) -> Mono:
-    """Inverse of digitization: f_0 * f_1^2 * ... * f_{t-1}^(2^(t-1))."""
-    out = [0, 0, 0, 0]
-    for j, d in enumerate(digits):
-        for i in range(4):
-            out[i] += d[i] << j
-    return tuple(out)  # type: ignore[return-value]
+    """One monomial from its digit tuples: the scalar view of
+    ``compose_exponents``."""
+    digits = np.asarray(digits, dtype=np.int64).reshape(-1, 4)
+    return tuple(compose_exponents(digits).tolist())  # type: ignore[return-value]
 
 
 _BETA_DIGIT_CHOICES: list[PolyFn] = [

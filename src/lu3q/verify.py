@@ -15,6 +15,7 @@ calls the same pure functions, so each check has one implementation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -43,9 +44,9 @@ from lu3q.polyfn import (
     NormalFormViolationError,
     NotInKernelError,
     code_coefficients,
-    compose_digits,
+    compose_exponents,
     delta_line,
-    digitize_monomial,
+    digitize_exponents,
     evaluate,
     kernel_normal_form,
     reduce_against_beta,
@@ -220,42 +221,46 @@ def gq_axioms(Q: Quadrangle, seed: int = 0) -> GqAxioms:
     """The quadrangle axiom, the perp description and unique connectors.
 
     Line pairs and perps are checked exhaustively for q <= 5 and
-    connectors for q <= 4; larger q samples them with the seed.
+    connectors for q <= 4; larger q samples them with the seed.  Each
+    check is one array pass over the sampled or exhaustive inputs.
     """
     q = Q.q
     if q <= 5:
         scope = "exhaustive"
         line_pairs = np.transpose(np.triu_indices(Q.n_lines, 1))
-        probe = range(Q.n_points)
+        probe = np.arange(Q.n_points)
     else:
         scope = "sampled"
-        rng = random.Random(seed)
-        line_pairs = np.array([rng.sample(range(Q.n_lines), 2) for _ in range(2000)])
-        probe = random.Random(seed).sample(range(Q.n_points), 25)
+        rng, lines = random.Random(seed), range(Q.n_lines)
+        line_pairs = np.array([rng.sample(lines, 2) for _ in range(2000)])
+        probe = np.array(random.Random(seed).sample(range(Q.n_points), 25))
     # the points two lines share: each point of one against each of the other
     a, b = Q.line_pts[line_pairs[:, 0]], Q.line_pts[line_pairs[:, 1]]
     shared = (a[:, :, None] == b[:, None, :]).sum(axis=(1, 2))
     pairs, violations = len(line_pairs), int((shared > 1).sum())
-    perp_ok = True
-    for p in probe:
-        perp = Q.perp(p)
-        if len(perp) != q**2 + q + 1 or perp != Q.collinear(p):
-            perp_ok = False
-            break
+    # each probe's perp, against the points of the lines through it
+    perp = Q.perps(probe)
+    collinear = np.zeros_like(perp)
+    on_lines = Q.line_pts[Q.point_lines[probe]].reshape(len(probe), -1)
+    collinear[np.arange(len(probe))[:, None], on_lines] = True
+    perp_ok = bool((perp.sum(axis=1) == q**2 + q + 1).all() and (perp == collinear).all())
     if q <= 4:
-        off_line = (
-            (p, l) for l in range(Q.n_lines) for p in range(Q.n_points)
-            if p not in Q.line_points(l)
-        )
+        on = np.zeros((Q.n_lines, Q.n_points), dtype=bool)
+        on[np.arange(Q.n_lines)[:, None], Q.line_pts] = True
+        l, p = np.nonzero(~on)
     else:
+        # the first 300 (point, line) draws with the point off the line;
+        # each pass draws as many as are missing, so the draws are those
+        # of a loop that draws one pair at a time
         rng = random.Random(seed + 1)
-        off_line = []
-        while len(off_line) < 300:
-            p = rng.randrange(Q.n_points)
-            l = rng.randrange(Q.n_lines)
-            if p not in Q.line_points(l):
-                off_line.append((p, l))
-    connector_ok = all(len(Q.connectors(p, l)) == 1 for p, l in off_line)
+        p, l = np.empty(0, dtype=int), np.empty(0, dtype=int)
+        while len(p) < 300:
+            draws = np.array([
+                (rng.randrange(Q.n_points), rng.randrange(Q.n_lines)) for _ in range(300 - len(p))
+            ])
+            off = ~(Q.line_pts[draws[:, 1]] == draws[:, :1]).any(axis=1)
+            p, l = np.append(p, draws[off, 0]), np.append(l, draws[off, 1])
+    connector_ok = bool((Q.connectors(p, l).sum(axis=-1) == 1).all())
     return GqAxioms(scope, pairs, violations, perp_ok, connector_ok)
 
 
@@ -293,12 +298,11 @@ def grid_sums(Q: Quadrangle, seed: int = 0) -> GridSums:
 
 
 def digit_roundtrip_failures(F: GF) -> int:
-    """Monomials of F_q^4 that do not survive digitize then compose."""
-    return sum(
-        1
-        for m in itertools.product(range(F.q), repeat=4)
-        if compose_digits(digitize_monomial(m, F)) != m
-    )
+    """Monomials of F_q^4 that do not survive digitize then compose, all
+    q^4 of them in one array pass.  uint8 exponents keep the q=8 arrays
+    near 50 KB; as int64 they raised a verify --q 8 process's peak RSS."""
+    exps = np.indices((F.q,) * 4, dtype=np.uint8).reshape(4, -1).T
+    return int((compose_exponents(digitize_exponents(exps, F)) != exps).any(axis=1).sum())
 
 
 def line_profile_failures(Q: Quadrangle) -> int:
@@ -592,8 +596,6 @@ def _check_rank(ctx: _Context) -> list[CheckOutcome]:
 
 
 def _check_formulas(ctx: _Context) -> list[CheckOutcome]:
-    import math
-
     r1 = (1 + math.sqrt(17)) / 2
     r2 = (1 - math.sqrt(17)) / 2
     from lu3q.formulas import lucas17, predict_even
@@ -611,7 +613,7 @@ def _check_formulas(ctx: _Context) -> list[CheckOutcome]:
     )
     gap_ok = all(
         pred.rank_pl - pred.rank_p1l1 == 2 * pred.q
-        for pred in map(predict, filter(_is_prime_power, range(2, 1025)))
+        for pred in map(predict, _prime_powers(1024))
     )
     rows.append(
         CheckOutcome(
@@ -622,9 +624,18 @@ def _check_formulas(ctx: _Context) -> list[CheckOutcome]:
     return rows
 
 
-def _is_prime_power(q: int) -> bool:
-    try:
-        factor_prime_power(q)
-        return True
-    except ValueError:
-        return False
+def _prime_powers(n: int) -> list[int]:
+    """The prime powers up to n, ascending: a sieve marks the primes, and
+    then the higher powers of each prime up to sqrt(n)."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    power = prime.copy()
+    for p in np.flatnonzero(prime[: math.isqrt(n) + 1]).tolist():
+        pk = p * p
+        while pk <= n:
+            power[pk] = True
+            pk *= p
+    return np.flatnonzero(power).tolist()

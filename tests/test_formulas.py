@@ -3,6 +3,7 @@ import math
 import pytest
 
 from lu3q.formulas import RankPrediction, lucas17, predict, predict_even, predict_odd
+from lu3q.verify import _prime_powers
 
 
 def test_recurrence_base_cases():
@@ -71,6 +72,11 @@ def test_gap_identity_all_q():
     for q in qs:
         pred = predict(q)
         assert pred.rank_pl - pred.rank_p1l1 == 2 * q
+
+
+def test_verify_sieve_lists_the_prime_powers():
+    assert _prime_powers(1024) == [q for q in range(2, 1025) if _is_prime_power(q)]
+    assert _prime_powers(1) == [] and _prime_powers(16) == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16]
 
 
 def test_no_overflow_large_t():

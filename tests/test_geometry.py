@@ -75,6 +75,11 @@ def reference_rows(points, bases, line_pts, point_lines):
     return pl, p1l1, P1, L1
 
 
+def collinear(Q, p):
+    """The union of the lines through p (equals perp(p) in the quadrangle)."""
+    return frozenset(Q.line_pts[Q.point_lines[p]].ravel().tolist())
+
+
 def canonical(F, v):
     """The representative of <v> with first nonzero coordinate 1."""
     lead = next(x for x in v if x)
@@ -186,11 +191,64 @@ def reference_line_pairs(Q, seed):
     return scope, pairs, violations
 
 
+def reference_connectors(Q, p, l):
+    """The lines through p that meet l, by intersecting point sets."""
+    target = Q.line_points(l)
+    return [m for m in Q.point_lines[p].tolist() if not target.isdisjoint(Q.line_points(m))]
+
+
+def reference_off_line(Q, seed):
+    """The (point, line) pairs ``gq_axioms`` checks for connectors: every
+    point off every line at q <= 4, else the first 300 seeded draws off
+    their line, one draw at a time."""
+    if Q.q <= 4:
+        return [
+            (p, l) for l in range(Q.n_lines) for p in range(Q.n_points)
+            if p not in Q.line_points(l)
+        ]
+    rng = random.Random(seed + 1)
+    off_line = []
+    while len(off_line) < 300:
+        p = rng.randrange(Q.n_points)
+        l = rng.randrange(Q.n_lines)
+        if p not in Q.line_points(l):
+            off_line.append((p, l))
+    return off_line
+
+
+def reference_perp_and_connectors(Q, seed):
+    """(perp_ok, connector_ok) of ``gq_axioms`` by a loop over the probes
+    and the off-line pairs, with perps and lines as point sets."""
+    q = Q.q
+    form, points = Q.space.form, Q.points.tolist()
+    if q <= 5:
+        probe = range(Q.n_points)
+    else:
+        probe = random.Random(seed).sample(range(Q.n_points), 25)
+    perp_ok = True
+    for p in probe:
+        perp = {x for x, v in enumerate(points) if form(points[p], v) == 0}
+        if len(perp) != q**2 + q + 1 or perp != collinear(Q, p):
+            perp_ok = False
+            break
+    connector_ok = all(
+        len(reference_connectors(Q, p, l)) == 1 for p, l in reference_off_line(Q, seed)
+    )
+    return perp_ok, connector_ok
+
+
 @pytest.mark.parametrize("q", [8, 16])
 @pytest.mark.parametrize("seed", [0, 1000])
 def test_gq_axioms_equal_the_set_reference(quad, q, seed):
     Q = quad(q)
     assert gq_axioms(Q, seed) == GqAxioms(*reference_line_pairs(Q, seed), True, True)
+    assert reference_perp_and_connectors(Q, seed) == (True, True)
+    # the connectors of the drawn pairs, pair by pair
+    p, l = np.array(reference_off_line(Q, seed)).T
+    hit, through = Q.connectors(p, l), Q.point_lines[p]
+    want = [reference_connectors(Q, a, b) for a, b in zip(p.tolist(), l.tolist())]
+    assert [through[i][hit[i]].tolist() for i in range(len(p))] == want
+    assert Q.unique_connector(p, l).tolist() == [m for (m,) in want]
 
 
 @pytest.mark.parametrize("q", [4, 8])
@@ -202,6 +260,8 @@ def test_gq_axioms_count_lines_sharing_two_points(quad, q):
     scope, pairs, violations = reference_line_pairs(Q, 0)
     assert violations > 0
     assert gq_axioms(Q, 0)[:3] == (scope, pairs, violations)
+    # the lines through a point no longer hold it, nor meet each line once
+    assert gq_axioms(Q, 0)[3:] == reference_perp_and_connectors(Q, 0) == (False, False)
 
 
 def test_e2e3_is_a_line_disjoint_from_ell0_q2(quad):
@@ -232,7 +292,7 @@ def test_perp_properties(quad, q):
         perp = Q.perp(p)
         assert p in perp
         assert len(perp) == q**2 + q + 1
-        assert perp == Q.collinear(p)
+        assert perp == collinear(Q, p)
 
 
 def test_perp_size_q2(quad):
@@ -361,12 +421,73 @@ def test_grid_all_z_recorded(quad):
     Q = quad(4)
     l, lp, p = _concurrent_pairs_on_ell0(Q)[0]
     u1, w1 = min(Q.line_points(l) - {p}), min(Q.line_points(lp) - {p})
-    candidates = sorted((Q.collinear(u1) & Q.collinear(w1)) - {p})
+    candidates = sorted((collinear(Q, u1) & collinear(Q, w1)) - {p})
     valid = [z for z in candidates if Q._try_grid(l, lp, p, u1, w1, z) is not None]
     assert len(valid) == 4
     g = Q.grid_decompose(l, lp, p)
     assert isinstance(g, GridPair)
     assert g.z == valid[0]
+
+
+def reference_unique_connector(Q, p, l):
+    if p in Q.line_points(l):
+        raise PointOnLineError(f"point {p} lies on line {l}")
+    (m,) = reference_connectors(Q, p, l)
+    return m
+
+
+def reference_grid(Q, l, lp, p):
+    """``grid_decompose`` with point sets: each candidate z in point order
+    against the grid contract, one connector and one intersection at a
+    time.  Raises NoGridFoundError when no z gives a grid."""
+    q = Q.q
+    lpts, lppts = Q.line_points(l), Q.line_points(lp)
+    u1, w1 = min(lpts - {p}), min(lppts - {p})
+    for z in sorted((collinear(Q, u1) & collinear(Q, w1)) - {p}):
+        try:
+            lam1, del1 = int(Q.line_through(w1, z)), int(Q.line_through(u1, z))
+            delta = sorted(reference_unique_connector(Q, u, lam1) for u in lpts - {p})
+            lam = sorted(reference_unique_connector(Q, w, del1) for w in lppts - {p})
+        except ValueError:  # PointOnLineError is one
+            continue
+        if len(set(delta)) != q or len(set(lam)) != q or set(delta) & set(lam):
+            continue
+        if {l, lp} & set(delta + lam):
+            continue
+        hits_l = [Q.line_points(d) & lpts for d in delta]
+        hits_lp = [Q.line_points(m) & lppts for m in lam]
+        if any(len(h) != 1 for h in hits_l + hits_lp):
+            continue
+        pts_l, pts_lp = set().union(*hits_l), set().union(*hits_lp)
+        if len(pts_l) != q or p in pts_l or len(pts_lp) != q or p in pts_lp:
+            continue
+        if any(len(Q.line_points(d) & Q.line_points(m)) != 1 for d in delta for m in lam):
+            continue
+        total = 0
+        for m in delta + lam + [l, lp]:
+            total ^= Q.chi_lines([m]).rows[0]
+        if total == 0:
+            return GridPair(tuple(delta), tuple(lam), p, l, lp, z)
+    raise NoGridFoundError("no grid", odd_q=Q.F.p != 2)
+
+
+def grid_or_none(decompose, Q, pair):
+    try:
+        return decompose(Q, *pair)
+    except NoGridFoundError:
+        return None
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 16])
+def test_grids_equal_the_set_reference(quad, q):
+    # every concurrent pair at q <= 4, the 20 seeded ones of grid_sums above
+    Q = quad(q)
+    pairs = _concurrent_pairs_on_ell0(Q)
+    if q > 4:
+        pairs = random.Random(20_000 + q).sample(pairs, 20)
+    got = [grid_or_none(type(Q).grid_decompose, Q, pair) for pair in pairs]
+    assert got == [grid_or_none(reference_grid, Q, pair) for pair in pairs]
+    assert (None in got) == (q == 3)
 
 
 def test_grid_rejects_bad_arguments(quad):

@@ -224,6 +224,21 @@ def test_rows_from_another_matrix_take_the_exact_ranks(quad, matrix, monkeypatch
     assert (8 + 42, False) in calls
 
 
+def test_spanning_from_rows_of_another_matrix_checks_the_lines(quad, matrix):
+    # the swapped columns pick the true Z, so the spans are those of the
+    # lines themselves; the selection's elimination of the swapped rows
+    # is not theirs and is not reused
+    Q = quad(4)
+    p1l1 = matrix(4, "p1l1")
+    dense = p1l1.bits.to_numpy()[:, [1, 0, *range(2, 64)]]
+    swapped = dataclasses.replace(p1l1, bits=BitMatrix.from_dense(dense.tolist()))
+    got = verify_spanning(Q, select_Z(swapped, Q))
+    want = verify_spanning(Q, select_Z(p1l1, Q))
+    assert (got.dim_pl, got.dim_p1l1, got.kernel, got.dim_ker_pl1) == (
+        want.dim_pl, want.dim_p1l1, want.kernel, want.dim_ker_pl1
+    )
+
+
 def count_eliminations(monkeypatch):
     """Record (rows, continued) for every batch of rows eliminated in
     lu3q, each ``ReducedEchelon.add`` call: continued when the basis

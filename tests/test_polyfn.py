@@ -16,7 +16,9 @@ from lu3q.polyfn import (
     build_beta,
     code_coefficients,
     compose_digits,
+    compose_exponents,
     delta_line,
+    digitize_exponents,
     digitize_monomial,
     evaluate,
     in_span_beta,
@@ -208,11 +210,30 @@ def test_digitize_q4_example(field):
     assert compose_digits(digits) == (3, 2, 0, 0)
 
 
+def reference_digits(m, t):
+    """Bit j of each exponent, one tuple per digit, by shifts of Python ints."""
+    return [tuple((e >> j) & 1 for e in m) for j in range(t)]
+
+
+def reference_compose(digits):
+    return tuple(sum(d[i] << j for j, d in enumerate(digits)) for i in range(4))
+
+
 @pytest.mark.parametrize("q", [2, 4, 8])
 def test_digitize_roundtrip_all_monomials(field, q):
+    # the array forms against the scalar reference, on every monomial
     F = field(q)
-    for m in itertools.product(range(q), repeat=4):
-        assert compose_digits(digitize_monomial(m, F)) == m
+    monomials = list(itertools.product(range(q), repeat=4))
+    digits = digitize_exponents(np.array(monomials), F)
+    assert digits.shape == (q**4, F.t, 4)
+    want = [reference_digits(m, F.t) for m in monomials]
+    assert [list(map(tuple, d)) for d in digits.tolist()] == want
+    assert [digitize_monomial(m, F) for m in monomials] == want
+    assert list(map(tuple, compose_exponents(digits).tolist())) == monomials
+    assert [compose_digits(d) for d in want] == list(map(reference_compose, want)) == monomials
+    # any leading shape
+    batch = np.array(monomials).reshape(-1, q, 4)
+    assert np.array_equal(compose_exponents(digitize_exponents(batch, F)), batch)
 
 
 def test_digitize_rejects_large_exponent(field):
@@ -220,6 +241,13 @@ def test_digitize_rejects_large_exponent(field):
         digitize_monomial((8, 0, 0, 0), field(8))
     with pytest.raises(ValueError):
         digitize_monomial((0, 2, 0, 0), field(2))
+    # a batch names its first row out of range
+    exps = np.zeros((5, 4), dtype=int)
+    exps[3] = (1, 8, 0, 2)
+    with pytest.raises(ValueError, match=r"\(1, 8, 0, 2\)"):
+        digitize_exponents(exps, field(8))
+    with pytest.raises(ValueError, match=r"2\^t"):
+        digitize_exponents(exps, field(3))
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
