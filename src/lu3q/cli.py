@@ -347,6 +347,8 @@ def main(argv=None) -> int:
             factor_prime_power(args.q)
         except ValueError:
             parser.error(f"{args.q} is not a prime power")
+    if args.command in ("rank", "simulate") and args.seed < 0:  # numpy's generators
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     try:
         return args.func(args, parser)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Incidence matrices of the three systems and the spanning machinery.
 
-Three square bit matrices are built here:
+Three square 0/1 matrices are built here:
 
   * ``pl``   -- points of the quadrangle against all isotropic lines,
                 side q^3+q^2+q+1, all weights q+1;
@@ -10,9 +10,9 @@ Three square bit matrices are built here:
                 against triples [x,y,z], incident iff y = ax+b and
                 z = ay+c, side q^3, weights q.
 
-The incidence comes from the quadrangle's index arrays (and kim's
-from the field's lookup tables) as rows of column indices, which
-``gf2.pack_indices`` packs straight into the words of a bit matrix.
+Each is stored as index rows, row i listing the columns of its 1s in
+ascending order, from the quadrangle's index arrays (kim's from the
+field tables); bits are packed only for an elimination or bit output.
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to
@@ -29,21 +29,15 @@ of X0 u Z and X0 u Z u Y are read off it and a q-row elimination of X0
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from lu3q.fields import GF
-from lu3q.gf2 import (
-    BitMatrix,
-    ReducedEchelon,
-    bit_indices,
-    pack_indices,
-    pack_pairs,
-)
+from lu3q.gf2 import BitMatrix, ReducedEchelon, pack_indices, pack_pairs
 from lu3q.geometry import Quadrangle
 
 
@@ -61,20 +55,24 @@ class EquivalenceMismatchError(RuntimeError):
 
 @dataclass
 class IncidenceMatrix:
-    """Bit matrix plus label maps back to the indexed objects."""
+    """Index rows: ``cols`` (n_rows, weight) int32, row i the ascending
+    columns of its 1s, -1 padding a lighter row.  Labels are arrays, a
+    row per object: (a,b,c) for kim, points and line bases for pl and
+    p1l1.  ``bits`` packs the rows for the readers that need words."""
 
-    bits: BitMatrix
-    row_labels: list
-    col_labels: list
+    cols: np.ndarray
+    n_cols: int
+    row_labels: np.ndarray
+    col_labels: np.ndarray
     system: str  # "pl", "p1l1" or "kim"
 
     @property
     def n_rows(self) -> int:
-        return self.bits.n_rows
+        return len(self.cols)
 
-    @property
-    def n_cols(self) -> int:
-        return self.bits.n_cols
+    @cached_property
+    def bits(self) -> BitMatrix:
+        return BitMatrix(pack_indices(self.cols, self.n_cols), self.n_cols)
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,7 @@ class Elimination:
     lines it took, whose pivots are ``echelon.cols`` in the same order.
     ``own_rows`` is False when some rows were built from a matrix that
     is not the lines' incidence (``select_Z`` builds the L1 rows from
-    the matrix passed in)."""
+    the index rows of the matrix passed in)."""
 
     col: np.ndarray
     lines: tuple[int, ...]
@@ -142,39 +140,34 @@ class EquivalenceReport:
 def build_kim_matrix(F: GF) -> IncidenceMatrix:
     """The q^3 x q^3 system: (a,b,c) ~ [x,y,z] iff y = ax+b, z = ay+c.
 
-    Row (a,b,c) sets column (x*q + y)*q + z for each x, the columns
-    coming from the field tables."""
+    Row (a,b,c) lists column (x*q + y)*q + z for each x, ascending with
+    x, the columns coming from the field tables."""
     q = F.q
     T = F.tables
-    a, b, c = np.indices((q, q, q), np.int32).reshape(3, -1, 1)
+    labels = np.indices((q, q, q), np.int32).reshape(3, -1).T
+    a, b, c = labels.T[..., None]
     x = np.arange(q, dtype=np.int32)
     y = T.add[T.mul[a, x], b]
     z = T.add[T.mul[a, y], c]
-    labels = list(itertools.product(range(q), repeat=3))
-    bits = BitMatrix(pack_indices((x * q + y) * q + z, q**3), q**3)
-    return IncidenceMatrix(bits, labels, list(labels), "kim")
+    return IncidenceMatrix((x * q + y) * q + z, q**3, labels, labels, "kim")
 
 
 def build_incidence(Q: Quadrangle, system: str) -> IncidenceMatrix:
-    """Point-by-line bit matrix for the full or the restricted system."""
+    """Point-by-line index rows for the full or the restricted system."""
     if system == "kim":
         return build_kim_matrix(Q.F)
     if system == "pl":
-        points, lines = range(Q.n_points), range(Q.n_lines)
+        points, lines = np.arange(Q.n_points), np.arange(Q.n_lines)
         cols = Q.point_lines
     elif system == "p1l1":
-        points, lines = Q.restricted_sets.P1, Q.restricted_sets.L1
-        col_of = np.full(Q.n_lines, -1)  # -1 marks the lines outside L1
-        col_of[list(lines)] = np.arange(len(lines))
-        cols = col_of[Q.point_lines[list(points)]]
+        points, lines = np.array(Q.restricted_sets.P1), np.array(Q.restricted_sets.L1)
+        col_of = np.full(Q.n_lines, -1, np.int32)  # -1 marks the lines outside L1
+        col_of[lines] = np.arange(len(lines))
+        # one line through each point of P1 lies outside L1: its -1 sorts first
+        cols = np.sort(col_of[Q.point_lines[points]], axis=1)[:, 1:]
     else:
         raise ValueError(f"unknown system {system!r}")
-    return IncidenceMatrix(
-        BitMatrix(pack_indices(cols, len(lines)), len(lines)),
-        [tuple(v) for v in Q.points[list(points)].tolist()],
-        [(tuple(u), tuple(w)) for u, w in Q.bases[list(lines)].tolist()],
-        system,
-    )
+    return IncidenceMatrix(cols, len(lines), Q.points[points], Q.bases[lines], system)
 
 
 def _point_columns(Q: Quadrangle, P1: tuple[int, ...]) -> np.ndarray:
@@ -226,7 +219,8 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
     # L1 line j has the 1s of column j of m_p1l1 above P1's split, and
     # its perp point at the lowest bit; the X0 and Y rows follow
     n = len(rs.L1)
-    p1, l1 = bit_indices(m_p1l1.bits)
+    p1, k = np.nonzero(m_p1l1.cols >= 0)
+    l1 = m_p1l1.cols[p1, k]
     own = col[Q.line_pts[list(rs.L1)]]  # the bits of each L1 line
     r, c = np.concatenate([l1, np.arange(n)]), np.concatenate([split + p1, own.min(axis=1)])
     # the L1 rows are the lines' own rows iff they hold the same bits
@@ -234,7 +228,7 @@ def select_Z(m_p1l1: IncidenceMatrix, Q: Quadrangle) -> LineSetSelection:
         np.sort(r * Q.n_points + c), np.sort((np.arange(n)[:, None] * Q.n_points + own).ravel())
     )
     rows = pack_pairs(r, c, n + len(rs.X0) + len(rs.Y), Q.n_points)
-    del p1, l1, own, r, c  # the index arrays are not held through the elimination
+    del p1, k, l1, own, r, c  # the index arrays are not held through the elimination
     rows[n:] = _line_rows(Q, col, rs.X0 + rs.Y)
     echelon = ReducedEchelon(Q.n_points)
     head = Elimination(col, rs.L1 + rs.X0 + rs.Y, echelon, echelon.add(rows), own_rows)
@@ -391,8 +385,8 @@ def check_kim_equivalence(
     if not (kim.n_rows, kim.n_cols) == (p1l1.n_rows, p1l1.n_cols) == (n, n):
         raise EquivalenceMismatchError("systems have different shapes")
     T = Q.F.tables
-    a, b, c = np.array(kim.row_labels).T
-    x, y, z = np.array(kim.col_labels).T
+    a, b, c = kim.row_labels.T
+    x, y, z = kim.col_labels.T
     one, zero = np.ones_like(a), np.zeros_like(a)
     row_of = np.full(Q.n_points, -1)  # -1 off P1, and off L1 below
     row_of[list(rs.P1)] = np.arange(n)
@@ -413,16 +407,18 @@ def check_kim_equivalence(
     if not np.array_equal(np.sort(col_perm), np.arange(n)):
         raise EquivalenceMismatchError("the line map is not a bijection onto L1")
     # kim row i, its column j at col_perm[j], must equal p1l1 row
-    # row_perm[i]: compare their 1s as sorted keys i * n + column, a
-    # slice of rows at a time; the lowest key in only one names the row
-    for s in range(0, n, 1024):
-        rows = slice(s, s + 1024)
-        i, j = bit_indices(BitMatrix(kim.bits.words[rows], n))
-        got = np.sort(i * n + col_perm[j])
-        r, c = bit_indices(BitMatrix(p1l1.bits.words[row_perm[rows]], n))
-        if not np.array_equal(got, r * n + c):
-            i = s + int(np.setxor1d(got, r * n + c)[0] // n)
-            raise EquivalenceMismatchError(
-                f"kim row {kim.row_labels[i]} does not map onto p1l1 row {row_perm[i]}"
-            )
+    # row_perm[i].  Sorted, the -1 padding (kept off col_perm's last
+    # entry) comes first: rows of equal weight agree iff their last w do
+    got = np.sort(np.where(kim.cols < 0, -1, col_perm[kim.cols]), axis=1)
+    want = np.sort(p1l1.cols[row_perm], axis=1)
+    w = min(got.shape[1], want.shape[1])
+    differs = ((got >= 0).sum(axis=1) != (want >= 0).sum(axis=1)) | (
+        got[:, got.shape[1] - w :] != want[:, want.shape[1] - w :]
+    ).any(axis=1)
+    if differs.any():
+        i = int(np.argmax(differs))
+        raise EquivalenceMismatchError(
+            f"kim row {tuple(kim.row_labels[i].tolist())} does not map onto "
+            f"p1l1 row {row_perm[i]}"
+        )
     return EquivalenceReport(row_perm.tolist(), col_perm.tolist())

@@ -363,6 +363,19 @@ def test_verify_rejects_an_empty_check_list(capsys, checks):
     assert "lu3q: error: --checks selects no check group" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "simulate"])
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, command):
+    err = usage_error(capsys, command, "--q", "2", "--seed", "-1")
+    assert "lu3q: error: --seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_verify_takes_a_negative_seed(capsys):
+    code, out = run(capsys, "verify", "--q", "2", "--checks", "gq", "--seed", "-1")
+    assert code == 0
+    assert out.endswith("verify q=2: OK\n")
+
+
 @pytest.mark.parametrize("command, config", [
     ("rank", {"q": [4]}),
     ("rank", {"q": 2, "irr": 5}),

@@ -47,24 +47,59 @@ def test_kim_rows_equal_the_scalar_definition(field, q):
     m = build_kim_matrix(field(q))
     assert m.bits.rows == reference_kim_rows(field(q))
     assert m.bits.n_cols == q**3
-    assert m.row_labels == m.col_labels == list(itertools.product(range(q), repeat=3))
+    assert labels(m.row_labels) == labels(m.col_labels) == list(
+        itertools.product(range(q), repeat=3)
+    )
+
+
+def labels(a):
+    """An array of labels as a list of tuples, one per row."""
+    return [tuple(v) for v in a.tolist()]
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_index_rows_ascend_without_padding(matrix, q):
+    for system, n, weight in (
+        ("pl", (q + 1) * (q * q + 1), q + 1), ("p1l1", q**3, q), ("kim", q**3, q)
+    ):
+        cols = matrix(q, system).cols
+        assert cols.dtype == np.int32
+        assert cols.shape == (n, weight)
+        assert (np.diff(cols, axis=1) > 0).all()
+        assert (cols >= 0).all()
+
+
+@pytest.mark.parametrize("suffix, flags", [(".txt", []), (".json", ["--json"])])
+def test_verify_q16_packs_no_incidence_bits(capsys, monkeypatch, suffix, flags):
+    # every check at q=16 reads the index rows: the girth row is SKIP,
+    # and each rank comes from the spans and the coordinate map
+    from lu3q.cli import main
+    from lu3q.incidence import IncidenceMatrix
+    from test_cli import VERIFY_PINS
+
+    def packing(self):
+        raise AssertionError(f"{self.system} packed into bits")
+
+    monkeypatch.setattr(IncidenceMatrix, "bits", property(packing))
+    assert main(["verify", "--q", "16", "--checks", "all", *flags]) == 0
+    assert capsys.readouterr().out == (VERIFY_PINS / f"q16{suffix}").read_text()
 
 
 def test_kim_row_000_q2(field):
     m = build_kim_matrix(field(2))
     # a=b=c=0 forces y=0, z=0 with x free: columns [0,0,0] and [1,0,0]
-    i000 = m.row_labels.index((0, 0, 0))
+    i000 = labels(m.row_labels).index((0, 0, 0))
     cols = [j for j in range(m.n_cols) if m.bits.get(i000, j)]
-    assert [m.col_labels[j] for j in cols] == [(0, 0, 0), (1, 0, 0)]
+    assert [labels(m.col_labels)[j] for j in cols] == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_kim_two_rows_share_one_column_q2(field):
     m = build_kim_matrix(field(2))
-    r1 = m.bits.rows[m.row_labels.index((0, 0, 0))]
-    r2 = m.bits.rows[m.row_labels.index((1, 0, 0))]
+    r1 = m.bits.rows[labels(m.row_labels).index((0, 0, 0))]
+    r2 = m.bits.rows[labels(m.row_labels).index((1, 0, 0))]
     common = r1 & r2
     assert common.bit_count() == 1
-    assert m.col_labels[common.bit_length() - 1] == (0, 0, 0)
+    assert labels(m.col_labels)[common.bit_length() - 1] == (0, 0, 0)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])
@@ -202,12 +237,33 @@ def test_select_z_follows_the_matrix_passed_in(quad, matrix):
     # the 50-dimensional code
     Q = quad(4)
     p1l1 = matrix(4, "p1l1")
-    rows = [r & ~1 for r in p1l1.bits.rows]
-    rows[0] |= 1
-    bad = dataclasses.replace(p1l1, bits=BitMatrix(rows, p1l1.n_cols))
+    bad = p1l1
+    for row in range(p1l1.n_rows):
+        if (row == 0) != (0 in p1l1.cols[row]):
+            bad = flip(bad, row, 0)
+    assert (bad.cols == 0).sum() == 1 and 0 in bad.cols[0]
     assert rank2(bad.bits) == rank2(p1l1.bits) + 1 == 43
     with pytest.raises(SpanMismatchError, match="X0 u Y u Z has rank 50, expected 51"):
         select_Z(bad, Q)
+
+
+def flip(m, row, col):
+    """m with entry (row, col) flipped in its index rows: a 1 becomes
+    -1 padding, a 0 an extra column, the other rows padded with -1."""
+    cols = m.cols.copy()
+    hit = cols[row] == col
+    if hit.any():
+        cols[row, hit] = -1
+    else:
+        cols = np.concatenate([np.full((m.n_rows, 1), -1, cols.dtype), cols], axis=1)
+        cols[row, 0] = col
+    return dataclasses.replace(m, cols=np.sort(cols, axis=1))
+
+
+def swap_columns_01(m):
+    """m with its columns 0 and 1 swapped, as index rows."""
+    swap = np.array([1, 0, *range(2, m.n_cols)], np.int32)
+    return dataclasses.replace(m, cols=np.sort(swap[m.cols], axis=1))
 
 
 def test_rows_from_another_matrix_take_the_exact_ranks(quad, matrix, monkeypatch):
@@ -215,8 +271,7 @@ def test_rows_from_another_matrix_take_the_exact_ranks(quad, matrix, monkeypatch
     # so the independence rank comes from an elimination of X0, Z, Y
     Q = quad(4)
     p1l1 = matrix(4, "p1l1")
-    dense = p1l1.bits.to_numpy()[:, [1, 0, *range(2, 64)]]
-    swapped = dataclasses.replace(p1l1, bits=BitMatrix.from_dense(dense.tolist()))
+    swapped = swap_columns_01(p1l1)
     calls = count_eliminations(monkeypatch)
     sel = select_Z(swapped, Q)
     assert not sel.head.own_rows
@@ -230,8 +285,7 @@ def test_spanning_from_rows_of_another_matrix_checks_the_lines(quad, matrix):
     # is not theirs and is not reused
     Q = quad(4)
     p1l1 = matrix(4, "p1l1")
-    dense = p1l1.bits.to_numpy()[:, [1, 0, *range(2, 64)]]
-    swapped = dataclasses.replace(p1l1, bits=BitMatrix.from_dense(dense.tolist()))
+    swapped = swap_columns_01(p1l1)
     got = verify_spanning(Q, select_Z(swapped, Q))
     want = verify_spanning(Q, select_Z(p1l1, Q))
     assert (got.dim_pl, got.dim_p1l1, got.kernel, got.dim_ker_pl1) == (
@@ -401,18 +455,15 @@ def test_kim_coordinate_map_is_an_exact_permutation(quad, matrix, q):
     assert sorted(rp) == list(range(q**3))
     assert sorted(cp) == list(range(q**3))
     # the point map is the stated formula (a,b,c) -> <(c, b, -a, 1)>
-    for (a, b, c), i in zip(kim.row_labels, rp):
-        assert p1l1.row_labels[i] == canonical(Q.F, (c, b, Q.F.neg(a), 1))
+    for (a, b, c), i in zip(kim.row_labels.tolist(), rp):
+        assert tuple(p1l1.row_labels[i].tolist()) == canonical(Q.F, (c, b, Q.F.neg(a), 1))
     dense_kim, dense_p1l1 = kim.bits.to_numpy(), p1l1.bits.to_numpy()
     assert np.array_equal(dense_kim, dense_p1l1[np.ix_(rp, cp)])
 
 
 @pytest.mark.parametrize("row, col", [(0, 0), (5, 3), (63, 63)])
 def test_kim_coordinate_map_rejects_a_flipped_bit(quad, matrix, row, col):
-    p1l1 = matrix(4, "p1l1")
-    rows = list(p1l1.bits.rows)
-    rows[row] ^= 1 << col
-    bad = dataclasses.replace(p1l1, bits=BitMatrix(rows, p1l1.n_cols))
+    bad = flip(matrix(4, "p1l1"), row, col)
     with pytest.raises(EquivalenceMismatchError, match="does not map onto"):
         check_kim_equivalence(quad(4), matrix(4, "kim"), bad)
 
@@ -420,15 +471,28 @@ def test_kim_coordinate_map_rejects_a_flipped_bit(quad, matrix, row, col):
 @pytest.mark.parametrize("q, row, col", [(4, 0, 0), (4, 5, 3), (4, 63, 63), (16, 3000, 7)])
 def test_kim_coordinate_map_rejects_a_flipped_bit_in_kim(quad, matrix, q, row, col):
     # the flip changes the row's weight, which the row comparison must
-    # report like any other difference; at q=16 the row lies past the
-    # first slice the comparison reads
+    # report like any other difference
     kim = matrix(q, "kim")
-    rows = list(kim.bits.rows)
-    rows[row] ^= 1 << col
-    bad = dataclasses.replace(kim, bits=BitMatrix(rows, kim.n_cols))
-    label = re.escape(f"kim row {kim.row_labels[row]} does")
+    bad = flip(kim, row, col)
+    label = re.escape(f"kim row {labels(kim.row_labels)[row]} does not map onto p1l1 row ")
     with pytest.raises(EquivalenceMismatchError, match=label):
         check_kim_equivalence(quad(q), bad, matrix(q, "p1l1"))
+
+
+def test_kim_coordinate_map_names_a_row_whose_padding_would_wrap(quad, matrix):
+    # with its last column, 63, cleared to -1 a kim row would map as
+    # before if the -1 indexed the line map's last entry
+    kim = matrix(4, "kim")
+    row = int(np.flatnonzero((kim.cols == 63).any(axis=1))[0])
+    bad = flip(kim, row, 63)
+    assert bad.cols.shape == kim.cols.shape and -1 in bad.cols[row]
+    rep = check_kim_equivalence(quad(4), kim, matrix(4, "p1l1"))
+    message = (
+        f"kim row {labels(kim.row_labels)[row]} does not map onto p1l1 row {rep.row_perm[row]}"
+    )
+    with pytest.raises(EquivalenceMismatchError) as exc:
+        check_kim_equivalence(quad(4), bad, matrix(4, "p1l1"))
+    assert str(exc.value) == message
 
 
 def test_verify_ranks_come_from_one_elimination(monkeypatch):
