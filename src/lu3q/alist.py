@@ -9,7 +9,11 @@ Layout written (and expected back, byte for byte):
     next n lines: 1-based row indices of each column, 0-padded to max_col_wt
     next m lines: 1-based column indices of each row, 0-padded to max_row_wt
 
-Single spaces separate fields; every line ends with a newline.
+Single spaces separate fields; every line ends with a newline.  The two
+index sections are index rows, 1-based: the writer takes a matrix's
+index rows (``IncidenceMatrix.cols``) and the reader returns them, and
+the column section is the index rows of the transpose
+(``gf2.transpose_indices``).  No bit is packed either way.
 """
 
 from __future__ import annotations
@@ -18,49 +22,37 @@ from pathlib import Path
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, bit_indices, pack_pairs
+from lu3q.gf2 import transpose_indices
 
 
-def write_alist(m: BitMatrix, path: str | Path) -> None:
-    Path(path).write_text(to_alist_text(m))
+def write_alist(cols: np.ndarray, n_cols: int, path: str | Path) -> None:
+    Path(path).write_text(to_alist_text(cols, n_cols))
 
 
-def to_alist_text(m: BitMatrix) -> str:
-    n_rows, n_cols = m.n_rows, m.n_cols
-    rows, cols = bit_indices(m)
-    order = np.argsort(cols, kind="stable")  # ascending rows within a column
-    row_lists = _split(cols.tolist(), rows, n_rows)
-    col_lists = _split(rows[order].tolist(), cols, n_cols)
-    max_col = max((len(c) for c in col_lists), default=0)
-    max_row = max((len(r) for r in row_lists), default=0)
+def to_alist_text(cols: np.ndarray, n_cols: int) -> str:
+    """The alist text of the matrix whose rows list the distinct columns
+    in ``cols``, in any order, -1 setting no bit."""
+    by_col = transpose_indices(cols, n_cols)
+    # the columns' rows, then the rows' columns, ascending: 1-based, and
+    # the -1 padding at the end of a lighter list becomes its 0 padding
+    sections = [by_col + 1, transpose_indices(by_col, len(cols)) + 1]
     lines = [
-        f"{n_cols} {n_rows}",
-        f"{max_col} {max_row}",
-        " ".join(str(len(c)) for c in col_lists),
-        " ".join(str(len(r)) for r in row_lists),
+        [n_cols, len(cols)],
+        [s.shape[1] for s in sections],
+        *(np.count_nonzero(s, axis=1).tolist() for s in sections),
+        *(row for s in sections for row in s.tolist()),
     ]
-    for c in col_lists:
-        padded = [i + 1 for i in c] + [0] * (max_col - len(c))
-        lines.append(" ".join(map(str, padded)))
-    for r in row_lists:
-        padded = [j + 1 for j in r] + [0] * (max_row - len(r))
-        lines.append(" ".join(map(str, padded)))
-    return "\n".join(lines) + "\n"
+    return "".join(" ".join(map(str, line)) + "\n" for line in lines)
 
 
-def _split(values: list[int], keys: np.ndarray, n: int) -> list[list[int]]:
-    """values grouped into n consecutive lists, list k holding as many
-    as keys has entries equal to k."""
-    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
-    return [values[a:b] for a, b in zip([0] + ends, ends)]
-
-
-def read_alist(path: str | Path) -> BitMatrix:
+def read_alist(path: str | Path) -> tuple[np.ndarray, int]:
     return from_alist_text(Path(path).read_text())
 
 
-def from_alist_text(text: str) -> BitMatrix:
-    """Parse alist text; malformed input raises ValueError.
+def from_alist_text(text: str) -> tuple[np.ndarray, int]:
+    """Parse alist text into (cols, n_cols): the index rows of the
+    matrix, ascending, with -1 padding each lighter row at its end to
+    the largest row weight.  Malformed input raises ValueError.
 
     Text that parses is the writer's output up to the spacing within
     lines: numbers are canonical, each column or row list ascends
@@ -91,20 +83,20 @@ def from_alist_text(text: str) -> BitMatrix:
         col_wts = [next(tokens) for _ in range(n_cols)]
         row_wts = [next(tokens) for _ in range(n_rows)]
         col_lists = [index_list(max_col, n_rows) for _ in range(n_cols)]
-        r = [v - 1 for listed in col_lists for v in listed]
-        c = [j for j, listed in enumerate(col_lists) for _ in listed]
-        m = BitMatrix(pack_pairs(r, c, n_rows, n_cols), n_cols)
+        width = max(map(len, col_lists), default=0)
+        padded = [listed + [0] * (width - len(listed)) for listed in col_lists]
+        cols = transpose_indices(np.array(padded, np.intp).reshape(n_cols, width) - 1, n_rows)
         # row sections are redundant given the column sections; consume
         # and cross-check them
-        rows, cols = bit_indices(m)
-        for i, want in enumerate(_split((cols + 1).tolist(), rows, n_rows)):
+        row_lists = [[j + 1 for j in row if j >= 0] for row in cols.tolist()]
+        for i, want in enumerate(row_lists):
             if index_list(max_row, n_cols) != want:
                 raise ValueError(f"row section disagrees with column section at row {i}")
     except StopIteration:
         raise ValueError("truncated alist data") from None
     if next(tokens, None) is not None:
         raise ValueError("data after the row section")
-    if m.row_weights() != row_wts or m.col_weights() != col_wts:
+    if list(map(len, row_lists)) != row_wts or list(map(len, col_lists)) != col_wts:
         raise ValueError("declared weights disagree with matrix content")
     if max_col != max((w for w in col_wts), default=0) or max_row != max(
         (w for w in row_wts), default=0
@@ -113,4 +105,4 @@ def from_alist_text(text: str) -> BitMatrix:
     layout = [2, 2, n_cols, n_rows] + [max_col] * n_cols + [max_row] * n_rows
     if [len(line.split()) for line in text.splitlines()] != layout:
         raise ValueError("line breaks do not separate the alist sections")
-    return m
+    return cols, n_cols

@@ -25,7 +25,7 @@ from lu3q.alist import read_alist, to_alist_text, write_alist
 from lu3q.fields import factor_prime_power, field_for_order
 from lu3q.formulas import predict, predict_even, predict_odd
 from lu3q.geometry import enumerate_quadrangle
-from lu3q.gf2 import BitMatrix, rank2
+from lu3q.gf2 import rank2, transpose_indices
 from lu3q.incidence import build_incidence, build_kim_matrix
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.verify import CHECK_GROUPS, run_checks
@@ -38,14 +38,19 @@ SIM_CSV_HEADER = [
 ]
 
 
-def _parse_irr(text: str | None):
-    if not text:
-        return None
-    return tuple(int(c) for c in text.split(","))
+def _items(items, convert, what: str) -> tuple:
+    """Each item read by ``convert``; one it cannot read is named in the flag's usage error."""
+    out = []
+    for item in items:
+        try:
+            out.append(convert(item))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{item!r} is not {what}") from None
+    return tuple(out)
 
 
 def _build_matrix(args):
-    F = field_for_order(args.q, _parse_irr(args.irr))
+    F = field_for_order(args.q, args.irr)
     if args.system == "kim":
         return build_kim_matrix(F)
     return build_incidence(enumerate_quadrangle(F), args.system)
@@ -62,7 +67,7 @@ def _write(text: str, out: str | None) -> None:
 
 def cmd_construct(args, parser) -> int:
     if args.list_what:
-        Q = enumerate_quadrangle(field_for_order(args.q, _parse_irr(args.irr)))
+        Q = enumerate_quadrangle(field_for_order(args.q, args.irr))
         out = io.StringIO()
         if args.list_what == "points":
             out.write("index c0 c1 c2 c3\n")
@@ -79,7 +84,7 @@ def cmd_construct(args, parser) -> int:
     if args.out is None:
         parser.error("construct needs --list or --system with --out")
     m = _build_matrix(args)
-    write_alist(m.bits, args.out)
+    write_alist(m.cols, m.n_cols, args.out)
     log.info("wrote %s (%dx%d) to %s", args.system, m.n_rows, m.n_cols, args.out)
     return 0
 
@@ -90,7 +95,7 @@ def cmd_rank(args, parser) -> int:
     m = _build_matrix(args)
     payload = {"q": args.q, "system": args.system, "predicted": expected}
     if args.system == "kim":
-        code = LdpcCode(m.bits, f"kim q={args.q}")
+        code = LdpcCode(m.cols, m.n_cols, f"kim q={args.q}")
         code_t = code.transpose(f"kim-transpose q={args.q}")
         got = code.rank  # n - k: one elimination of H serves both codes
         payload["dim_code"] = code.k
@@ -129,7 +134,7 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"unknown checks: {', '.join(sorted(unknown))}")
         if not groups:
             parser.error("--checks selects no check group")
-    outcomes = run_checks(args.q, groups, irr=_parse_irr(args.irr), seed=args.seed)
+    outcomes = run_checks(args.q, groups, irr=args.irr, seed=args.seed)
     failed = any(o.failed for o in outcomes)
     if args.json:
         checks = [dataclasses.asdict(o) for o in outcomes]
@@ -153,7 +158,7 @@ def cmd_formulas(args, parser) -> int:
             {"q": p.q, "parity": "even", "rank_pl": p.rank_pl,
              "rank_p1l1": p.rank_p1l1, "dim_lu": p.dim_lu}
         )
-    for q in [int(x) for x in args.q_odd.split(",") if x]:
+    for q in args.q_odd:
         p = predict_odd(q)
         rows.append(
             {"q": p.q, "parity": "odd", "rank_pl": p.rank_pl,
@@ -169,14 +174,13 @@ def cmd_formulas(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
-    ps = [float(x) for x in args.p.split(",")]
     m = _build_matrix(args)
-    H = m.bits.transpose() if args.transpose else m.bits
-    code = LdpcCode(H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
+    H = (transpose_indices(m.cols, m.n_cols), m.n_rows) if args.transpose else (m.cols, m.n_cols)
+    code = LdpcCode(*H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
     if log.isEnabledFor(logging.INFO):  # k costs an elimination the decoders do not need
         log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
     rows = []
-    for p in ps:
+    for p in args.p:
         rep = simulate(
             code,
             ChannelSpec(args.channel, p, args.seed),
@@ -208,17 +212,18 @@ def cmd_export(args, parser) -> int:
         parser.error("export needs --out")
     m = _build_matrix(args)
     if args.format == "alist":
-        write_alist(m.bits, args.out)
-        back = read_alist(args.out)
-        if to_alist_text(back) != to_alist_text(m.bits):
+        text = to_alist_text(m.cols, m.n_cols)
+        _write(text, args.out)
+        if to_alist_text(*read_alist(args.out)) != text:
             print("round-trip mismatch", file=sys.stderr)
             return 1
     else:  # "0,1,...,1\n" per row, 64 rows at a time
         with open(args.out, "wb") as fh:
             for s in range(0, m.n_rows, 64):
-                bits = BitMatrix(m.bits.words[s : s + 64], m.n_cols).to_numpy()
-                text = np.full((len(bits), 2 * m.n_cols), ord(","), np.uint8)
-                text[:, ::2] = bits + ord("0")
+                block = m.cols[s : s + 64]
+                text = np.full((len(block), 2 * m.n_cols), ord(","), np.uint8)
+                text[:, ::2] = ord("0")
+                text[np.nonzero(block >= 0)[0], 2 * block[block >= 0]] = ord("1")
                 text[:, -1] = ord("\n")
                 fh.write(text.tobytes())
     log.info("exported %s q=%d as %s to %s", args.system, args.q, args.format, args.out)
@@ -235,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, system=True):
         sp.add_argument("--q", type=int)
-        sp.add_argument("--irr", help="comma-separated defining polynomial, constant first")
+        sp.add_argument("--irr", help="comma-separated defining polynomial, constant first",
+                        type=lambda s: _items(s.split(","), int, "an integer") if s else None)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true")
         if system:
@@ -259,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("formulas", help="closed-form prediction tables")
     sp.add_argument("--t-max", dest="t_max", type=int, default=5)
-    sp.add_argument("--q-odd", dest="q_odd", default="3,5,7,9")
+    sp.add_argument("--q-odd", dest="q_odd", default="3,5,7,9", type=lambda s: _items(
+        filter(None, s.split(",")), lambda q: predict_odd(int(q)).q, "an odd prime power"))
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_formulas)
 
@@ -267,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--transpose", action="store_true")
     sp.add_argument("--channel", choices=["bsc"], default="bsc")
-    sp.add_argument("--p", default="0.01", help="crossover probability, or comma list")
+    sp.add_argument("--p", default="0.01", help="crossover probability, or comma list",
+                    type=lambda s: _items(s.split(","), float, "a number"))
     sp.add_argument("--decoder", choices=["bitflip", "minsum"], default="minsum")
     sp.add_argument("--trials", type=int, default=1000)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=50)

@@ -3,8 +3,8 @@
 A bit matrix is an n_rows x ceil(n_cols/64) array of little-endian
 uint64 words: bit j of a row is bit j % 64 of word j // 64, and the
 bits past n_cols are zero.  ``pack_indices`` and ``pack_pairs`` pack
-column indices straight into words; ``bit_indices`` and
-``BitMatrix.to_numpy`` read them out.  A vector is one row of words,
+column indices straight into words; ``transpose_indices`` transposes
+index rows without packing.  A vector is one row of words,
 and a ``Subspace`` basis is a ``BitMatrix``.  Python ints used as
 bitsets (bit j is column j) appear only at the boundary:
 ``BitMatrix(int_rows, n_cols)`` packs them and ``BitMatrix.rows``
@@ -74,13 +74,6 @@ class BitMatrix:
 
     def row_weights(self) -> list[int]:
         return np.bitwise_count(self.words).sum(axis=1, dtype=np.intp).tolist()
-
-    def col_weights(self) -> list[int]:
-        return np.bincount(bit_indices(self)[1], minlength=self.n_cols).tolist()
-
-    def transpose(self) -> "BitMatrix":
-        r, c = bit_indices(self)
-        return BitMatrix(pack_pairs(c, r, self.n_cols, self.n_rows), self.n_rows)
 
     def to_numpy(self) -> np.ndarray:
         return np.unpackbits(_bytes(self.words), axis=1, count=self.n_cols, bitorder="little")
@@ -272,16 +265,21 @@ def _indices(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at[k] // width, at[k] % width * 8 + b
 
 
-def bit_indices(m: BitMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the 1s of m, in row-major order, a slice
-    of rows at a time."""
-    step = _slice_rows(8 * m.words.shape[1], 2**18)
-    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    for s in range(0, m.n_rows, step):
-        r, c = _indices(m.words[s : s + step])
-        rows.append(s + r)
-        cols.append(c)
-    return np.concatenate(rows), np.concatenate(cols)
+def transpose_indices(cols: np.ndarray, n_cols: int) -> np.ndarray:
+    """Index rows of M^T, for M's rows listing the distinct columns in
+    ``cols`` in any order, -1 setting no bit: row j lists the rows with
+    an entry j, ascending, and -1 pads a lighter row at its end.  Raises
+    ValueError on an entry at n_cols or above."""
+    cols = np.asarray(cols)
+    r, k = np.nonzero(cols >= 0)  # row-major, so r ascends
+    c = cols[r, k]
+    if c.size and c.max() >= n_cols:
+        raise ValueError(f"an entry lies outside the {len(cols)} x {n_cols} matrix")
+    order = np.argsort(c, kind="stable")  # ascending row within a column
+    counts = np.bincount(c, minlength=n_cols)
+    out = np.full((n_cols, counts.max(initial=0)), -1, np.intp)
+    out[c[order], np.arange(len(c)) - np.repeat(np.cumsum(counts) - counts, counts)] = r[order]
+    return out
 
 
 def nullspace(m: BitMatrix) -> Subspace:

@@ -12,7 +12,7 @@ Three square 0/1 matrices are built here:
 
 Each is stored as index rows, row i listing the columns of its 1s in
 ascending order, from the quadrangle's index arrays (kim's from the
-field tables); bits are packed only for an elimination or bit output.
+field tables); bits are packed only for an elimination.
 
 The module also selects the line set Z mapping to a pivot basis of the
 restricted code, verifies the span identities relating X0, Y, Z, L1 to

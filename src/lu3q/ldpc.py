@@ -1,12 +1,12 @@
 """LDPC codes on top of the constructed parity-check matrices.
 
-A code holds H as packed words (see ``lu3q.gf2``) and one edge layout
-read from them on first use: ``checks`` lists the variables of each
-check and ``var_edges`` the edge slots of each variable in ascending
-check order.  Syndromes, the encoder's codeword check and both decoders
-run on it; no dense copy of H is kept.  ``girth_check`` reads the 1s of
-a bare matrix's words itself, and the H^T code eliminates the words of
-the rows of H^T at H's pivot columns.
+A code holds H as index rows, as ``IncidenceMatrix.cols`` does:
+``checks``, the variables of each check, is that array, and
+``var_edges``, read from it on first use, the edge slots of each
+variable in ascending check order.  Syndromes, the encoder's codeword
+check and both decoders run on it.  Bits are packed only to eliminate H,
+and the rows of H^T at H's pivot columns for the H^T code; those rows,
+and ``girth_check``'s pairs, come from ``transpose_indices``.
 
 Simulation transmits the zero codeword (valid on a symmetric channel for
 a linear code) and draws each trial's noise from its own generator,
@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from lu3q.gf2 import BitMatrix, Subspace, bit_indices, nullspace
+from lu3q.gf2 import BitMatrix, Subspace, nullspace, pack_indices, transpose_indices
 
 # Bytes of float64 check-to-variable messages per simulation block.
 _BLOCK_BYTES = 1 << 20
@@ -84,30 +84,31 @@ class GirthReport:
     cols: tuple[int, int] | None = None
 
 
-def _degree(index: np.ndarray, count: int, what: str) -> int:
-    """The common number of edges at each of ``count`` nodes."""
-    degrees = np.bincount(index, minlength=count)
-    if count and (degrees != degrees[0]).any():
+def _degree(degrees: np.ndarray, what: str) -> int:
+    """The common number of edges at each node, given the nodes' counts."""
+    if degrees.size and (degrees != degrees[0]).any():
         raise ValueError(
             f"the decoders need a regular parity-check matrix; {what} "
             f"weights range from {degrees.min()} to {degrees.max()}"
         )
-    return int(degrees[0]) if count else 0
+    return int(degrees[0]) if degrees.size else 0
 
 
 class LdpcCode:
-    """A binary code given by a parity-check matrix."""
+    """A binary code of length n given by the index rows ``cols`` (m, w)
+    of a parity-check matrix: row i lists the columns of the 1s of check
+    i in ascending order, and -1 sets no bit, as in ``pack_indices``."""
 
-    def __init__(self, H: BitMatrix, provenance: str = ""):
-        self.H = H
-        self.n = H.n_cols
-        self.m = H.n_rows
+    def __init__(self, cols: np.ndarray, n: int, provenance: str = ""):
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.n = n
+        self.m = len(self.cols)
         self.provenance = provenance
 
     @cached_property
     def generator(self) -> Subspace:
         """The canonical basis of the code, ker(H); eliminated on first use."""
-        return nullspace(self.H)
+        return nullspace(BitMatrix(pack_indices(self.cols, self.n), self.n))
 
     @property
     def k(self) -> int:
@@ -130,20 +131,20 @@ class LdpcCode:
         """
         in_P = np.ones(self.n, dtype=bool)
         in_P[self.generator.pivot_cols] = False
-        # the rows P come from a transpose of their own, so that their
-        # copy and the code's H^T are not held at once.  They go in
-        # reverse order: the basis is the same, and on kim the elimination
-        # is faster (rank --q 32 --system kim 72 -> 52 s on a 2-core host)
-        generator = nullspace(BitMatrix(self.H.transpose().words[in_P][::-1], self.m))
-        code = LdpcCode(self.H.transpose(), provenance)
+        cols_t = transpose_indices(self.cols, self.n)
+        # the rows P go in reverse order: the same basis, and a faster
+        # elimination on kim (rank --q 32 --system kim 72 -> 52 s, 2 cores)
+        generator = nullspace(BitMatrix(pack_indices(cols_t[in_P][::-1], self.m), self.m))
+        code = LdpcCode(cols_t, self.m, provenance)
         code.generator = generator
         return code
 
     @cached_property
     def checks(self) -> np.ndarray:
-        """(m, d_c): the variables of each check, ascending."""
-        rows, cols = bit_indices(self.H)
-        return cols.reshape(self.m, _degree(rows, self.m, "row"))
+        """(m, d_c): the variables of each check, ascending; ``cols`` unpadded."""
+        cols = self.cols
+        d_c = _degree(np.count_nonzero(cols >= 0, axis=1), "row")
+        return cols if d_c == cols.shape[1] else cols[cols >= 0].reshape(self.m, d_c)
 
     @cached_property
     def var_edges(self) -> np.ndarray:
@@ -154,7 +155,7 @@ class LdpcCode:
         """
         m, d_c = self.checks.shape
         flat = self.checks.ravel()
-        d_v = _degree(flat, self.n, "column")
+        d_v = _degree(np.bincount(flat, minlength=self.n), "column")
         by_var = np.argsort(flat, kind="stable")  # ascending check within a variable
         return ((by_var % d_c) * m + by_var // d_c).reshape(self.n, d_v)
 
@@ -209,31 +210,28 @@ class LdpcCode:
         return f"LdpcCode(n={self.n}, k={self.k}, checks={self.m}, {self.provenance})"
 
 
-def girth_check(H: BitMatrix) -> GirthReport:
-    """ok iff no two rows share two columns (Tanner girth >= 6).
+def girth_check(cols: np.ndarray, n_cols: int) -> GirthReport:
+    """ok iff no two rows of the index rows ``cols`` share two columns
+    (Tanner girth >= 6).
 
-    Each column contributes the pairs of its rows; a four-cycle is a row
-    pair contributed twice.  A failing report names the lexicographically
-    first such pair and the two lowest columns it shares.
+    Each column, a row of the transpose, contributes the pairs of its
+    rows; a four-cycle is a row pair contributed twice.  A failing report
+    names the lexicographically first such pair and the two lowest
+    columns it shares.
     """
-    rows, cols = bit_indices(H)
-    by_col = np.argsort(cols, kind="stable")  # ascending row within a column
-    rows, cols = rows[by_col], cols[by_col]
-    keys, key_cols = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    for gap in range(1, len(cols)):
-        same = cols[gap:] == cols[:-gap]
-        if not same.any():
-            break
-        keys.append(rows[:-gap][same] * H.n_rows + rows[gap:][same])
-        key_cols.append(cols[gap:][same])
-    keys, key_cols = np.concatenate(keys), np.concatenate(key_cols)
-    order = np.lexsort((key_cols, keys))
-    keys, key_cols = keys[order], key_cols[order]
+    n_rows = len(cols)
+    by_col = transpose_indices(cols, n_cols)
+    a, b = np.triu_indices(by_col.shape[1], 1)
+    # padding ends a row, so a column with a row at slot b has one at a < b
+    col, pair = np.nonzero(by_col[:, b] >= 0)
+    keys = by_col[col, a[pair]] * n_rows + by_col[col, b[pair]]
+    order = np.argsort(keys, kind="stable")  # ascending column within a key
+    keys, key_cols = keys[order], col[order]
     repeats = np.flatnonzero(keys[1:] == keys[:-1])
     if not repeats.size:
         return GirthReport(True)
     i = int(repeats[0])
-    r1, r2 = divmod(int(keys[i]), H.n_rows)
+    r1, r2 = divmod(int(keys[i]), n_rows)
     return GirthReport(False, rows=(r1, r2), cols=(int(key_cols[i]), int(key_cols[i + 1])))
 
 

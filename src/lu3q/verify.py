@@ -364,7 +364,7 @@ def girth_reports(
     matrix: Callable[[str], IncidenceMatrix]
 ) -> list[tuple[str, GirthReport]]:
     """Four-cycle search on each constructed matrix, given by system name."""
-    return [(s, girth_check(matrix(s).bits)) for s in ("kim", "pl", "p1l1")]
+    return [(s, girth_check(matrix(s).cols, matrix(s).n_cols)) for s in ("kim", "pl", "p1l1")]
 
 
 # -- table rows -------------------------------------------------------------

@@ -7,6 +7,10 @@ indices, in the same order, from its packed incremental reduction.
 ``rref_ints``, ``reduce_int``, ``nullspace_ints`` and ``mul_vec`` are the
 int references for ``rref``, ``Subspace.reduce``, ``nullspace`` and a
 matrix-vector product, which ``lu3q.gf2`` does on packed words.
+``transpose`` and ``col_weights`` read a matrix's dense bits, and
+``index_rows`` turns a ``BitMatrix`` into the index rows that the code
+side takes, for the tests of ``transpose_indices``, alist, girth and
+``LdpcCode``.
 
 ``lu3q.incidence.verify_spanning`` reads the restriction kernel (the
 vectors that vanish on P1) straight off its highest-bit elimination of
@@ -89,6 +93,28 @@ def mul_vec(m: BitMatrix, v: int) -> int:
     return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(m.rows))
 
 
+def transpose(m: BitMatrix) -> BitMatrix:
+    """M^T, from the transpose of its dense bits."""
+    dense = m.to_numpy().T
+    return BitMatrix(pack_indices(np.where(dense, np.arange(m.n_rows), -1), m.n_rows), m.n_rows)
+
+
+def col_weights(m: BitMatrix) -> list[int]:
+    return m.to_numpy().sum(axis=0, dtype=np.intp).tolist()
+
+
+def index_rows(m: BitMatrix) -> np.ndarray:
+    """Row i lists the columns of the 1s of row i of m in ascending
+    order, and -1 pads each lighter row at its end to the largest row
+    weight."""
+    dense = m.to_numpy()
+    out = np.full((m.n_rows, int(dense.sum(axis=1).max(initial=0))), -1, np.intp)
+    for i, row in enumerate(dense):
+        listed = np.flatnonzero(row)
+        out[i, : len(listed)] = listed
+    return out
+
+
 def line_code(Q: Quadrangle) -> Subspace:
     """C(P,L): the span of the characteristic vectors of all lines."""
     return Subspace.span(Q.chi_lines(range(Q.n_lines)))
@@ -125,7 +151,7 @@ def kernel_intersection_basis(space: Subspace, kept_cols: Sequence[int]) -> BitM
     """
     basis = space.basis.rows
     restricted = restrict_rows(basis, kept_cols)
-    coeffs = nullspace(BitMatrix(restricted, len(kept_cols)).transpose())
+    coeffs = nullspace(transpose(BitMatrix(restricted, len(kept_cols))))
     out = []
     for alpha in coeffs.basis.rows:
         v = 0

@@ -284,7 +284,8 @@ def test_criterion_9_ldpc_properties(matrix):
 
     # dimensions match criteria 2 and 4
     for q in ALL_Q:
-        code = LdpcCode(matrix(q, "kim").bits, f"kim q={q}")
+        m = matrix(q, "kim")
+        code = LdpcCode(m.cols, m.n_cols, f"kim q={q}")
         if q in DIM_LU_EVEN:
             assert code.k == DIM_LU_EVEN[q]
         elif q in DIM_LU_ODD:
@@ -292,8 +293,9 @@ def test_criterion_9_ldpc_properties(matrix):
         else:
             assert code.k == q**3 - (q**3 + 2 * q**2 - 3 * q + 2) // 2
 
-    code2 = LdpcCode(matrix(2, "kim").bits, "kim q=2")
-    code8 = LdpcCode(matrix(8, "kim").bits, "kim q=8")
+    m2, m8 = matrix(2, "kim"), matrix(8, "kim")
+    code2 = LdpcCode(m2.cols, m2.n_cols, "kim q=2")
+    code8 = LdpcCode(m8.cols, m8.n_cols, "kim q=8")
 
     # p = 0 gives zero error rates
     for decoder in ("bitflip", "minsum"):

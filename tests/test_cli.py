@@ -9,10 +9,11 @@ import pytest
 
 import lu3q
 from lu3q.alist import read_alist
-from lu3q.cli import main
+from lu3q.cli import SIM_CSV_HEADER, main
 from lu3q.fields import field_for_order
-from lu3q.incidence import build_kim_matrix
+from lu3q.incidence import IncidenceMatrix, build_kim_matrix
 from test_acceptance import ALL_Q
+from test_alist import reference_alist_text
 from test_incidence import count_eliminations
 
 
@@ -89,8 +90,8 @@ def test_export_alist_h32(capsys, tmp_path):
     lines = out_file.read_text().splitlines()
     assert lines[0] == "8 8"
     assert lines[1] == "2 2"
-    m = read_alist(out_file)
-    assert m.n_rows == m.n_cols == 8
+    cols, n_cols = read_alist(out_file)
+    assert len(cols) == n_cols == 8
 
 
 def test_export_alist_pl_q4(capsys, tmp_path):
@@ -114,7 +115,7 @@ def test_export_csv(capsys, tmp_path):
 
 
 def test_export_csv_kim_q4_equals_the_bits_of_its_rows(capsys, tmp_path):
-    # the CSV, written from the unpacked words a slice of rows at a time,
+    # the CSV, written from the index rows a slice of rows at a time,
     # against a text built bit by bit from the int rows
     out_file = tmp_path / "kim4.csv"
     code, _ = run(capsys, "export", "--q", "4", "--system", "kim",
@@ -164,7 +165,7 @@ def test_construct_writes_alist(capsys, tmp_path):
     code, _ = run(capsys, "construct", "--q", "2", "--system", "p1l1",
                   "--out", str(out_file))
     assert code == 0
-    assert read_alist(out_file).n_rows == 8
+    assert len(read_alist(out_file)[0]) == 8
 
 
 def test_rank_pass(capsys):
@@ -242,6 +243,68 @@ def test_simulate_runs_no_elimination(capsys, monkeypatch):
                   "--trials", "5")
     assert code == 0
     assert calls == []
+
+
+def forbid_incidence_bits(monkeypatch):
+    """Make packing an incidence matrix into bits fail."""
+    def packing(self):
+        raise AssertionError(f"{self.system} packed into bits")
+
+    monkeypatch.setattr(IncidenceMatrix, "bits", property(packing))
+
+
+# simulate's CSV rows, --trials 40 --seed 3 --max-iters 20, as the
+# decoders gave them when the codes were read from packed bits
+SIMULATE_PINS = [
+    (["--q", "8", "--system", "kim", "--decoder", "minsum", "--p", "0.05,0.07"],
+     ["8,kim,0,bsc,0.05,minsum,20,40,0,0,0.0,0.0,3",
+      "8,kim,0,bsc,0.07,minsum,20,40,72,2,0.003515625,0.05,3"]),
+    (["--q", "8", "--system", "kim", "--decoder", "bitflip", "--p", "0.03,0.05"],
+     ["8,kim,0,bsc,0.03,bitflip,20,40,8,1,0.000390625,0.025,3",
+      "8,kim,0,bsc,0.05,bitflip,20,40,776,4,0.037890625,0.1,3"]),
+    (["--q", "4", "--system", "pl", "--transpose", "--decoder", "bitflip", "--p", "0.02,0.05"],
+     ["4,pl,1,bsc,0.02,bitflip,20,40,4,1,0.001176470588235294,0.025,3",
+      "4,pl,1,bsc,0.05,bitflip,20,40,260,12,0.07647058823529412,0.3,3"]),
+]
+
+
+@pytest.mark.parametrize("argv, rows", SIMULATE_PINS, ids=["kim-minsum", "kim-bitflip",
+                                                          "pl-transposed"])
+def test_simulate_packs_no_incidence_bits(capsys, monkeypatch, argv, rows):
+    forbid_incidence_bits(monkeypatch)
+    code, out = run(capsys, "simulate", *argv, "--trials", "40", "--seed", "3",
+                    "--max-iters", "20")
+    assert code == 0
+    assert out.splitlines() == [",".join(SIM_CSV_HEADER)] + rows
+
+
+def test_rank_and_verify_pack_no_incidence_bits(capsys, monkeypatch):
+    forbid_incidence_bits(monkeypatch)
+    code, out = run(capsys, "rank", "--q", "8", "--system", "kim")
+    assert code == 0
+    assert out == (
+        "system kim at q=8: rank 282, predicted 282, PASS\n"
+        "code dimensions: 230 (parity-check H), 230 (parity-check H^T); "
+        "sampled minimum-weight upper bounds 16 / 16\n"
+    )
+    # the girth row runs at q=8, and the digit-span row fails by design
+    code, out = run(capsys, "verify", "--q", "8", "--checks", "all")
+    assert code == 1
+    assert out == (VERIFY_PINS / "q8.txt").read_text()
+
+
+@pytest.mark.parametrize("system", ["pl", "p1l1", "kim"])
+def test_export_packs_no_incidence_bits(capsys, monkeypatch, tmp_path, matrix, system):
+    m = matrix(4, system).bits
+    alist = reference_alist_text(m)
+    dense = "".join(",".join(str(r >> j & 1) for j in range(m.n_cols)) + "\n" for r in m.rows)
+    forbid_incidence_bits(monkeypatch)
+    for argv, want in ((["construct"], alist), (["export", "--format", "alist"], alist),
+                       (["export", "--format", "csv"], dense)):
+        out_file = tmp_path / "out"
+        code, _ = run(capsys, *argv, "--q", "4", "--system", system, "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == want
 
 
 def test_formulas_table(capsys):
@@ -367,6 +430,24 @@ def test_verify_rejects_an_empty_check_list(capsys, checks):
 def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, command):
     err = usage_error(capsys, command, "--q", "2", "--seed", "-1")
     assert "lu3q: error: --seed must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--q", "2", "--p", "abc"],
+     "lu3q simulate: error: argument --p: 'abc' is not a number"),
+    (["simulate", "--q", "2", "--p", ","],
+     "lu3q simulate: error: argument --p: '' is not a number"),
+    (["rank", "--q", "2", "--irr", "a"],
+     "lu3q rank: error: argument --irr: 'a' is not an integer"),
+    (["formulas", "--q-odd", "x"],
+     "lu3q formulas: error: argument --q-odd: 'x' is not an odd prime power"),
+    (["formulas", "--q-odd", "3,4"],
+     "lu3q formulas: error: argument --q-odd: '4' is not an odd prime power"),
+], ids=["p-abc", "p-comma", "irr-a", "q-odd-x", "q-odd-4"])
+def test_a_bad_list_item_is_a_usage_error_naming_the_flag(capsys, argv, message):
+    err = usage_error(capsys, *argv)
+    assert message in err
     assert "Traceback" not in err
 
 

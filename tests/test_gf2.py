@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from gf2_oracle import (
     echelon,
+    index_rows,
     kernel_intersection_dim,
     mul_vec,
     nullspace_ints,
@@ -18,6 +19,7 @@ from gf2_oracle import (
     restrict_rows,
     restrict_vector,
     rref_ints,
+    transpose,
 )
 from lu3q.alist import from_alist_text, to_alist_text
 from lu3q.gf2 import (
@@ -29,6 +31,7 @@ from lu3q.gf2 import (
     pack_pairs,
     rank2,
     rref,
+    transpose_indices,
 )
 
 
@@ -93,7 +96,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(13)
     for _ in range(20):
         m, _ = random_bitmatrix(rng, rng.randint(1, 15), rng.randint(1, 15))
-        assert rank2(m) == rank2(m.transpose())
+        assert rank2(m) == rank2(transpose(m))
 
 
 def naive_pivot_cols(dense):
@@ -172,7 +175,7 @@ def test_nullspace_equals_reference(m):
 
 @given(bit_matrices())
 def test_column_greedy_pivots_equal_rref_pivots(m):
-    taken = ReducedEchelon(m.n_rows).add(m.transpose().words)
+    taken = ReducedEchelon(m.n_rows).add(transpose(m).words)
     assert taken == rref(m)[1]
 
 
@@ -334,21 +337,35 @@ def test_nullspace_peak_memory_q16(matrix):
     assert peak < 22.9e6 / 3
 
 
-@given(bit_matrices())
-def test_transpose_equals_the_dense_transpose(m):
-    t = m.transpose()
-    assert (t.n_rows, t.n_cols) == (m.n_cols, m.n_rows)
-    assert np.array_equal(t.to_numpy(), m.to_numpy().T)
-    assert t.transpose() == m
+def scatter(cols: np.ndarray, width: int, rng) -> np.ndarray:
+    """Index rows spread over ``width`` slots each, in a random order
+    within the row, with -1 in the other slots."""
+    out = np.full((len(cols), width), -1)
+    for i, row in enumerate(cols):
+        row = row[row >= 0]
+        out[i, rng.sample(range(width), len(row))] = row
+    return out
+
+
+@given(bit_matrices(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_transpose_equals_the_dense_transpose(m, extra, rng):
+    # rows in any order and padded with -1 anywhere; the transpose's rows
+    # ascend, with their padding at the end, as index_rows lists them
+    cols = index_rows(m)
+    t = transpose_indices(scatter(cols, cols.shape[1] + extra, rng), m.n_cols)
+    assert t.dtype == np.intp
+    assert np.array_equal(t, index_rows(transpose(m)))
+    assert np.array_equal(transpose_indices(t, m.n_rows), cols)
 
 
 def test_transpose_and_weights():
     m = BitMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
-    t = m.transpose()
-    assert t.n_rows == 3 and t.n_cols == 2
-    assert t.to_numpy().tolist() == [[1, 0], [1, 1], [0, 1]]
+    assert transpose_indices([[0, 1], [1, 2]], 3).tolist() == [[0, -1], [0, 1], [1, -1]]
+    assert transpose_indices([[2, -1, 0], [-1, -1, -1]], 4).tolist() == [[0], [-1], [0], [-1]]
+    assert transpose_indices(np.zeros((0, 2), int), 2).shape == (2, 0)
+    with pytest.raises(ValueError, match="outside"):
+        transpose_indices([[0, 3]], 3)
     assert m.row_weights() == [2, 2]
-    assert m.col_weights() == [1, 2, 1]
     assert (m.to_numpy() == [[1, 1, 0], [0, 1, 1]]).all()
 
 
@@ -373,14 +390,13 @@ def test_every_builder_packs_the_words_of_the_int_rows(case, rng):
     assert m.words.tolist() == [[r >> 64 * k & (2**64 - 1) for k in range(width)] for r in rows]
     assert m.rows == rows
     # rows of column indices, in any order, padded with -1 anywhere
-    cols = np.full((len(rows), n_cols + 2), -1)
-    for i, r in enumerate(rows):
-        at = rng.sample(range(n_cols + 2), r.bit_count())
-        cols[i, at] = [j for j in range(n_cols) if r >> j & 1]
+    cols = scatter(index_rows(m), n_cols + 2, rng)
     assert np.array_equal(pack_indices(cols, n_cols), m.words)
     transposed = [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(n_cols)]
-    assert np.array_equal(m.transpose().words, BitMatrix(transposed, len(rows)).words)
-    assert np.array_equal(from_alist_text(to_alist_text(m)).words, m.words)
+    t = transpose_indices(cols, n_cols)
+    assert np.array_equal(pack_indices(t, len(rows)), BitMatrix(transposed, len(rows)).words)
+    back, n = from_alist_text(to_alist_text(cols, n_cols))
+    assert n == n_cols and np.array_equal(pack_indices(back, n_cols), m.words)
 
 
 def test_no_other_module_imports_a_private_gf2_name():

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lu3q
+from gf2_oracle import index_rows, transpose
 from ldpc_oracle import min_weight_estimate as min_weight_reference
 from lu3q import ldpc
 from lu3q.gf2 import BitMatrix, nullspace
@@ -30,12 +31,14 @@ from test_acceptance import ALL_Q
 
 @pytest.fixture(scope="module")
 def code2(matrix):
-    return LdpcCode(matrix(2, "kim").bits, "kim q=2")
+    m = matrix(2, "kim")
+    return LdpcCode(m.cols, m.n_cols, "kim q=2")
 
 
 @pytest.fixture(scope="module")
 def code8(matrix):
-    return LdpcCode(matrix(8, "kim").bits, "kim q=8")
+    m = matrix(8, "kim")
+    return LdpcCode(m.cols, m.n_cols, "kim q=8")
 
 
 def test_code_dimensions(code2, code8):
@@ -45,15 +48,17 @@ def test_code_dimensions(code2, code8):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])
 def test_girth_ok_for_kim(matrix, q):
-    assert girth_check(matrix(q, "kim").bits).ok
+    m = matrix(q, "kim")
+    assert girth_check(m.cols, m.n_cols).ok
 
 
 def test_girth_ok_for_pl_q2(matrix):
-    assert girth_check(matrix(2, "pl").bits).ok
+    m = matrix(2, "pl")
+    assert girth_check(m.cols, m.n_cols).ok
 
 
 def test_girth_counterexample_smallest():
-    rep = girth_check(BitMatrix.from_dense([[1, 1], [1, 1]]))
+    rep = girth_check([[0, 1], [0, 1]], 2)
     assert not rep.ok
     assert rep.rows == (0, 1)
     assert rep.cols == (0, 1)
@@ -87,7 +92,8 @@ def test_encode_rejects_corrupted_generator_under_optimize():
         "from lu3q.fields import field_for_order\n"
         "from lu3q.incidence import build_kim_matrix\n"
         "from lu3q.ldpc import LdpcCode\n"
-        "code = LdpcCode(build_kim_matrix(field_for_order(2)).bits)\n"
+        "m = build_kim_matrix(field_for_order(2))\n"
+        "code = LdpcCode(m.cols, m.n_cols)\n"
         "code.generator.basis.words[0, 0] ^= 1\n"
         "try:\n"
         "    code.encode([1, 0])\n"
@@ -121,7 +127,8 @@ def test_min_weight_estimate_exact_for_tiny_code(code2):
 @pytest.mark.parametrize("q", [2, 4, 8])
 @pytest.mark.parametrize("transposed", [False, True])
 def test_min_weight_estimate_equals_reference(matrix, q, transposed):
-    code = LdpcCode(matrix(q, "kim").bits)
+    m = matrix(q, "kim")
+    code = LdpcCode(m.cols, m.n_cols)
     code = code.transpose() if transposed else code
     for seed in (0, 1, 1000):
         for samples in (0, 1, 7, 200):
@@ -137,7 +144,7 @@ def test_min_weight_estimate_equals_reference_where_samples_decide():
     k, tail = 21, 40
     T = ((1 << tail) - 1) << k
     dual = nullspace(BitMatrix([(1 << i) | T for i in range(k)], k + tail))
-    code = LdpcCode(dual.basis)
+    code = LdpcCode(index_rows(dual.basis), dual.n_cols)
     assert code.k == k
     found = set()
     for seed in range(6):
@@ -149,7 +156,7 @@ def test_min_weight_estimate_equals_reference_where_samples_decide():
 
 
 def test_min_weight_estimate_of_zero_code():
-    code = LdpcCode(BitMatrix.identity(5))
+    code = LdpcCode(index_rows(BitMatrix.identity(5)), 5)
     assert code.k == 0
     assert code.min_weight_estimate(3) == min_weight_reference(code, 3) == 0
 
@@ -359,8 +366,9 @@ def reference_codes(matrix):
     for q, system, transposed in REFERENCE_CODES:
         H = matrix(q, system).bits
         if transposed:
-            H = H.transpose()
-        out[(q, system, transposed)] = (LdpcCode(H), H.to_numpy().astype(np.int64))
+            H = transpose(H)
+        out[(q, system, transposed)] = (
+            LdpcCode(index_rows(H), H.n_cols), H.to_numpy().astype(np.int64))
     return out
 
 
@@ -454,11 +462,20 @@ def test_minsum_is_channel_symmetric_at_half(code8):
 
 
 def test_edge_layout_is_lazy_and_sparse(matrix):
-    code = LdpcCode(matrix(4, "kim").bits)
-    assert not any(isinstance(v, np.ndarray) for v in vars(code).values())
+    m = matrix(4, "kim")
+    code = LdpcCode(m.cols, m.n_cols)
+
+    def arrays():
+        held = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
+        return list({id(a): a for a in held}.values())
+
+    # before decoding the code holds its index rows and nothing else
+    assert len(arrays()) == 1 and np.array_equal(arrays()[0], m.cols)
     decode_minsum(code, np.full(code.n, 1.0))
-    arrays = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
-    assert sorted(a.shape for a in arrays) == [(64, 4), (64, 4)]
+    # after it, those same rows as checks, and var_edges
+    assert code.checks is code.cols
+    assert sorted(a.shape for a in arrays()) == [(64, 4), (64, 4)]
+    assert any(a is code.var_edges for a in arrays())
     # var_edges slot j*m + c is the j-th variable of check c, checks ascending
     slots = code.checks.T.ravel()[code.var_edges]
     assert (slots == np.arange(code.n)[:, None]).all()
@@ -467,9 +484,18 @@ def test_edge_layout_is_lazy_and_sparse(matrix):
 
 
 def test_decoders_reject_irregular_matrix():
-    code = LdpcCode(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]]))
+    code = LdpcCode(index_rows(BitMatrix.from_dense([[1, 1, 0], [0, 1, 1], [0, 0, 1]])), 3)
     with pytest.raises(ValueError, match="regular"):
         decode_bitflip(code, np.zeros(3, dtype=np.uint8))
+    # rows of one weight, columns of two
+    code = LdpcCode([[0, 1], [1, 2]], 3)
+    with pytest.raises(ValueError, match="regular.*column weights range from 1 to 2"):
+        decode_bitflip(code, np.zeros(3, dtype=np.uint8))
+
+
+def test_checks_drop_padding_that_every_row_has(code2):
+    padded = np.hstack([np.full((code2.m, 1), -1), code2.cols, np.full((code2.m, 1), -1)])
+    assert np.array_equal(LdpcCode(padded, code2.n).checks, code2.checks)
 
 
 @st.composite
@@ -485,27 +511,29 @@ def dense_matrices(draw):
 
 @given(dense_matrices())
 def test_girth_equals_pairwise_reference(H):
-    assert girth_check(H) == girth_reference(H)
+    assert girth_check(index_rows(H), H.n_cols) == girth_reference(H)
 
 
 @pytest.mark.parametrize("q,system", [(3, "pl"), (4, "p1l1"), (5, "kim")])
 def test_girth_equals_pairwise_reference_on_constructed(matrix, q, system):
-    H = matrix(q, system).bits
-    assert girth_check(H) == girth_reference(H) == GirthReport(True)
+    m = matrix(q, system)
+    H = m.bits
+    assert girth_check(m.cols, m.n_cols) == girth_reference(H) == GirthReport(True)
     # add one row covering two columns of row 0: the first pair is (0, m)
     cols = [c for c in range(H.n_cols) if H.get(0, c)][:2]
     bad = BitMatrix(H.rows + [(1 << cols[0]) | (1 << cols[1])], H.n_cols)
-    assert girth_check(bad) == girth_reference(bad) == GirthReport(
+    assert girth_check(index_rows(bad), bad.n_cols) == girth_reference(bad) == GirthReport(
         False, rows=(0, H.n_rows), cols=tuple(cols))
 
 
 @pytest.mark.parametrize("system", ["kim", "pl", "p1l1"])
 @pytest.mark.parametrize("q", ALL_Q)
 def test_transpose_kernel_equals_full_elimination(matrix, q, system):
-    H = matrix(q, system).bits
-    code_t = LdpcCode(H).transpose()
-    ref = nullspace(H.transpose())
-    assert code_t.H == H.transpose()
+    m = matrix(q, system)
+    code_t = LdpcCode(m.cols, m.n_cols).transpose()
+    ref = nullspace(transpose(m.bits))
+    assert code_t.n == m.n_rows
+    assert np.array_equal(code_t.cols, index_rows(transpose(m.bits)))
     assert (code_t.generator.basis, code_t.generator.pivot_cols) == (ref.basis, ref.pivot_cols)
 
 
@@ -527,6 +555,6 @@ def low_rank_matrices(draw):
 @example(BitMatrix([0b011, 0b110, 0b111, 0b101], 3))  # full column rank: k = 0, P is every column
 @example(BitMatrix([0b0110, 0b1010, 0b1100], 4))  # rank 2 < 3 rows
 def test_transpose_kernel_equals_full_elimination_random(H):
-    got = LdpcCode(H).transpose().generator
-    ref = nullspace(H.transpose())
+    got = LdpcCode(index_rows(H), H.n_cols).transpose().generator
+    ref = nullspace(transpose(H))
     assert (got.basis, got.pivot_cols, got.n_cols) == (ref.basis, ref.pivot_cols, ref.n_cols)
