@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from lu3q.alist import read_alist, to_alist_text, write_alist
-from lu3q.fields import factor_prime_power, field_for_order
+from lu3q.fields import MAX_ORDER, factor_prime_power, field_for_order
 from lu3q.formulas import predict, predict_even, predict_odd
 from lu3q.geometry import enumerate_quadrangle
 from lu3q.gf2 import rank2, transpose_indices
@@ -47,6 +47,18 @@ def _items(items, convert, what: str) -> tuple:
         except ValueError:
             raise argparse.ArgumentTypeError(f"{item!r} is not {what}") from None
     return tuple(out)
+
+
+def _odd_prime_power(item: str) -> int:
+    """An odd prime power; one above ``MAX_ORDER`` is refused with the bound's
+    own message rather than as "not an odd prime power"."""
+    q = int(item)
+    try:
+        return predict_odd(q).q
+    except ValueError as exc:
+        if q > MAX_ORDER:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        raise
 
 
 def _build_matrix(args):
@@ -266,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("formulas", help="closed-form prediction tables")
     sp.add_argument("--t-max", dest="t_max", type=int, default=5)
     sp.add_argument("--q-odd", dest="q_odd", default="3,5,7,9", type=lambda s: _items(
-        filter(None, s.split(",")), lambda q: predict_odd(int(q)).q, "an odd prime power"))
+        filter(None, s.split(",")), _odd_prime_power, "an odd prime power"))
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_formulas)
 
@@ -353,8 +365,8 @@ def main(argv=None) -> int:
             parser.error("--q is required")
         try:
             factor_prime_power(args.q)
-        except ValueError:
-            parser.error(f"{args.q} is not a prime power")
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command in ("rank", "simulate") and args.seed < 0:  # numpy's generators
         parser.error(f"--seed must be >= 0, got {args.seed}")
     try:

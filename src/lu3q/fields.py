@@ -321,8 +321,15 @@ def build_field(p: int, t: int, irreducible: Sequence[int] | None = None) -> GF:
     return GF(p, t, irreducible)
 
 
+# factor_prime_power trial-divides up to isqrt(q): 2^20 steps at the bound
+MAX_ORDER = 2**40
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Return (p, t) with q = p^t, or raise ValueError if q is not a prime power."""
+    """Return (p, t) with q = p^t, or raise ValueError if q is not a prime
+    power or exceeds ``MAX_ORDER``."""
+    if q > MAX_ORDER:
+        raise ValueError(f"{q} exceeds the largest supported order 2^40")
     if q < 2:
         raise ValueError(f"{q} is not a prime power")
     # the least prime factor; a q with none up to isqrt(q) is prime

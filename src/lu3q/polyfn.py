@@ -15,9 +15,13 @@ so that the monomial is f_0 * f_1^2 * ... * f_{t-1}^(2^(t-1)).
 Coefficient vectors are numpy uint8 arrays indexed by ``mono_index``,
 whose field elements add by XOR.  ``code_coefficients`` interpolates GF(2)
 vectors on the points by one q x q transform along each axis, and
+``value_tables`` evaluates by the same pass with another matrix;
 ``reduce_against_beta`` tests digit-span membership as a tensor product,
-with no elimination; ``delta_line`` and ``build_beta`` stay as the
-references built by polynomial products.
+with no elimination, and ``kernel_normal_form`` checks coefficient arrays.
+``lu3q verify`` works on these arrays alone.  The dict polynomials
+(``delta_line``, ``build_beta``, ``in_span_beta`` and their products)
+stay because the benchmark in ``perfbench/`` calls them by name; the
+tests use them as references.
 """
 
 from __future__ import annotations
@@ -34,14 +38,6 @@ from lu3q.gf2 import BitMatrix, nullspace, pack_pairs
 
 Mono = tuple[int, int, int, int]
 PolyFn = dict[Mono, int]
-
-
-class NotInKernelError(ValueError):
-    """The vector does not vanish on the restricted point set."""
-
-
-class NormalFormViolationError(AssertionError):
-    """A kernel element fails the (1 + x3^(q-1)) * h normal form."""
 
 
 def reduce_mod_I(f: PolyFn, F: GF) -> PolyFn:
@@ -94,17 +90,6 @@ def p_pow(f: PolyFn, n: int, F: GF) -> PolyFn:
         base = p_mul(base, base, F)
         n >>= 1
     return result
-
-
-def evaluate(f: PolyFn, v: tuple[int, int, int, int], F: GF) -> int:
-    """Value at a vector, with the 0^0 = 1 convention."""
-    total = 0
-    for exps, coeff in f.items():
-        term = coeff
-        for x, e in zip(v, exps):
-            term = F.mul(term, F.pow(x, e))
-        total = F.add(total, term)
-    return total
 
 
 def linear_form(coeffs: tuple[int, int, int, int]) -> PolyFn:
@@ -165,19 +150,6 @@ def compose_exponents(digits) -> np.ndarray:
     return (digits << shifts).sum(axis=-2, dtype=digits.dtype)
 
 
-def digitize_monomial(m: Mono, F: GF) -> list[Mono]:
-    """One monomial's digits as tuples: the scalar view of
-    ``digitize_exponents``."""
-    return [tuple(d) for d in digitize_exponents(m, F).tolist()]
-
-
-def compose_digits(digits: list[Mono]) -> Mono:
-    """One monomial from its digit tuples: the scalar view of
-    ``compose_exponents``."""
-    digits = np.asarray(digits, dtype=np.int64).reshape(-1, 4)
-    return tuple(compose_exponents(digits).tolist())  # type: ignore[return-value]
-
-
 _BETA_DIGIT_CHOICES: list[PolyFn] = [
     {(0, 0, 0, 0): 1},
     {(1, 0, 0, 0): 1},
@@ -215,13 +187,6 @@ def poly_to_vec(f: PolyFn, q: int) -> np.ndarray:
     for exps, coeff in f.items():
         v[mono_index(exps, q)] = coeff
     return v
-
-
-def vec_to_poly(v: np.ndarray, q: int) -> PolyFn:
-    return {
-        tuple(int(e) for e in np.unravel_index(i, (q,) * 4)): int(v[i])  # type: ignore[misc]
-        for i in np.flatnonzero(v)
-    }
 
 
 def build_beta(F: GF) -> BetaBasis:
@@ -278,22 +243,46 @@ def in_span_beta(f: PolyFn, F: GF) -> bool:
     return not reduce_against_beta(poly_to_vec(f, F.q)[None, :], F).any()
 
 
-# -- coefficient vectors from value tables -------------------------------------
+# -- coefficient vectors and value tables ------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _field_tables(F: GF) -> tuple[np.ndarray, np.ndarray]:
-    """The multiplication table of GF(q), and the interpolation table whose
-    row (x, v) packs K[e, x] * v for e = 0..q-1 into uint64 words."""
+def _field_tables(F: GF) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The multiplication table of GF(q), and the interpolation and
+    evaluation matrices packed for ``_per_axis``."""
     q = F.q
     mul = F.tables.mul.astype(np.uint8)
     K = np.zeros((q, q), dtype=np.uint8)
     K[0, 0] = K[q - 1] = 1
     for x in range(1, q):
         K[1 : q - 1, x] = [F.pow(F.inv(x), e) for e in range(1, q - 1)]
-    packed = np.zeros((q, q, max(q, 8)), dtype=np.uint8)
-    packed[:, :, :q] = mul[K.T[:, None, :], np.arange(q)[:, None]]
-    return mul, packed.view(np.uint64)
+    V = np.array([[F.pow(x, e) for e in range(q)] for x in range(q)], dtype=np.uint8)  # 0^0 = 1
+
+    def packed(M: np.ndarray) -> np.ndarray:
+        # row (j, v) packs M[i, j] * v for i = 0..q-1 into uint64 words
+        out = np.zeros((q, q, max(q, 8)), dtype=np.uint8)
+        out[:, :, :q] = mul[M.T[:, None, :], np.arange(q)[:, None]]
+        return out.view(np.uint64)
+
+    return mul, packed(K), packed(V)
+
+
+def _per_axis(arrays: np.ndarray, packed: np.ndarray, q: int) -> np.ndarray:
+    """A q x q matrix M, packed by ``_field_tables``, applied along each of
+    the four axes of every row: out[i] = sum_j M[i, j] * in[j] per axis."""
+    out = np.empty(arrays.shape, dtype=np.uint8)
+    step = max(1, 2**16 // q**3)  # rows per pass: transients stay near 1 MB
+    for s in range(0, len(arrays), step):
+        # axes 0..3, row; each pass contracts the leading axis and appends
+        # its transformed axis, so four passes give row, 0..3
+        a = np.ascontiguousarray(arrays[s : s + step].T).reshape(q, -1)
+        for _ in range(4):
+            acc = np.zeros((a.shape[1], packed.shape[2]), dtype=np.uint64)
+            for j in range(q):
+                acc ^= packed[j][a[j]]
+            a = acc.view(np.uint8)[:, :q].reshape(q, -1)
+        out[s : s + step] = a.reshape(-1, q**4)
+    return out
 
 
 def interpolate_tables(tables: np.ndarray, F: GF) -> np.ndarray:
@@ -307,21 +296,16 @@ def interpolate_tables(tables: np.ndarray, F: GF) -> np.ndarray:
     """
     if F.p != 2:
         raise ValueError("the interpolation transform needs q = 2^t")
-    q = F.q
-    _, packed = _field_tables(F)
-    out = np.empty(tables.shape, dtype=np.uint8)
-    step = max(1, 2**16 // q**3)  # tables per pass: transients stay near 1 MB
-    for s in range(0, len(tables), step):
-        # axes x0, x1, x2, x3, table; each pass contracts the leading axis
-        # and appends its exponent axis, so four passes give table, e0..e3
-        a = np.ascontiguousarray(tables[s : s + step].T).reshape(q, -1)
-        for _ in range(4):
-            acc = np.zeros((a.shape[1], packed.shape[2]), dtype=np.uint64)
-            for x in range(q):
-                acc ^= packed[x][a[x]]
-            a = acc.view(np.uint8)[:, :q].reshape(q, -1)
-        out[s : s + step] = a.reshape(-1, q**4)
-    return out
+    return _per_axis(tables, _field_tables(F)[1], F.q)
+
+
+def value_tables(coeffs: np.ndarray, F: GF) -> np.ndarray:
+    """Value tables of the reduced polynomials with the given coefficient
+    vectors, one row each: the inverse of ``interpolate_tables``, by the
+    same pass with V[x, e] = x^e (0^0 = 1) in place of K."""
+    if F.p != 2:
+        raise ValueError("the evaluation transform needs q = 2^t")
+    return _per_axis(coeffs, _field_tables(F)[2], F.q)
 
 
 def code_coefficients(Q: Quadrangle, vectors: BitMatrix) -> np.ndarray:
@@ -329,7 +313,7 @@ def code_coefficients(Q: Quadrangle, vectors: BitMatrix) -> np.ndarray:
     the points, one per row of ``vectors``: the sum of the point indicators
     over the support, which is c[p] at each nonzero multiple of point p and
     the parity of the weight at 0.  A line's vector gives ``delta_line``."""
-    mul, _ = _field_tables(Q.F)
+    mul = _field_tables(Q.F)[0]
     q, n = Q.q, Q.n_points
     multiples = mul[np.arange(1, q)[:, None, None], Q.points]
     point_of = np.full(q**4, n)
@@ -344,52 +328,30 @@ def code_coefficients(Q: Quadrangle, vectors: BitMatrix) -> np.ndarray:
 
 
 def kernel_normal_form(
-    c: np.ndarray, r_star: PolyFn, Q: Quadrangle, p1: tuple[int, ...] | None = None
-) -> PolyFn:
-    """Factor a kernel code vector as (1 + x3^(q-1)) * h, x3-free h.
+    rows: np.ndarray, coeffs: np.ndarray, Q: Quadrangle
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check kernel code vectors against the normal form (1 + x3^(q-1)) * h
+    with h free of x3, and split off h.
 
-    ``c`` is the vector as a 0/1 array over the points.  Its interpolation
-    ``r_star`` (from ``code_coefficients``) is split by its x3-exponent and
-    checked against the digit-degree and variable constraints a kernel
-    element of the line code must satisfy.
-    Raises NotInKernelError if the vector does not vanish off the perp of
-    p0, NormalFormViolationError if the structural claims fail.
+    ``rows`` holds the vectors as 0/1 arrays over the points and ``coeffs``
+    their interpolations (from ``code_coefficients``), one row each.
+    Returns a mask of the rows that violate the form, and h as a
+    (k, q, q, q) array indexed by e0, e1, e2.  A row violates it if it has
+    support on P1 (outside the perp of p0), a term with x3-exponent in
+    1..q-2, differing x3^0 and x3^(q-1) parts, or a monomial of h other
+    than 1 outside the span of the x1/x2 digit tuples: a digit that is not
+    x1 or x2.  That is e0 != 0, e1 + e2 != q-1 or a digit of degree != 1;
+    any two of these imply the third.
     """
-    F = Q.F
-    q = F.q
-    if p1 is None:
-        p1 = Q.restricted_sets.P1
-    if c[np.asarray(p1, np.intp)].any():
-        raise NotInKernelError("vector has support outside the perp of p0")
-
-    h0: PolyFn = {}
-    h1: PolyFn = {}
-    for exps, coeff in r_star.items():
-        e3 = exps[3]
-        reduced = (exps[0], exps[1], exps[2], 0)
-        if e3 == 0:
-            h0[reduced] = coeff
-        elif e3 == q - 1:
-            h1[reduced] = coeff
-        else:
-            raise NormalFormViolationError(
-                f"term {exps} has x3-exponent {e3}, expected 0 or {q - 1}"
-            )
-    if h0 != h1:
-        raise NormalFormViolationError(
-            "x3-free part differs from the x3^(q-1) part"
-        )
-
-    for exps in h0:
-        if exps == (0, 0, 0, 0):
-            continue
-        digits = digitize_monomial(exps, F)
-        if any(sum(d) != 1 for d in digits):
-            raise NormalFormViolationError(
-                f"monomial {exps} has a digit of degree != 1"
-            )
-        if exps[0] != 0 or exps[3] != 0 or exps[1] + exps[2] != q - 1:
-            raise NormalFormViolationError(
-                f"monomial {exps} escapes the span of x1/x2 digit tuples"
-            )
-    return h0
+    q, k = Q.q, len(rows)
+    a = coeffs.reshape(k, q, q, q, q)
+    h = a[..., 0]
+    digits = digitize_exponents(np.indices((q, q, q, 1)).reshape(4, -1).T, Q.F)
+    x1, x2 = (digits == (0, 1, 0, 0)).all(axis=2), (digits == (0, 0, 1, 0)).all(axis=2)
+    in_span = (x1 | x2).all(axis=1)
+    in_span[0] = True  # the constant 1
+    bad = rows[:, np.asarray(Q.restricted_sets.P1, np.intp)].any(axis=1)
+    bad |= a[..., 1 : q - 1].reshape(k, -1).any(axis=1)
+    bad |= (a[..., q - 1] != h).reshape(k, -1).any(axis=1)
+    bad |= h.reshape(k, -1)[:, ~in_span].any(axis=1)
+    return bad, h

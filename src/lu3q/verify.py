@@ -41,16 +41,12 @@ from lu3q.incidence import (
 )
 from lu3q.ldpc import GirthReport, girth_check
 from lu3q.polyfn import (
-    NormalFormViolationError,
-    NotInKernelError,
     code_coefficients,
     compose_exponents,
-    delta_line,
     digitize_exponents,
-    evaluate,
     kernel_normal_form,
     reduce_against_beta,
-    vec_to_poly,
+    value_tables,
 )
 
 CHECK_GROUPS = (
@@ -306,18 +302,14 @@ def digit_roundtrip_failures(F: GF) -> int:
 
 
 def line_profile_failures(Q: Quadrangle) -> int:
-    """Lines whose indicator polynomial misevaluates at some point."""
-    F = Q.F
-    points = Q.points.tolist()
-    bad = 0
-    for l in range(Q.n_lines):
-        d = delta_line(l, Q)
-        pts = Q.line_points(l)
-        if any(
-            evaluate(d, v, F) != (1 if i in pts else 0) for i, v in enumerate(points)
-        ):
-            bad += 1
-    return bad
+    """Lines whose indicator polynomial misevaluates at some point: every
+    line's interpolation, evaluated at every point, against ``line_pts``."""
+    q, n = Q.q, Q.n_lines
+    values = value_tables(code_coefficients(Q, Q.chi_lines(range(n))), Q.F)
+    on_line = np.zeros((n, Q.n_points), dtype=np.uint8)
+    np.put_along_axis(on_line, Q.line_pts, 1, axis=1)
+    at_points = values[:, Q.points @ q ** np.arange(3, -1, -1)]
+    return int((at_points != on_line).any(axis=1).sum())
 
 
 def line_span_residuals(Q: Quadrangle) -> tuple[np.ndarray, np.ndarray]:
@@ -348,16 +340,10 @@ class KernelForms(NamedTuple):
 def kernel_forms(Q: Quadrangle, kernel: BitMatrix) -> KernelForms:
     """Normal form and digit-span membership on a basis of the
     restriction kernel inside C(P,L), ``SpanningReport.kernel``."""
-    P1 = Q.restricted_sets.P1
     vecs = code_coefficients(Q, kernel)
-    violations = 0
-    for c, v in zip(kernel.to_numpy(), vecs):
-        try:
-            kernel_normal_form(c, vec_to_poly(v, Q.q), Q, P1)
-        except (NormalFormViolationError, NotInKernelError):
-            violations += 1
+    violations, _ = kernel_normal_form(kernel.to_numpy(), vecs, Q)
     outside = int(reduce_against_beta(vecs, Q.F).any(axis=1).sum())
-    return KernelForms(kernel.n_rows, violations, outside)
+    return KernelForms(kernel.n_rows, int(violations.sum()), outside)
 
 
 def girth_reports(

@@ -11,7 +11,6 @@ reports, so each check has one implementation.  One opt-in gate
 """
 
 import functools
-import itertools
 import time
 
 import numpy as np
@@ -26,7 +25,7 @@ from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
 from lu3q.polyfn import (
     build_beta,
     code_coefficients,
-    digitize_monomial,
+    digitize_exponents,
     poly_to_vec,
     reduce_against_beta,
 )
@@ -56,10 +55,8 @@ ALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 def high_digit_mask(F):
     """Monomials of F_q^4 with a digit of degree 3 or more, as a mask over
     coefficient vectors."""
-    return poly_to_vec({
-        m: 1 for m in itertools.product(range(F.q), repeat=4)
-        if max(sum(d) for d in digitize_monomial(m, F)) >= 3
-    }, F.q).astype(bool)
+    exps = np.indices((F.q,) * 4).reshape(4, -1).T
+    return digitize_exponents(exps, F).sum(axis=2).max(axis=1) >= 3
 
 
 def report(n, detail):
@@ -194,12 +191,10 @@ def test_criterion_7_structural_suites(quad, matrix):
         sub(f"digit round-trip over all {q**4} monomials at q={q}",
             digit_roundtrip_failures(quad(q).F) == 0)
     F8 = quad(8).F
-    worked = (
-        digitize_monomial((3, 1, 0, 6), F8)
-        == [(1, 1, 0, 0), (1, 0, 0, 1), (0, 0, 0, 1)]
-        and digitize_monomial((1, 3, 2, 4), F8)
-        == [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 0, 1)]
-    )
+    worked = digitize_exponents([(3, 1, 0, 6), (1, 3, 2, 4)], F8).tolist() == [
+        [[1, 1, 0, 0], [1, 0, 0, 1], [0, 0, 0, 1]],  # x0*x1, x0*x3, x3
+        [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]],  # x0*x1, x1*x2, x3
+    ]
     sub("worked digit example at q=8", worked)
 
     # line indicator evaluation profiles

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lu3q
+import lu3q.polyfn
 from lu3q.alist import read_alist
 from lu3q.cli import SIM_CSV_HEADER, main
 from lu3q.fields import field_for_order
@@ -15,6 +16,12 @@ from lu3q.incidence import IncidenceMatrix, build_kim_matrix
 from test_acceptance import ALL_Q
 from test_alist import reference_alist_text
 from test_incidence import count_eliminations
+
+
+def lu3q_env():
+    """The environment for running lu3q in a child process from this tree."""
+    src = str(Path(lu3q.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -36,6 +43,19 @@ def test_verify_rejects_non_prime_power(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["verify", "--q"], "lu3q: error: "),
+    (["formulas", "--q-odd"], "lu3q formulas: error: argument --q-odd: "),
+], ids=["verify", "formulas"])
+def test_an_order_past_the_bound_is_a_usage_error_at_once(argv, prefix):
+    # factoring 2^61 - 1 by trial division would run for hours
+    done = subprocess.run([sys.executable, "-m", "lu3q", *argv, str(2**61 - 1)],
+                          env=lu3q_env(), capture_output=True, text=True, timeout=20)
+    assert done.returncode == 2
+    assert f"{prefix}{2**61 - 1} exceeds the largest supported order 2^40" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_verify_grid_odd_q_expected_fail(capsys):
     code, out = run(capsys, "verify", "--q", "3", "--checks", "grid")
     assert code == 0
@@ -54,8 +74,7 @@ def test_verify_poly_q4_reports_known_failure(capsys):
 def test_verify_output_survives_optimize():
     # python -O strips assert statements; every check must still run
     # and print the same table
-    src = str(Path(lu3q.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = lu3q_env()
     argv = ["-m", "lu3q", "verify", "--q", "4", "--checks", "all"]
     plain, optimized = (
         subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
@@ -227,6 +246,27 @@ def test_verify_output_bytes(capsys, q):
         assert out == (VERIFY_PINS / f"q{q}{suffix}").read_text()
         # the digit-span row fails by design at q = 4 and 8
         assert code == (1 if q in (4, 8) else 0)
+
+
+def test_verify_runs_no_dict_polynomial(capsys, monkeypatch):
+    # the poly rows work on coefficient arrays: every product, reduction
+    # and digit-tuple expansion on dict polynomials is made to fail
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"verify called {name}")
+        return call
+
+    for name in ("delta_line", "p_mul", "reduce_mod_I", "build_beta", "in_span_beta"):
+        orig = getattr(lu3q.polyfn, name)
+        for mod in [m for k, m in sys.modules.items() if k == "lu3q" or k.startswith("lu3q.")]:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, forbidden(name))
+    for q, status in ((2, 0), (4, 1)):
+        for suffix, flags in ((".txt", []), (".json", ["--json"])):
+            code, out = run(capsys, "verify", "--q", str(q), "--checks", "all", *flags)
+            assert out == (VERIFY_PINS / f"q{q}{suffix}").read_text()
+            assert code == status
 
 
 def test_rank_kim_eliminates_H_once(capsys, monkeypatch):

@@ -190,6 +190,14 @@ def _factor_by_every_divisor(q):
     return p, t
 
 
+def test_factor_prime_power_refuses_orders_past_the_bound():
+    assert factor_prime_power(2**32) == (2, 32)
+    assert factor_prime_power(2**40) == (2, 40)
+    for big in (2**40 + 1, 2**61 - 1, 3**30):
+        with pytest.raises(ValueError, match=r"exceeds the largest supported order 2\^40"):
+            factor_prime_power(big)
+
+
 def test_factor_prime_power_equals_reference_below_5000():
     def outcome(factor, q):
         try:

@@ -5,22 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lu3q.verify
 from gf2_oracle import kernel_intersection_basis, line_code, restrict_vector
 from gfq_oracle import GFqLinAlg, beta_reference
 from lu3q.gf2 import BitMatrix
 from lu3q.polyfn import (
-    NormalFormViolationError,
-    NotInKernelError,
     build_beta,
     code_coefficients,
-    compose_digits,
     compose_exponents,
     delta_line,
     digitize_exponents,
-    digitize_monomial,
-    evaluate,
     in_span_beta,
     indicator_of_zero_set,
     interpolate_tables,
@@ -32,8 +28,9 @@ from lu3q.polyfn import (
     poly_to_vec,
     reduce_against_beta,
     reduce_mod_I,
-    vec_to_poly,
+    value_tables,
 )
+from poly_oracle import compose_digits, digitize_monomial, evaluate, vec_to_poly
 from lu3q.geometry import torus_and_swap
 from lu3q.verify import kernel_forms, line_orbit_escapes, line_span_residuals, run_checks
 from test_acceptance import LINE_ESCAPES
@@ -66,9 +63,11 @@ def interpolate_code_vector(c, Q):
     return vec_to_poly(code_coefficients(Q, BitMatrix([c], Q.n_points))[0], Q.q)
 
 
-def point_bits(c, Q):
-    """The int bitset c as a 0/1 array over the points."""
-    return BitMatrix([c], Q.n_points).to_numpy()[0]
+def kernel_rows(vectors, Q):
+    """The int bitsets as 0/1 rows over the points, and their coefficient
+    vectors: the arguments of ``kernel_normal_form``."""
+    m = BitMatrix(list(vectors), Q.n_points)
+    return m.to_numpy(), code_coefficients(Q, m)
 
 
 def random_poly(rng, q, n_terms=6):
@@ -357,11 +356,16 @@ def test_interpolation_matches_line_delta(quad):
 
 
 def test_kernel_normal_form_of_ell0(quad):
-    for q in (2, 4):
+    for q in (2, 4, 8):
         Q = quad(q)
-        c = Q.chi_lines([Q.ell0]).rows[0]
-        h = kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
-        assert h == {(0, 0, 0, 0): 1, (0, 0, q - 1, 0): 1}
+        bad, h = kernel_normal_form(*kernel_rows(Q.chi_lines([Q.ell0]).rows, Q), Q)
+        assert bad.tolist() == [False]
+        want = np.zeros((1, q, q, q), dtype=np.uint8)
+        want[0, 0, 0, 0] = want[0, 0, 0, q - 1] = 1  # h = 1 + x2^(q-1), by e0, e1, e2
+        assert np.array_equal(h, want)
+        # every line through p0 passes too
+        lines = Q.point_lines[Q.p0].tolist()
+        assert not kernel_normal_form(*kernel_rows(Q.chi_lines(lines).rows, Q), Q)[0].any()
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
@@ -371,30 +375,90 @@ def test_kernel_basis_all_pass_and_h_space_small(quad, q):
     p1 = Q.restricted_sets.P1
     kernel = kernel_intersection_basis(code, p1).rows
     assert len(kernel) == q + 1
-    ops = GFqLinAlg(Q.F)
-    h_vecs = []
     for c in kernel:
         assert restrict_vector(c, p1) == 0
-        h = kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q, p1)
-        h_vecs.append(poly_to_vec(h, q))
-    assert ops.rank(np.array(h_vecs)) <= q + 1
+    bad, h = kernel_normal_form(*kernel_rows(kernel, Q), Q)
+    assert not bad.any()
+    assert GFqLinAlg(Q.F).rank(h.reshape(len(kernel), -1)) <= q + 1
 
 
 def test_kernel_rejects_vector_with_p1_support(quad):
-    Q = quad(2)
-    p1 = Q.restricted_sets.P1
-    with pytest.raises(NotInKernelError):
-        c = 1 << p1[0]
-        kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
+    for q in (2, 4, 8):
+        Q = quad(q)
+        c = 1 << Q.restricted_sets.P1[0]
+        assert kernel_normal_form(*kernel_rows([c], Q), Q)[0].tolist() == [True]
 
 
 def test_normal_form_violation_for_noncode_vector(quad):
     # a single point of the perp is in the kernel but not in the line
     # code; its digit structure breaks the degree-1 constraint
-    Q = quad(4)
-    with pytest.raises(NormalFormViolationError):
+    for q in (2, 4, 8):
+        Q = quad(q)
         c = 1 << Q.p0
-        kernel_normal_form(point_bits(c, Q), interpolate_code_vector(c, Q), Q)
+        assert not c & sum(1 << p for p in Q.restricted_sets.P1)
+        assert kernel_normal_form(*kernel_rows([c], Q), Q)[0].tolist() == [True]
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_kernel_normal_form_flags_each_condition(quad, q):
+    # ell0's row, each time with one defect put in by hand.  On an x3-free
+    # monomial any two of the three span constraints imply the third
+    # (e1 + e2 = q-1 without carries makes e2 the bit complement of e1), so
+    # each monomial below breaks two of them.
+    Q = quad(q)
+    rows, coeffs = kernel_rows(Q.chi_lines([Q.ell0]).rows, Q)
+    p1_point = Q.restricted_sets.P1[0]
+
+    def add(*exps):
+        out = coeffs.copy()
+        for e in exps:
+            out[0, mono_index(e, q)] ^= 1
+        return out
+
+    p1_row = rows.copy()
+    p1_row[0, p1_point] = 1
+    cases = {
+        "support on P1": (p1_row, coeffs),
+        "x3-exponent 1": (rows, add((0, 0, 0, 1))),
+        "x3-exponent q-2": (rows, add((0, 1, 0, q - 2))),
+        "x3^0 and x3^(q-1) parts differ": (rows, add((0, 0, 0, q - 1))),
+        "e0 != 0 (and a digit of degree 2)": (rows, add((1, q - 1, 0, 0), (1, q - 1, 0, q - 1))),
+        "e1 + e2 != q-1 (and a digit of degree 0)": (rows, add((0, 1, 0, 0), (0, 1, 0, q - 1))),
+        "a digit of degree 2 (and e1 + e2 != q-1)": (
+            rows, add((0, q - 1, q - 1, 0), (0, q - 1, q - 1, q - 1))
+        ),
+    }
+    assert not kernel_normal_form(rows, coeffs, Q)[0].any()
+    for name, (r, c) in cases.items():
+        assert kernel_normal_form(r, c, Q)[0].tolist() == [True], name
+    # all cases in one call: the mask is per row
+    r = np.concatenate([rows] + [r for r, _ in cases.values()])
+    c = np.concatenate([coeffs] + [c for _, c in cases.values()])
+    assert kernel_normal_form(r, c, Q)[0].tolist() == [False] + [True] * len(cases)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_kernel_normal_form_h_monomials_against_digit_reference(quad, q):
+    # every x3-free monomial m, as h = m times (1 + x3^(q-1)): flagged iff
+    # m is neither 1 nor x1^e1 * x2^e2 with e1 + e2 = q-1 and digits of
+    # degree 1, read one monomial at a time
+    Q = quad(q)
+    monos = [m + (0,) for m in itertools.product(range(q), repeat=3)]
+    coeffs = np.zeros((len(monos), q**4), dtype=np.uint8)
+    for i, m in enumerate(monos):
+        coeffs[i, mono_index(m, q)] = coeffs[i, mono_index(m[:3] + (q - 1,), q)] = 1
+    rows = np.zeros((len(monos), Q.n_points), dtype=np.uint8)
+    bad, h = kernel_normal_form(rows, coeffs, Q)
+    want = [
+        m != (0, 0, 0, 0) and not (
+            m[0] == 0 and m[1] + m[2] == q - 1
+            and all(sum(d) == 1 for d in digitize_monomial(m, Q.F))
+        )
+        for m in monos
+    ]
+    assert bad.tolist() == want
+    assert sum(not w for w in want) == q + 1  # 1 and the q splits of q-1
+    assert np.array_equal(h.reshape(len(monos), -1), np.eye(len(monos), dtype=np.uint8))
 
 
 # -- the interpolation transform and the tensor-product span test -------------
@@ -424,6 +488,17 @@ def test_interpolation_reproduces_value_table_q4(field, values):
     f = vec_to_poly(interpolate_tables(table[None, :], F)[0], 4)
     for x in itertools.product(range(4), repeat=4):
         assert evaluate(f, x, F) == table[mono_index(x, 4)]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_evaluation_inverts_interpolation(field, q, data):
+    F = field(q)
+    tables = data.draw(arrays(np.uint8, (3, q**4), elements=st.integers(0, q - 1)))
+    coeffs = interpolate_tables(tables, F)
+    assert np.array_equal(value_tables(coeffs, F), tables)
+    assert np.array_equal(interpolate_tables(value_tables(tables, F), F), tables)
 
 
 @pytest.mark.parametrize("q", [2, 4, 8])
