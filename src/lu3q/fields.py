@@ -6,10 +6,11 @@ digit = constant term.  Element enumeration is therefore always the
 integer order 0, 1, ..., q-1, which keeps matrix indexing and file
 output canonical.
 
-For p = 2, multiplication/inversion/powers run on log/antilog tables
-built from a primitive element.  Odd characteristic uses coefficient
-arithmetic modulo the defining polynomial, with dense lookup tables
-for small fields.
+The field has one representation, ``GF.tables``: int32 lookup arrays
+for addition, multiplication, negation and inversion, built on first
+use from the base-p digits of all q^2 pairs at once.  The scalar
+operations index the same arrays, so constructing a field costs only
+the checks of p and of its defining polynomial.
 
 Built-in defining polynomials (minimal integer encoding, LSB-first):
     p=2: t=2: x^2+x+1   t=3: x^3+x+1   t=4: x^4+x+1   t=5: x^5+x^2+1
@@ -37,32 +38,10 @@ _DEFAULT_PRIMES = (2, 3, 5, 7)
 _DEFAULT_MAX_T = 5
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _trim(poly: tuple[int, ...]) -> tuple[int, ...]:
     while poly and poly[-1] == 0:
         poly = poly[:-1]
     return poly
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(tuple(out))
 
 
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> tuple[int, ...]:
@@ -85,13 +64,6 @@ def _int_to_poly(n: int, p: int) -> tuple[int, ...]:
         n, d = divmod(n, p)
         digits.append(d)
     return tuple(digits)
-
-
-def _poly_to_int(poly: Sequence[int], p: int) -> int:
-    n = 0
-    for c in reversed(poly):
-        n = n * p + c
-    return n
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -129,25 +101,54 @@ def default_irreducible(p: int, t: int) -> tuple[int, ...]:
 
 
 class FieldTables(NamedTuple):
-    """The field operations as int32 lookup arrays indexed by elements."""
+    """The field operations as int32 lookup arrays indexed by elements.
+
+    0 has no inverse: ``inv[0] = 0`` is a placeholder, which the scalar
+    ``GF.inv`` refuses."""
 
     add: np.ndarray  # add[a, b] = a + b, shape (q, q)
     mul: np.ndarray  # mul[a, b] = a * b, shape (q, q)
     neg: np.ndarray  # neg[a] = -a, shape (q,)
+    inv: np.ndarray  # inv[a] = 1/a for a != 0, shape (q,)
+
+
+def _build_tables(p: int, t: int, irreducible: tuple[int, ...]) -> FieldTables:
+    """The tables of GF(p^t) under a monic ``irreducible`` of degree t,
+    from the base-p digits of all q^2 pairs at once: addition is
+    digit-wise mod p, and a product is the convolution of the digit
+    vectors reduced by the defining polynomial."""
+    q = p**t
+    place = p ** np.arange(t, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // place % p  # constant term first
+    a, b = digits[:, None, :], digits[None, :, :]
+    prod = np.zeros((q, q, 2 * t - 1), dtype=np.int64)
+    for i in range(t):
+        prod[..., i : i + t] += a[..., i : i + 1] * b
+    # x^t = -(m_0 + m_1 x + ... + m_{t-1} x^(t-1)): fold degrees 2t-2 .. t down
+    low = np.array(irreducible[:t], dtype=np.int64)
+    for d in range(2 * t - 2, t - 1, -1):
+        prod[..., d - t : d] -= prod[..., d : d + 1] % p * low
+    mul = prod[..., :t] % p @ place
+    return FieldTables(
+        ((a + b) % p @ place).astype(np.int32),
+        mul.astype(np.int32),
+        (-digits % p @ place).astype(np.int32),
+        (mul == 1).argmax(axis=1).astype(np.int32),  # row 0 has no 1: inv[0] = 0
+    )
 
 
 class GF:
     """The field GF(p^t) with elements 0..q-1 in the polynomial basis."""
 
     def __init__(self, p: int, t: int, irreducible: Sequence[int] | None = None):
-        if not is_prime(p):
+        if factor_prime_power(p)[1] != 1:
             raise ValueError(f"p={p} is not prime")
         if t < 1:
             raise ValueError(f"t={t} must be >= 1")
         if irreducible is None:
             irreducible = default_irreducible(p, t)
-        irreducible = tuple(c % p for c in irreducible)
-        if len(_trim(irreducible)) != t + 1 or irreducible[t] != 1:
+        irreducible = _trim(tuple(c % p for c in irreducible))
+        if len(irreducible) != t + 1 or irreducible[t] != 1:
             raise ValueError(f"defining polynomial must be monic of degree exactly {t}")
         if not is_irreducible(irreducible, p):
             raise ReduciblePolynomialError(
@@ -158,139 +159,67 @@ class GF:
         self.q = p**t
         self.irreducible = irreducible
 
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self._mul_table: list[list[int]] | None = None
-        self._add_table: list[list[int]] | None = None
-        if p == 2 and t > 1:
-            self._build_log_tables()
-        elif t > 1 and self.q <= 128:
-            self._build_dense_tables()
+    @functools.cached_property
+    def tables(self) -> FieldTables:
+        """Addition, multiplication, negation and inversion as arrays, built
+        on first use, for evaluating one operation on many elements at once."""
+        return _build_tables(self.p, self.t, self.irreducible)
 
-    # -- construction helpers ------------------------------------------------
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Multiplication through coefficient polynomials (no tables)."""
-        pa = _int_to_poly(a, self.p)
-        pb = _int_to_poly(b, self.p)
-        return _poly_to_int(_poly_mod(_poly_mul(pa, pb, self.p), self.irreducible, self.p), self.p)
-
-    def _powers(self, g: int) -> list[int]:
-        """1, g, g^2, ... up to the first repeat."""
-        val, powers = 1, {}  # a dict keeps order and tests membership in O(1)
-        while val not in powers:
-            powers[val] = None
-            val = self._mul_poly(val, g)
-        return list(powers)
-
-    def _build_log_tables(self) -> None:
-        q = self.q
-        for g in range(2, q):
-            powers = self._powers(g)
-            if len(powers) == q - 1:
-                self._exp = powers + powers  # doubled to skip a mod in mul
-                log = [0] * q
-                for i, v in enumerate(powers):
-                    log[v] = i
-                self._log = log
-                return
-        raise ValueError("no primitive element found")  # pragma: no cover
-
-    def _build_dense_tables(self) -> None:
-        q = self.q
-        self._mul_table = [[self._mul_poly(a, b) for b in range(q)] for a in range(q)]
-        self._add_table = [[self._add_poly(a, b) for b in range(q)] for a in range(q)]
-
-    def _add_poly(self, a: int, b: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.t):
-            a, da = divmod(a, p)
-            b, db = divmod(b, p)
-            out += ((da + db) % p) * mult
-            mult *= p
-        return out
+    @functools.cached_property
+    def _lists(self) -> FieldTables:
+        """``tables`` as nested lists, which the scalar operations index:
+        a list read is cheaper than a numpy scalar read."""
+        return FieldTables(*(a.tolist() for a in self.tables))
 
     # -- field operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self.t == 1:
-            return (a + b) % self.p
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_poly(a, b)
+        return self._lists.add[a][b]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        if self.t == 1:
-            return (-a) % self.p
-        p, out, mult = self.p, 0, 1
-        for _ in range(self.t):
-            a, d = divmod(a, p)
-            out += ((-d) % p) * mult
-            mult *= p
-        return out
+        return self._lists.neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        L = self._lists
+        return L.add[a][L.neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        if self.t == 1:
-            return (a * b) % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_poly(a, b)
+        return self._lists.mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._exp is not None:
-            return self._exp[(self.q - 1) - self._log[a]]
-        if self.t == 1:
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        return self._lists.inv[a]
 
     def pow(self, a: int, n: int) -> int:
-        """a**n with the convention 0**0 = 1."""
+        """a**n for any integer n, with 0**0 = 1 and a**n = a**(n mod (q-1))
+        for a != 0; 0 to a negative power raises ZeroDivisionError."""
         if n == 0:
             return 1
         if a == 0:
+            if n < 0:
+                raise ZeroDivisionError("0 to a negative power")
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * n) % (self.q - 1)]
-        result, base = 1, a
+        mul, result, n = self._lists.mul, 1, n % (self.q - 1)
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = mul[result][a]
+            a = mul[a][a]
             n >>= 1
         return result
 
     @functools.cached_property
     def primitive(self) -> int:
         """The least element whose powers run through every nonzero element."""
-        return next(g for g in range(1, self.q) if len(self._powers(g)) == self.q - 1)
+        mul = self._lists.mul
 
-    @functools.cached_property
-    def tables(self) -> FieldTables:
-        """Addition, multiplication and negation as arrays, for evaluating
-        one operation on many elements at once."""
-        q = self.q
-        els = range(q)
-        return FieldTables(
-            np.array([[self.add(a, b) for b in els] for a in els], dtype=np.int32),
-            np.array([[self.mul(a, b) for b in els] for a in els], dtype=np.int32),
-            np.array([self.neg(a) for a in els], dtype=np.int32),
-        )
+        def order(g: int) -> int:
+            val, k = g, 1
+            while val != 1:
+                val, k = mul[val][g], k + 1
+            return k
+
+        return next(g for g in range(1, self.q) if order(g) == self.q - 1)
 
     def elements(self) -> range:
         return range(self.q)

@@ -125,8 +125,7 @@ class Quadrangle:
         T = self.F.tables
         v = np.asarray(v)
         lead = np.take_along_axis(v, (v != 0).argmax(axis=-1)[..., None], axis=-1)
-        inv = (T.mul == 1).argmax(axis=1)  # each nonzero element's inverse
-        return np.searchsorted(_code(self.points, self.q), _code(T.mul[inv[lead], v], self.q))
+        return np.searchsorted(_code(self.points, self.q), _code(T.mul[T.inv[lead], v], self.q))
 
     def line_points(self, l: int) -> frozenset[int]:
         return frozenset(self.line_pts[l].tolist())

@@ -422,6 +422,23 @@ def test_irr_override(capsys):
     assert "rank 282, predicted 282, PASS" in out
 
 
+@pytest.mark.parametrize("argv, irr", [
+    (["rank", "--q", "9", "--system", "pl"], "2,2,1"),
+    (["rank", "--q", "8"], "1,1,0,1"),
+])
+def test_trailing_zeros_in_irr_give_the_same_field(capsys, argv, irr):
+    assert run(capsys, *argv, "--irr", irr + ",0") == run(capsys, *argv, "--irr", irr)
+
+
+def test_an_order_past_the_built_in_irreducibles_is_a_usage_error_at_once():
+    # a default field at q=64 would start a dense elimination of about 8.6 GB
+    done = subprocess.run([sys.executable, "-m", "lu3q", "rank", "--q", "64"],
+                          env=lu3q_env(), capture_output=True, text=True, timeout=20)
+    assert done.returncode == 2
+    assert "lu3q: error: no built-in irreducible for p=2, t=6" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))

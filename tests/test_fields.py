@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from lu3q.fields import (
@@ -14,7 +15,7 @@ from lu3q.fields import (
 def naive_mul(a, b, F):
     """Oracle: schoolbook coefficient multiplication + long division.
 
-    Independent of the log/antilog tables used by the production path.
+    Independent of the digit convolution that builds ``GF.tables``.
     """
     pa, pb = list(F.coeffs(a)), list(F.coeffs(b))
     prod = [0] * (len(pa) + len(pb) - 1)
@@ -138,15 +139,28 @@ def test_primitive_element_generates_every_nonzero_element(q):
 @pytest.mark.parametrize("q, irr", [
     (2, None), (3, None), (4, None), (8, None), (8, (1, 0, 1, 1)),
     (9, None), (9, (2, 2, 1)), (16, None), (25, None), (27, None), (32, None),
+    (81, None), (121, (1, 0, 1)), (243, None), (343, None), (1009, None),
 ])
 def test_tables_equal_the_scalar_operations(q, irr):
+    """The scalar operations read ``tables``; the tables are checked here
+    against references that share no code with them: schoolbook
+    multiplication, digit-wise addition and negation, and the schoolbook
+    product of each element with its tabled inverse."""
     F = field_for_order(q, irr)
     T = F.tables
-    assert T.add.dtype == T.mul.dtype == T.neg.dtype == "int32"
-    els = list(F.elements())
-    assert T.add.tolist() == [[F.add(a, b) for b in els] for a in els]
-    assert T.mul.tolist() == [[F.mul(a, b) for b in els] for a in els]
-    assert T.neg.tolist() == [F.neg(a) for a in els]
+    assert T.add.dtype == T.mul.dtype == T.neg.dtype == T.inv.dtype == "int32"
+    p, digits = F.p, [F.coeffs(a) for a in F.elements()]
+    element = {d: a for a, d in enumerate(digits)}
+    # both operations commute, so the pairs a <= b cover the tables
+    assert (T.add == T.add.T).all() and (T.mul == T.mul.T).all()
+    A, B = (x.tolist() for x in np.triu_indices(q))
+    assert T.mul[A, B].tolist() == [naive_mul(a, b, F) for a, b in zip(A, B)]
+    assert T.add[A, B].tolist() == [
+        element[tuple([(x + y) % p for x, y in zip(digits[a], digits[b])])] for a, b in zip(A, B)
+    ]
+    assert T.neg.tolist() == [element[tuple([-x % p for x in d])] for d in digits]
+    inv = T.inv.tolist()
+    assert inv[0] == 0 and all(naive_mul(a, inv[a], F) == 1 for a in range(1, q))
 
 
 def test_pow_conventions():
@@ -155,6 +169,29 @@ def test_pow_conventions():
         assert F.pow(a, 0) == 1
     assert F.pow(0, 5) == 0
     assert F.pow(2, 3) == 1  # x^3 = x * x^2 = x * (x+1) = 1 in GF(4)
+
+
+@pytest.mark.parametrize("q", [2, 4, 7, 9, 1009])
+def test_negative_powers_are_powers_of_the_inverse(q):
+    F = field_for_order(q)
+    for a in range(1, q):
+        assert naive_mul(a, F.pow(a, -1), F) == 1
+        assert F.pow(a, -5) == F.pow(F.pow(a, -1), 5)
+        assert F.pow(a, 1 - q) == 1
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)
+
+
+def test_trailing_zeros_in_the_defining_polynomial_give_the_same_field():
+    F, G = build_field(3, 2, (2, 2, 1, 0)), build_field(3, 2, (2, 2, 1))
+    assert F.irreducible == (2, 2, 1)
+    assert F == G and hash(F) == hash(G)
+    assert F.mul(3, 3) == naive_mul(3, 3, G) < 9
+
+
+def test_fields_are_built_without_their_tables():
+    for F in (build_field(1_000_003, 1), field_for_order(16)):
+        assert "tables" not in vars(F)
 
 
 def test_odd_extension_field_gf9():
