@@ -189,6 +189,7 @@ def cmd_simulate(args, parser) -> int:
     m = _build_matrix(args)
     H = (transpose_indices(m.cols, m.n_cols), m.n_rows) if args.transpose else (m.cols, m.n_cols)
     code = LdpcCode(*H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
+    del m, H  # the code holds its own copy of the index rows
     if log.isEnabledFor(logging.INFO):  # k costs an elimination the decoders do not need
         log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
     rows = []

@@ -17,6 +17,15 @@ each frame alone, and min-sum adds a variable's check messages in
 ascending check order, so a frame decodes to the same bits whichever
 block it is in.  Aggregate counts are integer sums, so reports are
 bit-identical for a fixed seed.
+
+Min-sum's check update gives each edge the least magnitude over the
+other edges of its check, from running minima: a forward pass over the
+edges before it, a backward pass over those after it.  A minimum is one
+of its arguments, so this is bit for bit the min1/min2 rule (the
+second-least magnitude on an edge holding the least, the least
+elsewhere), ties and signed zeros included.  Only +-inf LLRs make a NaN
+magnitude (inf - inf), and a NaN makes its whole check NaN, as under
+the min1/min2 rule.  ``decode_minsum`` refuses a NaN LLR.
 """
 
 from __future__ import annotations
@@ -151,13 +160,26 @@ class LdpcCode:
         """(n, d_v): the edge slots of each variable, in ascending check order.
 
         Slot j*m + c is the j-th variable of check c, so the slots index
-        ``checks.T`` and the (d_c, m, ...) message arrays, flattened.
+        ``checks.T`` and the (d_c, m, ...) message arrays, flattened.  They
+        are int32 below 2^31 edges; the decoders copy them to intp once
+        per call, as np.take would on every call.
         """
         m, d_c = self.checks.shape
-        flat = self.checks.ravel()
-        d_v = _degree(np.bincount(flat, minlength=self.n), "column")
-        by_var = np.argsort(flat, kind="stable")  # ascending check within a variable
-        return ((by_var % d_c) * m + by_var // d_c).reshape(self.n, d_v)
+        n_edges = m * d_c
+        d_v = _degree(np.bincount(self.checks.ravel(), minlength=self.n), "column")
+        # edge e = c*d_c + j of variable v gets the key v*n_edges + e, one
+        # key per edge, so sorting the keys in place orders the edges by
+        # variable, then by check
+        keys = np.multiply(self.checks, n_edges, dtype=np.int64)
+        keys += np.arange(0, n_edges, d_c)[:, None]
+        keys += np.arange(d_c)
+        keys = keys.ravel()
+        keys.sort()
+        edges = np.remainder(keys, n_edges, out=keys)
+        slots = np.remainder(edges, d_c, dtype=np.int32 if n_edges < 2**31 else np.intp)
+        slots *= m
+        slots += np.floor_divide(edges, d_c, out=edges)
+        return slots.reshape(self.n, d_v)
 
     def encode(self, message) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
@@ -173,8 +195,7 @@ class LdpcCode:
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Check parities of ``bits``, shape (n,) or (n, frames)."""
-        gathered = np.take(np.asarray(bits).astype(np.uint8), self.checks.T, axis=0)
-        return np.bitwise_xor.reduce(gathered, axis=0) & 1
+        return _parities(np.asarray(bits).astype(np.uint8), self.checks.T)
 
     def is_codeword(self, bits: np.ndarray) -> bool:
         return not self.syndrome(bits).any()
@@ -235,6 +256,15 @@ def girth_check(cols: np.ndarray, n_cols: int) -> GirthReport:
     return GirthReport(False, rows=(r1, r2), cols=(int(key_cols[i]), int(key_cols[i + 1])))
 
 
+def _parities(bits: np.ndarray, check_vars: np.ndarray) -> np.ndarray:
+    """Check parities of the uint8 ``bits`` (n, ...), given ``checks.T``.
+
+    The decoders pass ``checks.T`` C-ordered, made once per call: np.take
+    copies an index array of any other order on every call.
+    """
+    return np.bitwise_xor.reduce(np.take(bits, check_vars, axis=0), axis=0) & 1
+
+
 def bsc_llr(bit: int, p: float) -> float:
     """Log-likelihood ratio of a received BSC bit (positive favors 0)."""
     magnitude = math.inf if p == 0.0 else math.log((1 - p) / p)
@@ -250,9 +280,10 @@ def _bitflip(code: LdpcCode, bits: np.ndarray, max_iters: int):
     """
     iterations = np.zeros(bits.shape[1], dtype=np.intp)
     stalled = np.zeros(bits.shape[1], dtype=bool)
-    var_checks = (code.var_edges % code.m).T
+    check_vars = np.ascontiguousarray(code.checks.T)
+    var_checks = np.remainder(code.var_edges.T, code.m, order="C", dtype=np.intp)
     half = var_checks.shape[0] // 2
-    syn = code.syndrome(bits)
+    syn = _parities(bits, check_vars)
     busy = syn.any(axis=0)
     live = np.flatnonzero(busy)
     # live frames are compacted with compress, which keeps arrays C-ordered
@@ -265,7 +296,7 @@ def _bitflip(code: LdpcCode, bits: np.ndarray, max_iters: int):
         moving = flips.any(axis=0)
         stalled[live[~moving]] = True
         frames ^= flips
-        syn = code.syndrome(frames)
+        syn = _parities(frames, check_vars)
         busy = moving & syn.any(axis=0)
         bits[:, live[~busy]] = frames[:, ~busy]
         live, frames, syn = live[busy], frames.compress(busy, axis=1), syn.compress(busy, axis=1)
@@ -282,18 +313,23 @@ def _check_messages(v2c: np.ndarray, c2v: np.ndarray, normalization: float) -> N
     """Overwrite the check-to-variable messages c2v, shape (d_c, m, frames).
 
     ``v2c`` holds the variables' totals on each edge and is used as
-    scratch.  A message takes the sign product and the scaled minimum
-    magnitude over the other edges of its check.
+    scratch.  A message takes the sign product and the scaled least
+    magnitude over the other edges of its check: the minimum of the
+    edges before it, from a forward pass, and of those after it, from a
+    backward pass.  A NaN magnitude makes its whole check NaN.
     """
     v2c -= c2v
     neg = v2c < 0
     mags = np.abs(v2c, out=v2c)
-    min1, min2 = mags[0], np.full_like(mags[0], np.inf)
-    for row in mags[1:]:
-        min2 = np.minimum(min2, np.maximum(min1, row))
-        min1 = np.minimum(min1, row)
-    np.copyto(c2v, min1)
-    np.copyto(c2v, min2, where=mags == min1)  # the minimum's own edge
+    c2v[0] = np.inf
+    for j in range(1, len(mags)):  # c2v[j] = min(mags[:j])
+        np.minimum(c2v[j - 1], mags[j - 1], out=c2v[j])
+    for j in range(len(mags) - 2, -1, -1):  # mags[j] = min(mags[j:])
+        np.minimum(c2v[j], mags[j + 1], out=c2v[j])
+        np.minimum(mags[j], mags[j + 1], out=mags[j])
+    nan = np.isnan(mags[0])  # np.minimum carries a NaN to the all-edge minimum
+    if nan.any():
+        c2v[:, nan] = np.nan
     c2v *= normalization
     neg ^= np.logical_xor.reduce(neg, axis=0)
     c2v *= 1 - 2 * neg.view(np.int8)  # exact sign flips
@@ -308,25 +344,34 @@ def _minsum(code: LdpcCode, llr: np.ndarray, max_iters: int, normalization: floa
     received = np.signbit(llr)  # a zero LLR keeps its sign bit, -0.0 for a 1
     hard = _decide(llr, received).astype(np.uint8)
     iterations = np.zeros(llr.shape[1], dtype=np.intp)
-    var_checks, var_edges = code.checks.T, code.var_edges.T
-    busy = code.syndrome(hard).any(axis=0)
+    check_vars = np.ascontiguousarray(code.checks.T)
+    var_edges = np.ascontiguousarray(code.var_edges.T, dtype=np.intp)
+    busy = _parities(hard, check_vars).any(axis=0)
     live = np.flatnonzero(busy)
-    total = llr.compress(busy, axis=1)
-    c2v = np.zeros((*var_checks.shape, live.size))
+    # llr, received, total and c2v hold the live frames only: they are
+    # compacted, and the leaving frames' decisions written out, only on
+    # an iteration where a frame leaves
+    llr, received = llr.compress(busy, axis=1), received.compress(busy, axis=1)
+    total = llr
+    c2v = np.zeros((*check_vars.shape, live.size))
     for it in range(1, max_iters + 1):
         if not live.size:
             break
         iterations[live] = it
-        _check_messages(np.take(total, var_checks, axis=0), c2v, normalization)
+        _check_messages(np.take(total, check_vars, axis=0), c2v, normalization)
         # each total adds its messages in ascending check order, so the
         # float sums do not depend on the block
-        total = np.take(llr, live, axis=1)
+        total = llr.copy()
         for slots in var_edges:
             total += np.take(c2v.reshape(-1, live.size), slots, axis=0)
-        decided = _decide(total, np.take(received, live, axis=1))
-        hard[:, live] = decided
-        busy = code.syndrome(decided).any(axis=0)
-        live, total, c2v = live[busy], total.compress(busy, axis=1), c2v.compress(busy, axis=2)
+        decided = _decide(total, received)
+        busy = _parities(decided.view(np.uint8), check_vars).any(axis=0)
+        if it == max_iters:
+            hard[:, live] = decided
+        elif not busy.all():
+            hard[:, live[~busy]] = decided[:, ~busy]
+            live, total, c2v = live[busy], total.compress(busy, axis=1), c2v.compress(busy, axis=2)
+            llr, received = llr.compress(busy, axis=1), received.compress(busy, axis=1)
     return hard, iterations
 
 
@@ -365,10 +410,14 @@ def decode_minsum(
     Check-to-variable messages take the sign product and the scaled
     minimum magnitude over the other edges; hard decisions are tested
     every iteration, and a zero total LLR decides the received bit.
+    A NaN LLR is a ValueError; +-inf LLRs are allowed.
     """
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"llr length {llr.shape} does not match n={code.n}")
+    bad = np.flatnonzero(np.isnan(llr))
+    if bad.size:
+        raise ValueError(f"llr[{bad[0]}] is NaN")
     _check_params(max_iters, normalization)
     hard, iterations = _minsum(code, llr[:, None], max_iters, normalization)
     return _single(code, hard, iterations)

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import lu3q
 from gf2_oracle import index_rows, transpose
+from ldpc_oracle import check_messages as check_messages_reference
 from ldpc_oracle import min_weight_estimate as min_weight_reference
 from lu3q import ldpc
 from lu3q.gf2 import BitMatrix, nullspace
@@ -452,6 +454,49 @@ def test_simulate_does_not_depend_on_block_size(code8, monkeypatch, decoder, p):
         reports.append(simulate(code8, channel, decoder=decoder, trials=40, max_iters=20))
     assert reports[0] == reports[1] == reports[2]
     assert sum(reports[0].iteration_histogram) == 40
+
+
+MESSAGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, math.inf, -math.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 9), st.integers(1, 4), st.integers(1, 3)),
+       normalization=st.sampled_from([0.75, 1.0]))
+def test_check_messages_equal_min1_min2_reference(data, shape, normalization):
+    # inf - inf gives NaN magnitudes: the reference makes such a check all NaN
+    values = arrays(np.float64, shape, elements=st.sampled_from(MESSAGE_VALUES))
+    v2c, c2v = data.draw(values), data.draw(values)
+    got, want = c2v.copy(), c2v.copy()
+    with np.errstate(invalid="ignore"):
+        ldpc._check_messages(v2c.copy(), got, normalization)
+        check_messages_reference(v2c.copy(), want, normalization)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_minsum_with_infinite_llrs_equals_min1_min2_kernel(matrix, monkeypatch):
+    m = matrix(4, "kim")
+    code = LdpcCode(m.cols, m.n_cols)
+    rng = np.random.Generator(np.random.PCG64(7))
+    shape = (40, code.n)
+    mags = np.where(rng.random(shape) < 0.35, math.inf, rng.choice([0.0, 0.5, 2.0], size=shape))
+    frames = mags * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        got = [decode_minsum(code, llr, max_iters=20) for llr in frames]
+        monkeypatch.setattr(ldpc, "_check_messages", check_messages_reference)
+        want = [decode_minsum(code, llr, max_iters=20) for llr in frames]
+    for g, w in zip(got, want):
+        assert (g.success, g.iterations, g.syndrome_weight) == (
+            w.success, w.iterations, w.syndrome_weight)
+        assert np.array_equal(g.bits, w.bits)
+
+
+def test_minsum_rejects_nan_llr(code2):
+    llr = np.ones(code2.n)
+    llr[[3, 5]] = np.nan
+    with pytest.raises(ValueError, match=r"llr\[3\] is NaN"):
+        decode_minsum(code2, llr)
 
 
 def test_minsum_is_channel_symmetric_at_half(code8):
