@@ -28,7 +28,7 @@ from lu3q.geometry import enumerate_quadrangle
 from lu3q.gf2 import rank2, transpose_indices
 from lu3q.incidence import build_incidence, build_kim_matrix
 from lu3q.ldpc import ChannelSpec, LdpcCode, simulate
-from lu3q.verify import CHECK_GROUPS, run_checks
+from lu3q.verify import CHECK_GROUPS, MAX_Q_ELIMINATION, run_checks
 
 log = logging.getLogger("lu3q")
 
@@ -102,6 +102,9 @@ def cmd_construct(args, parser) -> int:
 
 
 def cmd_rank(args, parser) -> int:
+    field_for_order(args.q, args.irr)  # an order with no field is refused first
+    if args.q > MAX_Q_ELIMINATION:
+        parser.error(f"size policy caps rank at q <= {MAX_Q_ELIMINATION}, got {args.q}")
     pred = predict(args.q)
     expected = pred.rank_pl if args.system == "pl" else pred.rank_p1l1
     m = _build_matrix(args)
@@ -189,9 +192,11 @@ def cmd_simulate(args, parser) -> int:
     m = _build_matrix(args)
     H = (transpose_indices(m.cols, m.n_cols), m.n_rows) if args.transpose else (m.cols, m.n_cols)
     code = LdpcCode(*H, f"{args.system} q={args.q}{' transposed' if args.transpose else ''}")
-    del m, H  # the code holds its own copy of the index rows
+    del m, H  # with --transpose the code holds H^T's rows, and m's are freed
     if log.isEnabledFor(logging.INFO):  # k costs an elimination the decoders do not need
-        log.info("simulating %s: n=%d k=%d", code.provenance, code.n, code.k)
+        k = code.k if args.q <= MAX_Q_ELIMINATION else (
+            f"not computed (size policy caps eliminations at q <= {MAX_Q_ELIMINATION})")
+        log.info("simulating %s: n=%d k=%s", code.provenance, code.n, k)
     rows = []
     for p in args.p:
         rep = simulate(

@@ -246,9 +246,9 @@ def pack_pairs(r: Sequence[int], c: Sequence[int], n_rows: int, n_cols: int) -> 
 
 
 def pack_indices(cols: np.ndarray, n_cols: int) -> np.ndarray:
-    """Words of rows of column indices: row i has bit c set for each
-    entry c of cols[i].  Negative entries set no bit, so rows may have
-    different weights."""
+    """Words of rows of column indices, of any integer dtype: row i has
+    bit c set for each entry c of cols[i].  Negative entries set no bit,
+    so rows may have different weights."""
     cols = np.asarray(cols)
     i, k = np.nonzero(cols >= 0)
     return pack_pairs(i, cols[i, k], len(cols), n_cols)
@@ -267,9 +267,9 @@ def _indices(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def transpose_indices(cols: np.ndarray, n_cols: int) -> np.ndarray:
     """Index rows of M^T, for M's rows listing the distinct columns in
-    ``cols`` in any order, -1 setting no bit: row j lists the rows with
-    an entry j, ascending, and -1 pads a lighter row at its end.  Raises
-    ValueError on an entry at n_cols or above."""
+    ``cols`` (any integer dtype) in any order, -1 setting no bit: row j
+    lists the rows with an entry j, ascending, and -1 pads a lighter row
+    at its end.  Raises ValueError on an entry at n_cols or above."""
     cols = np.asarray(cols)
     r, k = np.nonzero(cols >= 0)  # row-major, so r ascends
     c = cols[r, k]

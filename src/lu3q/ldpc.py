@@ -1,10 +1,9 @@
 """LDPC codes on top of the constructed parity-check matrices.
 
-A code holds H as index rows, as ``IncidenceMatrix.cols`` does:
-``checks``, the variables of each check, is that array, and
-``var_edges``, read from it on first use, the edge slots of each
-variable in ascending check order.  Syndromes, the encoder's codeword
-check and both decoders run on it.  Bits are packed only to eliminate H,
+A code holds H as the caller's index rows and builds one edge layout
+from them once: ``checks`` and ``var_edges``, C-ordered intp arrays that
+np.take gathers with as they stand.  Syndromes, the encoder's codeword
+check and both decoders read them.  Bits are packed only to eliminate H,
 and the rows of H^T at H's pivot columns for the H^T code; those rows,
 and ``girth_check``'s pairs, come from ``transpose_indices``.
 
@@ -109,7 +108,7 @@ class LdpcCode:
     i in ascending order, and -1 sets no bit, as in ``pack_indices``."""
 
     def __init__(self, cols: np.ndarray, n: int, provenance: str = ""):
-        self.cols = np.asarray(cols, dtype=np.intp)
+        self.cols = np.asarray(cols)
         self.n = n
         self.m = len(self.cols)
         self.provenance = provenance
@@ -148,38 +147,43 @@ class LdpcCode:
         code.generator = generator
         return code
 
+    def _rows(self) -> np.ndarray:
+        """(m, d_c): ``cols`` without its padding, in its own dtype."""
+        keep = self.cols >= 0
+        d_c = _degree(np.count_nonzero(keep, axis=1), "row")
+        return self.cols if keep.all() else self.cols[keep].reshape(self.m, d_c)
+
     @cached_property
     def checks(self) -> np.ndarray:
-        """(m, d_c): the variables of each check, ascending; ``cols`` unpadded."""
-        cols = self.cols
-        d_c = _degree(np.count_nonzero(cols >= 0, axis=1), "row")
-        return cols if d_c == cols.shape[1] else cols[cols >= 0].reshape(self.m, d_c)
+        """(d_c, m) intp: entry (j, c) is the j-th variable of check c, ascending in j."""
+        return self._rows().T.astype(np.intp, order="C")
 
     @cached_property
     def var_edges(self) -> np.ndarray:
-        """(n, d_v): the edge slots of each variable, in ascending check order.
+        """(d_v, n) intp: column v, variable v's edge slots in ascending check order.
 
-        Slot j*m + c is the j-th variable of check c, so the slots index
-        ``checks.T`` and the (d_c, m, ...) message arrays, flattened.  They
-        are int32 below 2^31 edges; the decoders copy them to intp once
-        per call, as np.take would on every call.
+        Slot j*m + c is the j-th variable of check c: it indexes ``checks``
+        and the (d_c, m, ...) message arrays, flattened, and wraps to c.
+        It is read from the index rows, so ``checks`` need not exist.
         """
-        m, d_c = self.checks.shape
+        rows = self._rows()
+        m, d_c = rows.shape
         n_edges = m * d_c
-        d_v = _degree(np.bincount(self.checks.ravel(), minlength=self.n), "column")
+        d_v = _degree(np.bincount(rows.ravel(), minlength=self.n), "column")
         # edge e = c*d_c + j of variable v gets the key v*n_edges + e, one
         # key per edge, so sorting the keys in place orders the edges by
         # variable, then by check
-        keys = np.multiply(self.checks, n_edges, dtype=np.int64)
+        keys = np.multiply(rows, n_edges, dtype=np.int64)
         keys += np.arange(0, n_edges, d_c)[:, None]
         keys += np.arange(d_c)
         keys = keys.ravel()
         keys.sort()
-        edges = np.remainder(keys, n_edges, out=keys)
-        slots = np.remainder(edges, d_c, dtype=np.int32 if n_edges < 2**31 else np.intp)
+        edges = np.remainder(keys, n_edges, out=keys).reshape(self.n, d_v)
+        var_edges = np.empty((d_v, self.n), np.intp)
+        slots = np.remainder(edges, d_c, out=var_edges.T)
         slots *= m
         slots += np.floor_divide(edges, d_c, out=edges)
-        return slots.reshape(self.n, d_v)
+        return var_edges
 
     def encode(self, message) -> np.ndarray:
         message = np.asarray(message, dtype=np.uint8)
@@ -195,7 +199,7 @@ class LdpcCode:
 
     def syndrome(self, bits: np.ndarray) -> np.ndarray:
         """Check parities of ``bits``, shape (n,) or (n, frames)."""
-        return _parities(np.asarray(bits).astype(np.uint8), self.checks.T)
+        return _parities(np.asarray(bits).astype(np.uint8), self.checks)
 
     def is_codeword(self, bits: np.ndarray) -> bool:
         return not self.syndrome(bits).any()
@@ -256,13 +260,9 @@ def girth_check(cols: np.ndarray, n_cols: int) -> GirthReport:
     return GirthReport(False, rows=(r1, r2), cols=(int(key_cols[i]), int(key_cols[i + 1])))
 
 
-def _parities(bits: np.ndarray, check_vars: np.ndarray) -> np.ndarray:
-    """Check parities of the uint8 ``bits`` (n, ...), given ``checks.T``.
-
-    The decoders pass ``checks.T`` C-ordered, made once per call: np.take
-    copies an index array of any other order on every call.
-    """
-    return np.bitwise_xor.reduce(np.take(bits, check_vars, axis=0), axis=0) & 1
+def _parities(bits: np.ndarray, checks: np.ndarray) -> np.ndarray:
+    """Check parities of the uint8 ``bits`` (n, ...), given ``LdpcCode.checks``."""
+    return np.bitwise_xor.reduce(np.take(bits, checks, axis=0), axis=0) & 1
 
 
 def bsc_llr(bit: int, p: float) -> float:
@@ -280,10 +280,9 @@ def _bitflip(code: LdpcCode, bits: np.ndarray, max_iters: int):
     """
     iterations = np.zeros(bits.shape[1], dtype=np.intp)
     stalled = np.zeros(bits.shape[1], dtype=bool)
-    check_vars = np.ascontiguousarray(code.checks.T)
-    var_checks = np.remainder(code.var_edges.T, code.m, order="C", dtype=np.intp)
-    half = var_checks.shape[0] // 2
-    syn = _parities(bits, check_vars)
+    var_edges, checks = code.var_edges, code.checks  # slot j*m + c wraps to check c
+    half = len(var_edges) // 2
+    syn = _parities(bits, checks)
     busy = syn.any(axis=0)
     live = np.flatnonzero(busy)
     # live frames are compacted with compress, which keeps arrays C-ordered
@@ -292,11 +291,11 @@ def _bitflip(code: LdpcCode, bits: np.ndarray, max_iters: int):
         if not live.size:
             break
         iterations[live] = it
-        flips = np.take(syn, var_checks, axis=0).sum(axis=0, dtype=np.uint16) > half
+        flips = np.take(syn, var_edges, axis=0, mode="wrap").sum(axis=0, dtype=np.uint16) > half
         moving = flips.any(axis=0)
         stalled[live[~moving]] = True
         frames ^= flips
-        syn = _parities(frames, check_vars)
+        syn = _parities(frames, checks)
         busy = moving & syn.any(axis=0)
         bits[:, live[~busy]] = frames[:, ~busy]
         live, frames, syn = live[busy], frames.compress(busy, axis=1), syn.compress(busy, axis=1)
@@ -318,7 +317,8 @@ def _check_messages(v2c: np.ndarray, c2v: np.ndarray, normalization: float) -> N
     edges before it, from a forward pass, and of those after it, from a
     backward pass.  A NaN magnitude makes its whole check NaN.
     """
-    v2c -= c2v
+    with np.errstate(invalid="ignore"):  # inf - inf: +-inf LLRs make NaN
+        v2c -= c2v
     neg = v2c < 0
     mags = np.abs(v2c, out=v2c)
     c2v[0] = np.inf
@@ -344,28 +344,27 @@ def _minsum(code: LdpcCode, llr: np.ndarray, max_iters: int, normalization: floa
     received = np.signbit(llr)  # a zero LLR keeps its sign bit, -0.0 for a 1
     hard = _decide(llr, received).astype(np.uint8)
     iterations = np.zeros(llr.shape[1], dtype=np.intp)
-    check_vars = np.ascontiguousarray(code.checks.T)
-    var_edges = np.ascontiguousarray(code.var_edges.T, dtype=np.intp)
-    busy = _parities(hard, check_vars).any(axis=0)
+    busy = _parities(hard, code.checks).any(axis=0)
     live = np.flatnonzero(busy)
     # llr, received, total and c2v hold the live frames only: they are
     # compacted, and the leaving frames' decisions written out, only on
     # an iteration where a frame leaves
     llr, received = llr.compress(busy, axis=1), received.compress(busy, axis=1)
     total = llr
-    c2v = np.zeros((*check_vars.shape, live.size))
+    c2v = np.zeros((*code.checks.shape, live.size))
     for it in range(1, max_iters + 1):
         if not live.size:
             break
         iterations[live] = it
-        _check_messages(np.take(total, check_vars, axis=0), c2v, normalization)
+        _check_messages(np.take(total, code.checks, axis=0), c2v, normalization)
         # each total adds its messages in ascending check order, so the
         # float sums do not depend on the block
         total = llr.copy()
-        for slots in var_edges:
-            total += np.take(c2v.reshape(-1, live.size), slots, axis=0)
+        with np.errstate(invalid="ignore"):  # inf + -inf: +-inf LLRs make NaN
+            for slots in code.var_edges:
+                total += np.take(c2v.reshape(-1, live.size), slots, axis=0)
         decided = _decide(total, received)
-        busy = _parities(decided.view(np.uint8), check_vars).any(axis=0)
+        busy = _parities(decided.view(np.uint8), code.checks).any(axis=0)
         if it == max_iters:
             hard[:, live] = decided
         elif not busy.all():
@@ -450,7 +449,8 @@ def simulate(
     if decoder not in ("bitflip", "minsum"):
         raise ValueError(f"unknown decoder {decoder!r}")
     _check_params(max_iters, normalization if decoder == "minsum" else 0.75)
-    block = max(1, _BLOCK_BYTES // (8 * max(code.checks.size, 1)))
+    # var_edges, built from the rows before checks exists, keeps the peak low
+    block = max(1, _BLOCK_BYTES // (8 * max(code.var_edges.size, 1)))
     histogram = np.zeros(max_iters + 1, dtype=np.int64)
     bit_errors = frame_errors = undetected = stuck = 0
     for start in range(0, trials, block):

@@ -49,6 +49,10 @@ from lu3q.polyfn import (
     value_tables,
 )
 
+# The size policy: the largest q each dense step takes.
+MAX_Q_DENSE_CHECKS = 8  # verify's kernel, poly and girth rows
+MAX_Q_ELIMINATION = 32  # the eliminations of rank, and k in simulate's log
+
 CHECK_GROUPS = (
     "counts",
     "gq",
@@ -448,13 +452,13 @@ def _check_spans(ctx: _Context) -> list[CheckOutcome]:
 
 def _check_kernel(ctx: _Context) -> list[CheckOutcome]:
     q = ctx.q
-    if ctx.field.p != 2 or q > 8:
+    if ctx.field.p != 2 or q > MAX_Q_DENSE_CHECKS:
         return [
             CheckOutcome(
                 "kernel", "restriction-kernel dimensions", "the kernel dimension counts",
                 "SKIP",
                 "stated under the even-order hypothesis" if ctx.field.p != 2
-                else "size policy caps this check at q <= 8",
+                else f"size policy caps this check at q <= {MAX_Q_DENSE_CHECKS}",
             )
         ]
     rep = ctx.spanning
@@ -474,12 +478,12 @@ def _check_kernel(ctx: _Context) -> list[CheckOutcome]:
 
 def _check_poly(ctx: _Context) -> list[CheckOutcome]:
     q = ctx.q
-    if ctx.field.p != 2 or q > 8:
+    if ctx.field.p != 2 or q > MAX_Q_DENSE_CHECKS:
         return [
             CheckOutcome(
                 "poly", "digit calculus", "the polynomial representation", "SKIP",
                 "even characteristic only" if ctx.field.p != 2
-                else "size policy caps this check at q <= 8",
+                else f"size policy caps this check at q <= {MAX_Q_DENSE_CHECKS}",
             )
         ]
     Q = ctx.quad
@@ -546,11 +550,11 @@ def _check_iso(ctx: _Context) -> list[CheckOutcome]:
 
 
 def _check_girth(ctx: _Context) -> list[CheckOutcome]:
-    if ctx.q > 8:
+    if ctx.q > MAX_Q_DENSE_CHECKS:
         return [
             CheckOutcome(
                 "girth", "no four-cycles in any constructed matrix", "the four-cycle-free property",
-                "SKIP", "size policy caps this check at q <= 8",
+                "SKIP", f"size policy caps this check at q <= {MAX_Q_DENSE_CHECKS}",
             )
         ]
     return [

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import lu3q
+import lu3q.cli
+import lu3q.ldpc
 import lu3q.polyfn
 from lu3q.alist import read_alist
 from lu3q.cli import SIM_CSV_HEADER, main
@@ -437,6 +439,48 @@ def test_an_order_past_the_built_in_irreducibles_is_a_usage_error_at_once():
     assert done.returncode == 2
     assert "lu3q: error: no built-in irreducible for p=2, t=6" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_rank_past_the_size_policy_is_a_usage_error_at_once(capsys, monkeypatch):
+    # at q=64 kim's elimination asks numpy for 8 GiB
+    def build(args):
+        raise AssertionError("built a matrix past the cap")
+
+    monkeypatch.setattr(lu3q.cli, "_build_matrix", build)
+    with pytest.raises(SystemExit) as exc:
+        main(["rank", "--q", "64", "--irr", "1,1,0,0,0,0,1", "--system", "kim"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "lu3q: error: size policy caps rank at q <= 32, got 64" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_log_skips_k_past_the_size_policy(capsys, caplog, monkeypatch):
+    monkeypatch.setattr(lu3q.cli, "MAX_Q_ELIMINATION", 2)
+    eliminated = []
+    monkeypatch.setattr(lu3q.ldpc, "nullspace", lambda m: eliminated.append(m))
+    args = ["simulate", "--q", "4", "--system", "kim", "--p", "0.05", "--trials", "3"]
+    with caplog.at_level(logging.INFO, logger="lu3q"):
+        assert run(capsys, *args)[0] == 0
+    assert not eliminated
+    assert "simulating kim q=4: n=64 k=not computed (size policy caps eliminations at q <= 2)" in [
+        r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.slow  # about 10 s
+def test_simulate_q64_bitflip_peaks_under_400_mb(tmp_path):
+    out = tmp_path / "q64.csv"
+    argv = [sys.executable, "-m", "lu3q", "simulate", "--q", "64", "--irr", "1,1,0,0,0,0,1",
+            "--system", "kim", "--decoder", "bitflip", "--trials", "10", "--out", str(out)]
+    child = subprocess.Popen(argv, env=lu3q_env())
+    _, status, usage = os.wait4(child.pid, 0)  # reaps the child, with its own ru_maxrss
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert out.read_text() == (
+        "q,system,transposed,channel,p,decoder,max_iters,trials,bit_errors,frame_errors,ber,fer,seed\n"
+        "64,kim,0,bsc,0.01,bitflip,50,10,0,0,0.0,0.0,0\n"
+    )
+    assert usage.ru_maxrss < 400 * 1024  # KiB, on Linux
 
 
 def usage_error(capsys, *argv):

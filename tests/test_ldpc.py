@@ -4,6 +4,7 @@ import operator
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -482,14 +483,23 @@ def test_minsum_with_infinite_llrs_equals_min1_min2_kernel(matrix, monkeypatch):
     shape = (40, code.n)
     mags = np.where(rng.random(shape) < 0.35, math.inf, rng.choice([0.0, 0.5, 2.0], size=shape))
     frames = mags * np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    got = [decode_minsum(code, llr, max_iters=20) for llr in frames]
+    monkeypatch.setattr(ldpc, "_check_messages", check_messages_reference)
     with np.errstate(invalid="ignore"):
-        got = [decode_minsum(code, llr, max_iters=20) for llr in frames]
-        monkeypatch.setattr(ldpc, "_check_messages", check_messages_reference)
         want = [decode_minsum(code, llr, max_iters=20) for llr in frames]
     for g, w in zip(got, want):
         assert (g.success, g.iterations, g.syndrome_weight) == (
             w.success, w.iterations, w.syndrome_weight)
         assert np.array_equal(g.bits, w.bits)
+
+
+def test_minsum_with_infinite_llrs_warns_nothing(code8):
+    # inf - inf and inf + -inf make NaNs on purpose; numpy must not warn of them
+    llr = np.where(np.arange(code8.n) % 3 == 0, -math.inf, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = decode_minsum(code8, llr, max_iters=5)
+    assert out.iterations > 0  # the check update ran
 
 
 def test_minsum_rejects_nan_llr(code2):
@@ -514,18 +524,19 @@ def test_edge_layout_is_lazy_and_sparse(matrix):
         held = [v for v in vars(code).values() if isinstance(v, np.ndarray)]
         return list({id(a): a for a in held}.values())
 
-    # before decoding the code holds its index rows and nothing else
-    assert len(arrays()) == 1 and np.array_equal(arrays()[0], m.cols)
-    decode_minsum(code, np.full(code.n, 1.0))
-    # after it, those same rows as checks, and var_edges
-    assert code.checks is code.cols
-    assert sorted(a.shape for a in arrays()) == [(64, 4), (64, 4)]
-    assert any(a is code.var_edges for a in arrays())
+    # before decoding the code holds the caller's index rows, uncopied, and nothing else
+    assert len(arrays()) == 1 and arrays()[0] is m.cols
+    llr = np.full(code.n, 1.0)
+    llr[0] = -1.0  # one error, so the decoder iterates
+    decode_minsum(code, llr)
+    # after it, exactly checks and var_edges besides, each C-ordered intp
+    assert {id(a) for a in arrays()} == {id(code.cols), id(code.checks), id(code.var_edges)}
+    for a in (code.checks, code.var_edges):
+        assert a.shape == (4, 64) and a.dtype == np.intp and a.flags.c_contiguous
+    assert np.array_equal(code.checks.T, m.cols)
     # var_edges slot j*m + c is the j-th variable of check c, checks ascending
-    slots = code.checks.T.ravel()[code.var_edges]
-    assert (slots == np.arange(code.n)[:, None]).all()
-    var_checks = code.var_edges % code.m
-    assert (np.diff(var_checks, axis=1) > 0).all()
+    assert (code.checks.ravel()[code.var_edges] == np.arange(code.n)).all()
+    assert (np.diff(code.var_edges % code.m, axis=0) > 0).all()
 
 
 def test_decoders_reject_irregular_matrix():
@@ -541,6 +552,8 @@ def test_decoders_reject_irregular_matrix():
 def test_checks_drop_padding_that_every_row_has(code2):
     padded = np.hstack([np.full((code2.m, 1), -1), code2.cols, np.full((code2.m, 1), -1)])
     assert np.array_equal(LdpcCode(padded, code2.n).checks, code2.checks)
+    # var_edges, read from the padded rows before checks exists
+    assert np.array_equal(LdpcCode(padded, code2.n).var_edges, code2.var_edges)
 
 
 @st.composite
